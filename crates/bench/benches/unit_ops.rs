@@ -63,6 +63,15 @@ fn bench_units(c: &mut Criterion) {
                 .sum::<f32>()
         })
     });
+    // The stock `ray_ac_mul_t19` unit.
+    let full19 = AcMulConfig::new(MulPath::Full, 19);
+    g.bench_function("ac_mul_full_tr19", |b| {
+        b.iter(|| {
+            xs.iter()
+                .map(|&(x, y)| full19.mul32(black_box(x), black_box(y)))
+                .sum::<f32>()
+        })
+    });
     let tm = TruncatedMul::new(21);
     g.bench_function("trunc_mul_21", |b| {
         b.iter(|| {

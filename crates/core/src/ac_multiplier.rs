@@ -27,8 +27,7 @@
 //! assert!((y - 2.24f32).abs() / 2.24 < 0.0204 + 1e-6);
 //! ```
 
-use crate::format::{flush_subnormal, Format};
-use crate::mitchell::mitchell_mul;
+use crate::format::Format;
 use serde::{Deserialize, Serialize};
 
 /// Which datapath of Figure 7 the multiplier is configured to use.
@@ -70,48 +69,16 @@ impl AcMulConfig {
         AcMulConfig::new(MulPath::Log, 48)
     }
 
-    /// Multiplies raw bit patterns of the given format.
+    /// Multiplies raw bit patterns of the given format (carried in a `u64`).
     #[inline(always)]
     pub fn mul_bits(&self, fmt: Format, a: u64, b: u64) -> u64 {
-        let a = flush_subnormal(fmt, a);
-        let b = flush_subnormal(fmt, b);
-
-        // Straight-line select cascade (reverse priority order) over an
-        // unconditionally evaluated normal x normal datapath; the only
-        // remaining branch is the loop-invariant path choice, which loop
-        // unswitching hoists out of the SIMT lane loops.
-        let frac_bits = fmt.frac_bits;
-        let emax = fmt.exp_max();
-        let ea = (a >> frac_bits) & emax;
-        let eb = (b >> frac_bits) & emax;
-        let fra = a & fmt.frac_mask();
-        let frb = b & fmt.frac_mask();
-        let sign = ((a ^ b) >> (fmt.exp_bits + frac_bits)) & 1;
-        let a_nan = ea == emax && fra != 0;
-        let b_nan = eb == emax && frb != 0;
-        let a_inf = ea == emax && fra == 0;
-        let b_inf = eb == emax && frb == 0;
-        let a_zero = ea == 0; // frac already flushed
-        let b_zero = eb == 0;
-
-        let exp = ea as i64 + eb as i64 - 2 * fmt.bias();
-        let t = self.truncation.min(frac_bits);
-        let keep_mask = fmt.frac_mask() & !((1u64 << t) - 1);
-        let fa = fra & keep_mask;
-        let fb = frb & keep_mask;
-        let normal = match self.path {
-            MulPath::Log => log_path(fmt, sign, exp, fa, fb),
-            MulPath::Full => full_path(fmt, sign, exp, fa, fb),
-        };
-
-        let mut r = normal;
-        r = sel(a_zero || b_zero, fmt.zero(sign), r);
-        r = sel(a_inf || b_inf, fmt.infinity(sign), r);
-        r = sel((a_inf && b_zero) || (a_zero && b_inf), fmt.nan(), r);
-        sel(a_nan || b_nan, fmt.nan(), r)
+        mul_word64(*self, fmt.exp_bits, fmt.frac_bits, a, b)
     }
 
     /// Multiplies two single precision values under this configuration.
+    ///
+    /// Runs the whole datapath in 32-bit words (see [`mitchell_term32`]), so
+    /// SIMT lane loops over it vectorize at full lane width.
     ///
     /// ```
     /// use ihw_core::ac_multiplier::{AcMulConfig, MulPath};
@@ -120,7 +87,14 @@ impl AcMulConfig {
     /// ```
     #[inline(always)]
     pub fn mul32(&self, a: f32, b: f32) -> f32 {
-        f32::from_bits(self.mul_bits(Format::SINGLE, a.to_bits() as u64, b.to_bits() as u64) as u32)
+        let f = Format::SINGLE;
+        f32::from_bits(mul_word32(
+            *self,
+            f.exp_bits,
+            f.frac_bits,
+            a.to_bits(),
+            b.to_bits(),
+        ))
     }
 
     /// Multiplies two double precision values under this configuration.
@@ -132,7 +106,7 @@ impl AcMulConfig {
 
 /// Branch-free select on raw bit patterns.
 #[inline(always)]
-fn sel(cond: bool, t: u64, f: u64) -> u64 {
+fn sel<T>(cond: bool, t: T, f: T) -> T {
     if cond {
         t
     } else {
@@ -140,34 +114,132 @@ fn sel(cond: bool, t: u64, f: u64) -> u64 {
     }
 }
 
-/// Log path (paper eq. 12 with x = M): `frac = Ma + Mb`, carrying into the
-/// exponent when the fraction sum reaches 1.
-#[inline(always)]
-fn log_path(fmt: Format, sign: u64, exp: i64, fa: u64, fb: u64) -> u64 {
-    // Both fractions sit below the hidden bit, so the carry into the
-    // exponent is exactly bit F of the sum and the wrapped fraction is the
-    // masked sum — no data-dependent branch.
-    let sum = fa + fb;
-    let cin = sum >> fmt.frac_bits;
-    fmt.encode_normal(sign, exp + cin as i64, sum & fmt.frac_mask())
+/// Instantiates the Figure 7 datapath for one machine word width: the full
+/// path's Mitchell term and the whole multiplier over bit patterns held in
+/// that word. Single precision runs in `u32` and double precision in `u64`;
+/// every intermediate fits in `F + 2` bits, so no wider type is needed.
+macro_rules! ac_mul_datapath {
+    ($u:ty, $i:ty, $term:ident, $mul:ident) => {
+        /// The full path's Mitchell term `MA(fa, fb) >> F` for `F`-bit
+        /// fractions `fa, fb < 2^F`, bit-identical to
+        /// `mitchell_mul(fa, fb) >> F` without its 128-bit datapath.
+        ///
+        /// Write a non-zero fraction as `fa = 2^ka + xa` with `xa < 2^ka`,
+        /// `ka < F`. Mitchell's log-domain fraction `xa / 2^ka` is then held
+        /// exactly at `F` bits as `xa·2^(F−ka)` (lossless because
+        /// `xa < 2^ka`). Summing both operands at that width gives the carry
+        /// and `s = (xa·2^(F−ka) + xb·2^(F−kb)) mod 2^F`, so the
+        /// characteristic is `k = ka + kb + carry ≤ 2F − 1` and
+        /// `MA = 2^k + ⌊s·2^(k−F)⌋`. Hence:
+        ///
+        /// * `k ≥ F`: `MA = (2^F + s)·2^(k−F)` exactly, and
+        ///   `MA >> F = (2^F + s) >> (2F − k)`;
+        /// * `k < F`: `MA < 2^(k+1) ≤ 2^F`, so `MA >> F = 0`.
+        ///
+        /// With `ka = W − 1 − lzcnt(fa)` on a `W`-bit word, a zero fraction
+        /// reads as `ka = −1`, which forces `k < F`, so `fa == 0` or
+        /// `fb == 0` needs no separate case. Since `2^F + s < 2^(F+1)`,
+        /// clamping the shift `2F − k` to `F + 1` yields the zero of the
+        /// `k < F` case without a branch.
+        ///
+        /// Requires `F ≤ W − 2` and both fractions below `2^F`.
+        ///
+        /// ```
+        /// use ihw_core::ac_multiplier::{mitchell_term32, mitchell_term64};
+        /// use ihw_core::mitchell::mitchell_mul;
+        /// let (fa, fb) = (0x5a_5a5a, 0x7f_0001); // 23-bit fractions
+        /// let oracle = (mitchell_mul(fa, fb) >> 23) as u64;
+        /// assert_eq!(mitchell_term32(23, fa as u32, fb as u32) as u64, oracle);
+        /// assert_eq!(mitchell_term64(23, fa, fb), oracle);
+        /// ```
+        #[inline(always)]
+        pub fn $term(frac_bits: u32, fa: $u, fb: $u) -> $u {
+            let w = <$u>::BITS;
+            let f = frac_bits;
+            debug_assert!(f + 2 <= w && fa >> f == 0 && fb >> f == 0);
+            let frac_mask: $u = (1 << f) - 1;
+            let lza = fa.leading_zeros();
+            let lzb = fb.leading_zeros();
+            // xa·2^(F−ka) with ka = W − 1 − lzcnt; the shift is ≥ 1 and
+            // reaches only F + 1 (< W) for a zero fraction.
+            let xa = (fa << (f + lza + 1 - w)) & frac_mask;
+            let xb = (fb << (f + lzb + 1 - w)) & frac_mask;
+            let sum = xa + xb;
+            let carry = (sum >> f) as u32;
+            // 2F − k, written so no intermediate goes negative.
+            let shift = lza + lzb + 2 * (f + 1) - 2 * w - carry;
+            ((1 << f) + (sum & frac_mask)) >> shift.min(f + 1)
+        }
+
+        /// The whole multiplier on one word: a straight-line select
+        /// cascade (reverse priority order) over an unconditionally
+        /// evaluated normal × normal datapath. The only branch is the
+        /// loop-invariant path choice, which loop unswitching hoists out of
+        /// the SIMT lane loops. Subnormal inputs are flushed by treating a
+        /// zero exponent field as zero: their fraction only reaches the
+        /// normal datapath, whose result the zero select overrides.
+        #[inline(always)]
+        fn $mul(cfg: AcMulConfig, exp_bits: u32, frac_bits: u32, a: $u, b: $u) -> $u {
+            let f = frac_bits;
+            let frac_mask: $u = (1 << f) - 1;
+            let hidden: $u = 1 << f;
+            let emax: $u = (1 << exp_bits) - 1;
+            let bias: $i = (1 << (exp_bits - 1)) - 1;
+            let ea = (a >> f) & emax;
+            let eb = (b >> f) & emax;
+            let fra = a & frac_mask;
+            let frb = b & frac_mask;
+            let sign = ((a ^ b) >> (exp_bits + f)) & 1;
+            let a_nan = ea == emax && fra != 0;
+            let b_nan = eb == emax && frb != 0;
+            let a_inf = ea == emax && fra == 0;
+            let b_inf = eb == emax && frb == 0;
+            let a_zero = ea == 0;
+            let b_zero = eb == 0;
+
+            let t = cfg.truncation.min(f);
+            let keep_mask = frac_mask & !((1 << t) - 1);
+            let fa = fra & keep_mask;
+            let fb = frb & keep_mask;
+            let (inc, frac) = match cfg.path {
+                // Log path (paper eq. 12 with x = M): `frac = Ma + Mb`. Both
+                // fractions sit below the hidden bit, so the carry into the
+                // exponent is exactly bit F of the sum.
+                MulPath::Log => {
+                    let sum = fa + fb;
+                    (sum >> f, sum & frac_mask)
+                }
+                // Full path: `mant = 1 + Ma + Mb + MA(Ma, Mb)` (§4.1.2) in
+                // 2^-F units, in [1, 4); normalise right by 0..=2 bits,
+                // found from the MSB index.
+                MulPath::Full => {
+                    let mant = hidden + fa + fb + $term(f, fa, fb);
+                    let shift = <$u>::BITS - 1 - mant.leading_zeros() - f;
+                    (shift as $u, (mant >> shift) - hidden)
+                }
+            };
+            let exp = ea as $i + eb as $i - 2 * bias + inc as $i;
+
+            // Encode, saturating to infinity on overflow and flushing to
+            // zero on underflow (no subnormal outputs).
+            let max_exp = emax as $i - 1 - bias;
+            let min_exp = 1 - bias;
+            let zero = sign << (exp_bits + f);
+            let inf = zero | (emax << f);
+            let nan = (emax << f) | (1 << (f - 1));
+            let body = zero | (((exp.clamp(min_exp, max_exp) + bias) as $u) << f) | frac;
+            let mut r = sel(exp < min_exp, zero, body);
+            r = sel(exp > max_exp, inf, r);
+            r = sel(a_zero || b_zero, zero, r);
+            r = sel(a_inf || b_inf, inf, r);
+            r = sel((a_inf && b_zero) || (a_zero && b_inf), nan, r);
+            sel(a_nan || b_nan, nan, r)
+        }
+    };
 }
 
-/// Full path: `mant = 1 + Ma + Mb + MA(Ma, Mb)` (§4.1.2), normalised.
-#[inline(always)]
-fn full_path(fmt: Format, sign: u64, mut exp: i64, fa: u64, fb: u64) -> u64 {
-    let f = fmt.frac_bits;
-    // MA(Ma, Mb) where Ma·Mb = fa·fb / 2^(2F); rescale the MA product into
-    // 2^-F fixed point (truncating, as the Add3 datapath does).
-    let ma_term = (mitchell_mul(fa, fb) >> f) as u64;
-    let mut mant = fmt.hidden_bit() + fa + fb + ma_term; // [1, 4) in 2^-F units
-                                                         // Normalize right so the hidden bit lands at position F; mant < 4 means
-                                                         // the shift is 0..=2, computed from the MSB index instead of a loop.
-    let shift = (63 - i64::from(mant.leading_zeros())) - f as i64;
-    let shift = shift.max(0);
-    mant >>= shift;
-    exp += shift;
-    fmt.encode_normal(sign, exp, mant - fmt.hidden_bit())
-}
+ac_mul_datapath!(u32, i32, mitchell_term32, mul_word32);
+ac_mul_datapath!(u64, i64, mitchell_term64, mul_word64);
 
 #[cfg(test)]
 mod tests {

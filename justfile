@@ -84,3 +84,9 @@ bench-compiled:
     cargo run --release -p ihw-bench --bin repro -- racecheck --bench \
         --engine compiled --threads 16384 --repeats 2 --min-compiled-speedup 5.0 \
         --out target/bench-compiled.json
+
+# Repository benchmark smoke gate: perfbench unit tests plus a 5-second
+# `launch` run that fails unless every launch is bit-identical to its
+# sequential reference (see perfbench/README.md).
+perfbench-smoke:
+    bash scripts/perfbench-smoke.sh

@@ -88,6 +88,12 @@ cargo run --release -p ihw-bench --bin repro -- racecheck --bench \
     --engine compiled --threads 16384 --repeats 2 --min-compiled-speedup 5.0 \
     --out target/bench-compiled.json
 
+echo "== perfbench: unit tests + launch smoke =="
+# The repository benchmark (perfbench/, its own Cargo workspace). The
+# smoke run fails unless every launch is bit-identical to its
+# sequential reference (`correct` true, `failed` 0).
+bash scripts/perfbench-smoke.sh
+
 echo "== smoke: repro --timings table5 fig14 =="
 cargo run --release -p ihw-bench --bin repro -- --timings table5 fig14
 
