@@ -1,13 +1,18 @@
 //! Throughput of every imprecise unit model against its precise host
-//! counterpart — the software cost of the Tables 1–4 kernels.
+//! counterpart — the software cost of the Tables 1–4 kernels — plus the
+//! per-op bookkeeping around them: the counting dispatcher's counter
+//! update and the error PMF's per-sample binning.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use gpu_sim::dispatch::FpCtx;
 use ihw_core::ac_multiplier::{AcMulConfig, MulPath};
 use ihw_core::adder::iadd32;
+use ihw_core::config::{IhwConfig, MulUnit};
 use ihw_core::mitchell::mitchell_mul;
 use ihw_core::multiplier::imul32;
 use ihw_core::sfu::{idiv32, ilog2_32, ircp32, irsqrt32, isqrt32};
 use ihw_core::truncated::TruncatedMul;
+use ihw_error::ErrorPmf;
 
 fn inputs() -> Vec<(f32, f32)> {
     ihw_qmc::Halton::<2>::new()
@@ -104,6 +109,40 @@ fn bench_units(c: &mut Criterion) {
             xs.iter()
                 .map(|&(x, y)| idiv32(black_box(x), black_box(y)))
                 .sum::<f32>()
+        })
+    });
+    // Counted dispatch: compare with `precise_add` for the counter cost.
+    let mut precise = FpCtx::new(IhwConfig::precise());
+    g.bench_function("fpctx_add32_precise", |b| {
+        b.iter(|| {
+            xs.iter()
+                .map(|&(x, y)| precise.add32(black_box(x), black_box(y)))
+                .sum::<f32>()
+        })
+    });
+    // The Table 7 FP44 unit (full path, 44 truncated bits) in double
+    // precision.
+    let mut fp44 = FpCtx::new(
+        IhwConfig::precise().with_mul(MulUnit::AcMul(AcMulConfig::new(MulPath::Full, 44))),
+    );
+    g.bench_function("fpctx_mul64_fp44", |b| {
+        b.iter(|| {
+            xs.iter()
+                .map(|&(x, y)| fp44.mul64(black_box(x as f64), black_box(y as f64)))
+                .sum::<f64>()
+        })
+    });
+    let samples: Vec<(f64, f64)> = xs
+        .iter()
+        .map(|&(x, y)| (imul32(x, y) as f64, x as f64 * y as f64))
+        .collect();
+    g.bench_function("error_pmf_record", |b| {
+        b.iter(|| {
+            let mut pmf = ErrorPmf::new();
+            for &(approx, exact) in &samples {
+                pmf.record(black_box(approx), black_box(exact));
+            }
+            pmf.total()
         })
     });
     g.finish();

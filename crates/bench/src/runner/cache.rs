@@ -16,9 +16,7 @@
 use std::any::{Any, TypeId};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 type CacheCell = Arc<OnceLock<Arc<dyn Any + Send + Sync>>>;
 
@@ -71,7 +69,7 @@ impl RunCache {
         F: FnOnce() -> T,
     {
         let cell = {
-            let mut map = self.map.lock();
+            let mut map = self.lock_map();
             Arc::clone(map.entry((key.to_owned(), TypeId::of::<T>())).or_default())
         };
         let mut computed = false;
@@ -94,6 +92,13 @@ impl RunCache {
         (value, computed)
     }
 
+    /// The key map. A panic while it was held left it consistent (each
+    /// access is one insert, lookup or clear), so a poisoned lock is
+    /// taken over rather than propagated.
+    fn lock_map(&self) -> MutexGuard<'_, BTreeMap<(String, TypeId), CacheCell>> {
+        self.map.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Number of requests served from the cache.
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
@@ -106,7 +111,7 @@ impl RunCache {
 
     /// Number of distinct keys currently cached.
     pub fn len(&self) -> usize {
-        self.map.lock().len()
+        self.lock_map().len()
     }
 
     /// Whether the cache holds no entries.
@@ -117,7 +122,7 @@ impl RunCache {
     /// Drops all entries and zeroes the counters (used between the
     /// serial and parallel passes of the determinism test).
     pub fn clear(&self) {
-        self.map.lock().clear();
+        self.lock_map().clear();
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
     }
@@ -184,9 +189,9 @@ mod tests {
         // process-global jobs budget from a parallel test.
         let cache = RunCache::new();
         let calls = AtomicUsize::new(0);
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             for _ in 0..8 {
-                s.spawn(|_| {
+                s.spawn(|| {
                     for _ in 0..4 {
                         let v: Arc<u32> = cache.get_or_compute("shared", || {
                             calls.fetch_add(1, Ordering::SeqCst);
@@ -197,8 +202,7 @@ mod tests {
                     }
                 });
             }
-        })
-        .expect("scope");
+        });
         assert_eq!(calls.load(Ordering::SeqCst), 1);
         assert_eq!(cache.misses(), 1);
         assert_eq!(cache.hits(), 31);

@@ -6,9 +6,9 @@
 //! gives the harness three things:
 //!
 //! 1. **A worker pool** ([`sweep`]) — each sweep is expressed as a list
-//!    of independent [`SweepPoint`] jobs executed on a crossbeam
-//!    scoped-thread pool. Results are returned **in input order**, so a
-//!    parallel sweep renders byte-identically to the serial one. The
+//!    of independent [`SweepPoint`] jobs executed on a worker pool.
+//!    Results are returned **in input order**, so a parallel sweep
+//!    renders byte-identically to the serial one. The
 //!    pool itself lives in the `ihw-pool` crate (re-exported here
 //!    unchanged) so the kernel interpreter's proof-gated parallel
 //!    launch path (`gpu-sim::isa`) can share the same engine.

@@ -7,18 +7,80 @@
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::fmt;
+
+/// Lowest bin of the dense window.
+const WINDOW_LO: i32 = -64;
+/// Bins `WINDOW_LO .. WINDOW_LO + WINDOW_LEN` are counted in a fixed
+/// array (1 KiB). The characterised units land in bins −46 (double
+/// precision rounding noise) to 24 (cancellation in the imprecise
+/// adder), well inside it. Two distinct `f64`s differ by at least about
+/// 2⁻⁵³ relative (one ulp), so no sample lands below bin −46: every bin
+/// outside the window lies above it.
+const WINDOW_LEN: usize = 128;
 
 /// Error distribution of an imprecise unit under a given input
 /// distribution, with the summary statistics of §4.2.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+///
+/// Bin counts live in a dense window around the bins real units produce,
+/// so recording a sample touches no map. Bins outside it go to a
+/// fallback map: the saturation bin `i32::MAX` (an infinite relative
+/// error, e.g. against a zero reference) and far-out finite bins. Which
+/// store holds a bin depends only on the bin, so equality is semantic.
+#[derive(Clone, PartialEq, Serialize, Deserialize)]
 pub struct ErrorPmf {
-    bins: BTreeMap<i32, u64>,
+    window: [u64; WINDOW_LEN],
+    outliers: BTreeMap<i32, u64>,
     exact_matches: u64,
     total: u64,
     max_err: f64,
     sum_err: f64,
     max_dist: f64,
     sum_dist: f64,
+}
+
+/// Window slot of `bin`, if it has one.
+#[inline]
+fn slot(bin: i32) -> Option<usize> {
+    let i = bin.wrapping_sub(WINDOW_LO) as u32 as usize;
+    (i < WINDOW_LEN).then_some(i)
+}
+
+impl Default for ErrorPmf {
+    fn default() -> Self {
+        ErrorPmf {
+            window: [0; WINDOW_LEN],
+            outliers: BTreeMap::new(),
+            exact_matches: 0,
+            total: 0,
+            max_err: 0.0,
+            sum_err: 0.0,
+            max_dist: 0.0,
+            sum_dist: 0.0,
+        }
+    }
+}
+
+/// Renders the same shape as a single map of bins would:
+/// `ErrorPmf { bins: {-3: 2, 1: 5}, exact_matches: …, … }`.
+impl fmt::Debug for ErrorPmf {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct Bins<'a>(&'a ErrorPmf);
+        impl fmt::Debug for Bins<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_map().entries(self.0.bins()).finish()
+            }
+        }
+        f.debug_struct("ErrorPmf")
+            .field("bins", &Bins(self))
+            .field("exact_matches", &self.exact_matches)
+            .field("total", &self.total)
+            .field("max_err", &self.max_err)
+            .field("sum_err", &self.sum_err)
+            .field("max_dist", &self.max_dist)
+            .field("sum_dist", &self.sum_dist)
+            .finish()
+    }
 }
 
 impl ErrorPmf {
@@ -51,13 +113,28 @@ impl ErrorPmf {
         self.sum_err += rel;
         let pct = rel * 100.0;
         let bin = pct.log2().ceil() as i32;
-        *self.bins.entry(bin).or_insert(0) += 1;
+        match slot(bin) {
+            Some(i) => self.window[i] += 1,
+            None => *self.outliers.entry(bin).or_insert(0) += 1,
+        }
+    }
+
+    /// Non-zero `(bin, count)` pairs in ascending bin order: the window,
+    /// then the outliers, which all lie above it (see [`WINDOW_LEN`]).
+    fn bins(&self) -> impl Iterator<Item = (i32, u64)> + '_ {
+        (WINDOW_LO..)
+            .zip(self.window.iter().copied())
+            .filter(|&(_, c)| c != 0)
+            .chain(self.outliers.iter().map(|(&b, &c)| (b, c)))
     }
 
     /// Merges another distribution into this one.
     pub fn merge(&mut self, other: &ErrorPmf) {
-        for (&bin, &count) in &other.bins {
-            *self.bins.entry(bin).or_insert(0) += count;
+        for (c, o) in self.window.iter_mut().zip(&other.window) {
+            *c += o;
+        }
+        for (&bin, &count) in &other.outliers {
+            *self.outliers.entry(bin).or_insert(0) += count;
         }
         self.exact_matches += other.exact_matches;
         self.total += other.total;
@@ -115,19 +192,23 @@ impl ErrorPmf {
         if self.total == 0 {
             0.0
         } else {
-            *self.bins.get(&bin).unwrap_or(&0) as f64 / self.total as f64
+            let count = match slot(bin) {
+                Some(i) => self.window[i],
+                None => self.outliers.get(&bin).copied().unwrap_or(0),
+            };
+            count as f64 / self.total as f64
         }
     }
 
     /// Iterates `(bin, probability)` pairs in ascending bin order.
     pub fn iter(&self) -> impl Iterator<Item = (i32, f64)> + '_ {
         let total = self.total.max(1) as f64;
-        self.bins.iter().map(move |(&b, &c)| (b, c as f64 / total))
+        self.bins().map(move |(b, c)| (b, c as f64 / total))
     }
 
     /// The bin holding the largest probability mass, if any error occurred.
     pub fn mode_bin(&self) -> Option<i32> {
-        self.bins.iter().max_by_key(|(_, &c)| c).map(|(&b, _)| b)
+        self.bins().max_by_key(|&(_, c)| c).map(|(b, _)| b)
     }
 
     /// Probability that the error percentage exceeds `threshold_pct`.
@@ -141,10 +222,9 @@ impl ErrorPmf {
         }
         let cut = threshold_pct.log2();
         let count: u64 = self
-            .bins
-            .iter()
-            .filter(|(&b, _)| (b as f64) > cut) // bins strictly above the threshold bin
-            .map(|(_, &c)| c)
+            .bins()
+            .filter(|&(b, _)| (b as f64) > cut) // bins strictly above the threshold bin
+            .map(|(_, c)| c)
             .sum();
         count as f64 / self.total as f64
     }

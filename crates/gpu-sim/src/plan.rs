@@ -326,13 +326,7 @@ impl CompiledKernel {
     pub(crate) fn absorb_into(&self, ctx: &mut FpCtx, complete: u32, fault_instr: Option<usize>) {
         let mut counts = OpCounts::new();
         for (op, c) in self.per_thread.counts.iter() {
-            let n = c * u64::from(complete);
-            // Skip zero totals: the interpreter never materializes a
-            // counter it did not touch, and `OpCounts` equality is map
-            // equality.
-            if n > 0 {
-                counts.record(op, n);
-            }
+            counts.record(op, c * u64::from(complete));
         }
         let mut int_ops = self.per_thread.int_ops * u64::from(complete);
         let mut mem_ops = self.per_thread.mem_ops * u64::from(complete);

@@ -17,17 +17,34 @@ use crate::library::{Precision, SynthesisLibrary};
 use crate::mul_power::mul_power_mw;
 use ihw_core::config::{FpOp, IhwConfig, MulUnit};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::fmt;
 
 /// Core clock of the execution pipeline used by GPUWattch and this model.
 pub const CORE_CLOCK_GHZ: f64 = 0.7;
 
 /// Per-opcode dynamic instruction counts (the "performance counters" read
 /// by `init_perf_acc` in Figure 12).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// Dense: one slot per [`FpOp`], indexed by its discriminant, so the
+/// per-op [`OpCounts::record`] on the functional-simulation hot path is
+/// a single add. An op class that was never counted and one counted
+/// zero times are the same state, so equality and `Debug` depend only
+/// on the non-zero counts.
+#[derive(Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct OpCounts {
-    counts: BTreeMap<FpOp, u64>,
+    counts: [u64; FpOp::ALL.len()],
 }
+
+// `FpOp::ALL` lists the variants in declaration order, which is also
+// their `Ord` order: slot `op as usize` holds `op`'s count, and walking
+// the slots in order visits the ops in `FpOp` order.
+const _: () = {
+    let mut i = 0;
+    while i < FpOp::ALL.len() {
+        assert!(FpOp::ALL[i] as usize == i);
+        i += 1;
+    }
+};
 
 impl OpCounts {
     /// Creates an empty counter set.
@@ -36,48 +53,66 @@ impl OpCounts {
     }
 
     /// Adds `n` executions of `op`.
+    #[inline]
     pub fn record(&mut self, op: FpOp, n: u64) {
-        *self.counts.entry(op).or_insert(0) += n;
+        self.counts[op as usize] += n;
     }
 
     /// Count for one op class.
     pub fn get(&self, op: FpOp) -> u64 {
-        *self.counts.get(&op).unwrap_or(&0)
+        self.counts[op as usize]
     }
 
     /// Total dynamic op count.
     pub fn total(&self) -> u64 {
-        self.counts.values().sum()
+        self.counts.iter().sum()
     }
 
     /// Total count of FPU-class ops (add/mul/fma).
     pub fn fpu_total(&self) -> u64 {
-        self.counts
-            .iter()
+        self.iter()
             .filter(|(op, _)| !op.is_sfu())
-            .map(|(_, &c)| c)
+            .map(|(_, c)| c)
             .sum()
     }
 
     /// Total count of SFU-class ops.
     pub fn sfu_total(&self) -> u64 {
-        self.counts
-            .iter()
+        self.iter()
             .filter(|(op, _)| op.is_sfu())
-            .map(|(_, &c)| c)
+            .map(|(_, c)| c)
             .sum()
     }
 
     /// Merges another counter set into this one.
     pub fn merge(&mut self, other: &OpCounts) {
-        for (&op, &c) in &other.counts {
-            self.record(op, c);
+        for (c, o) in self.counts.iter_mut().zip(other.counts) {
+            *c += o;
         }
     }
 
-    /// Iterates `(op, count)` pairs with non-zero counts.
+    /// Iterates `(op, count)` pairs with non-zero counts, in `FpOp` order.
     pub fn iter(&self) -> impl Iterator<Item = (FpOp, u64)> + '_ {
-        self.counts.iter().map(|(&op, &c)| (op, c))
+        FpOp::ALL
+            .into_iter()
+            .zip(self.counts)
+            .filter(|&(_, c)| c != 0)
+    }
+}
+
+/// Renders as `OpCounts { counts: {Add: 3, Mul: 1} }`: the non-zero
+/// counts as a map in `FpOp` order.
+impl fmt::Debug for OpCounts {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct NonZero<'a>(&'a OpCounts);
+        impl fmt::Debug for NonZero<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_map().entries(self.0.iter()).finish()
+            }
+        }
+        f.debug_struct("OpCounts")
+            .field("counts", &NonZero(self))
+            .finish()
     }
 }
 
@@ -203,9 +238,6 @@ impl SystemPowerModel {
         let mut dw_sfu_lat = 0.0;
 
         for (op, acc) in counts.iter() {
-            if acc == 0 {
-                continue;
-            }
             let dw = self.lib.dwip(op);
             let (ihw_pwr, ihw_lat) = self.unit_metrics(op, cfg);
             let i_pipe = self.pipe_latency_ns(acc, ihw_lat);
@@ -261,9 +293,6 @@ impl SystemPowerModel {
         let mut energy_pj = 0.0;
         let mut delay_ns = 0.0;
         for (op, acc) in counts.iter() {
-            if acc == 0 {
-                continue;
-            }
             let (pwr, lat) = self.unit_metrics(op, cfg);
             let pipe = self.pipe_latency_ns(acc, lat);
             energy_pj += pwr * pipe;

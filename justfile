@@ -85,8 +85,10 @@ bench-compiled:
         --engine compiled --threads 16384 --repeats 2 --min-compiled-speedup 5.0 \
         --out target/bench-compiled.json
 
-# Repository benchmark smoke gate: perfbench unit tests plus a 5-second
+# Repository benchmark smoke gate: perfbench unit tests, a 5-second
 # `launch` run that fails unless every launch is bit-identical to its
-# sequential reference (see perfbench/README.md).
+# sequential reference, and a 1-second `paper` run that fails unless the
+# pass renders the `repro all` tables byte for byte (see
+# perfbench/README.md).
 perfbench-smoke:
     bash scripts/perfbench-smoke.sh

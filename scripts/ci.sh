@@ -88,10 +88,11 @@ cargo run --release -p ihw-bench --bin repro -- racecheck --bench \
     --engine compiled --threads 16384 --repeats 2 --min-compiled-speedup 5.0 \
     --out target/bench-compiled.json
 
-echo "== perfbench: unit tests + launch smoke =="
+echo "== perfbench: unit tests + launch and paper smoke =="
 # The repository benchmark (perfbench/, its own Cargo workspace). The
-# smoke run fails unless every launch is bit-identical to its
-# sequential reference (`correct` true, `failed` 0).
+# smoke runs fail unless every launch is bit-identical to its
+# sequential reference and the paper pass renders the `repro all`
+# tables byte for byte (`correct` true, `failed` 0).
 bash scripts/perfbench-smoke.sh
 
 echo "== smoke: repro --timings table5 fig14 =="
