@@ -1,13 +1,17 @@
 //! Throughput of every imprecise unit model against its precise host
 //! counterpart — the software cost of the Tables 1–4 kernels — plus the
 //! per-op bookkeeping around them: the counting dispatcher's counter
-//! update and the error PMF's per-sample binning.
+//! update and the error PMF's per-sample binning. The `lanes128_*`
+//! rows run one unit over a 128-lane block in a loop shaped like the
+//! compiled engine's `map2`/`map3`: a unit body that stops vectorizing
+//! shows up there as a several-fold jump.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use gpu_sim::dispatch::FpCtx;
 use ihw_core::ac_multiplier::{AcMulConfig, MulPath};
 use ihw_core::adder::iadd32;
 use ihw_core::config::{IhwConfig, MulUnit};
+use ihw_core::fma::ifma32;
 use ihw_core::mitchell::mitchell_mul;
 use ihw_core::multiplier::imul32;
 use ihw_core::sfu::{idiv32, ilog2_32, ircp32, irsqrt32, isqrt32};
@@ -19,6 +23,35 @@ fn inputs() -> Vec<(f32, f32)> {
         .take(256)
         .map(|p| (0.5 + p[0] as f32 * 100.0, 0.5 + p[1] as f32 * 100.0))
         .collect()
+}
+
+/// The compiled engine's lane-block width.
+const LANES: usize = 128;
+const _: () = assert!(LANES == gpu_sim::compile::LANES);
+
+/// `d[i] ← f(a[i], b[i])` for `i < n`, as `compile::map2` runs it.
+#[inline(never)]
+fn lanes2(d: &mut [f32], a: &[f32], b: &[f32], n: usize, f: impl Fn(f32, f32) -> f32) {
+    let (d, a, b) = (&mut d[..n], &a[..n], &b[..n]);
+    for i in 0..n {
+        d[i] = f(a[i], b[i]);
+    }
+}
+
+/// `d[i] ← f(a[i], b[i], c[i])` for `i < n`, as `compile::map3` runs it.
+#[inline(never)]
+fn lanes3(
+    d: &mut [f32],
+    a: &[f32],
+    b: &[f32],
+    c: &[f32],
+    n: usize,
+    f: impl Fn(f32, f32, f32) -> f32,
+) {
+    let (d, a, b, c) = (&mut d[..n], &a[..n], &b[..n], &c[..n]);
+    for i in 0..n {
+        d[i] = f(a[i], b[i], c[i]);
+    }
 }
 
 fn bench_units(c: &mut Criterion) {
@@ -109,6 +142,30 @@ fn bench_units(c: &mut Criterion) {
             xs.iter()
                 .map(|&(x, y)| idiv32(black_box(x), black_box(y)))
                 .sum::<f32>()
+        })
+    });
+    let xa: Vec<f32> = xs[..LANES].iter().map(|p| p.0).collect();
+    let xb: Vec<f32> = xs[..LANES].iter().map(|p| p.1).collect();
+    let xc: Vec<f32> = xs[LANES..2 * LANES].iter().map(|p| p.0).collect();
+    let mut out = vec![0.0f32; LANES];
+    g.bench_function("lanes128_iadd32_th8", |b| {
+        b.iter(|| {
+            lanes2(&mut out, &xa, &xb, black_box(LANES), |x, y| iadd32(x, y, 8));
+            black_box(&out);
+        })
+    });
+    g.bench_function("lanes128_imul32", |b| {
+        b.iter(|| {
+            lanes2(&mut out, &xa, &xb, black_box(LANES), imul32);
+            black_box(&out);
+        })
+    });
+    g.bench_function("lanes128_ifma32_th8", |b| {
+        b.iter(|| {
+            lanes3(&mut out, &xa, &xb, &xc, black_box(LANES), |x, y, z| {
+                ifma32(x, y, z, 8)
+            });
+            black_box(&out);
         })
     });
     // Counted dispatch: compare with `precise_add` for the counter cost.

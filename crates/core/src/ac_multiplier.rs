@@ -27,7 +27,7 @@
 //! assert!((y - 2.24f32).abs() / 2.24 < 0.0204 + 1e-6);
 //! ```
 
-use crate::format::Format;
+use crate::format::{sel, Format};
 use serde::{Deserialize, Serialize};
 
 /// Which datapath of Figure 7 the multiplier is configured to use.
@@ -101,16 +101,6 @@ impl AcMulConfig {
     #[inline(always)]
     pub fn mul64(&self, a: f64, b: f64) -> f64 {
         f64::from_bits(self.mul_bits(Format::DOUBLE, a.to_bits(), b.to_bits()))
-    }
-}
-
-/// Branch-free select on raw bit patterns.
-#[inline(always)]
-fn sel<T>(cond: bool, t: T, f: T) -> T {
-    if cond {
-        t
-    } else {
-        f
     }
 }
 

@@ -26,66 +26,20 @@
 //! assert!((s - 2.75).abs() / 2.75 < 0.01);
 //! ```
 
-use crate::format::{flush_subnormal, Format};
+use crate::format::{sel, Format};
 
 /// Inclusive range of valid `TH` values (Table 1: `TH ∈ [1, 27]`).
 pub const TH_RANGE: std::ops::RangeInclusive<u32> = 1..=27;
 
-/// Imprecise addition on raw bit patterns of the given format.
-///
-/// This is the format-generic core used by [`iadd32`] / [`iadd64`]; most
-/// callers want those wrappers.
+/// Imprecise addition on raw bit patterns of the given format, carried
+/// in a `u64` (runs [`add_word64`]).
 ///
 /// # Panics
 ///
 /// Panics if `th` is outside [`TH_RANGE`].
 #[inline(always)]
 pub fn imprecise_add_bits(fmt: Format, a: u64, b: u64, th: u32) -> u64 {
-    assert!(TH_RANGE.contains(&th), "TH must lie in [1, 27], got {th}");
-    let a = flush_subnormal(fmt, a);
-    let b = flush_subnormal(fmt, b);
-
-    // The body is deliberately straight-line: the normal x normal datapath is
-    // evaluated unconditionally (with clamped shifts so off-path operands
-    // cannot overflow) and the IEEE special cases are layered on top as a
-    // select cascade in reverse priority order. With no data-dependent
-    // branches the SIMT lane loops that inline this auto-vectorize.
-    let frac_bits = fmt.frac_bits;
-    let emax = fmt.exp_max();
-    let sign_shift = fmt.exp_bits + frac_bits;
-    let ea = (a >> frac_bits) & emax;
-    let eb = (b >> frac_bits) & emax;
-    let fa = a & fmt.frac_mask();
-    let fb = b & fmt.frac_mask();
-    let same_sign = (a >> sign_shift) == (b >> sign_shift);
-    let a_nan = ea == emax && fa != 0;
-    let b_nan = eb == emax && fb != 0;
-    let a_inf = ea == emax && fa == 0;
-    let b_inf = eb == emax && fb == 0;
-    let a_zero = ea == 0; // frac already flushed
-    let b_zero = eb == 0;
-
-    let normal = add_normals(fmt, a, b, th);
-    let mut r = normal;
-    r = sel(b_zero && !a_zero, a, r);
-    r = sel(a_zero && !b_zero, b, r);
-    // +0 + -0 = +0; equal signs keep the sign.
-    r = sel(a_zero && b_zero, sel(same_sign, a, fmt.zero(0)), r);
-    r = sel(b_inf && !a_inf, b, r);
-    r = sel(a_inf && !b_inf, a, r);
-    // +inf + -inf = NaN; equal signs keep the infinity.
-    r = sel(a_inf && b_inf, sel(same_sign, a, fmt.nan()), r);
-    sel(a_nan || b_nan, fmt.nan(), r)
-}
-
-/// Branch-free select on raw bit patterns.
-#[inline(always)]
-fn sel(cond: bool, t: u64, f: u64) -> u64 {
-    if cond {
-        t
-    } else {
-        f
-    }
+    add_word64(fmt.exp_bits, fmt.frac_bits, a, b, th)
 }
 
 /// Imprecise subtraction: `a - b` via sign inversion of `b`.
@@ -95,62 +49,122 @@ pub fn imprecise_sub_bits(fmt: Format, a: u64, b: u64, th: u32) -> u64 {
     imprecise_add_bits(fmt, a, b ^ sign_bit, th)
 }
 
-/// The normal x normal datapath, evaluated unconditionally: every shift is
-/// clamped so arbitrary (flushed) operand bits cannot overflow a shifter,
-/// and both the effective-add and effective-subtract results are computed
-/// and selected, keeping the whole function branch-free.
-#[inline(always)]
-fn add_normals(fmt: Format, a: u64, b: u64, th: u32) -> u64 {
-    let frac_bits = fmt.frac_bits;
+/// Instantiates the threshold adder for one machine word width, over bit
+/// patterns of a format with `exp_bits`/`frac_bits` fields held in that
+/// word. Single precision runs in `u32` and double precision in `u64`:
+/// every significand intermediate fits in `F + 2` bits and every exponent
+/// in the word's signed twin, so SIMT lane loops over the `u32` body
+/// vectorize at full lane width.
+macro_rules! add_datapath {
+    ($u:ty, $i:ty, $name:ident) => {
+        /// Imprecise addition on one word: the normal × normal datapath
+        /// evaluated unconditionally (every shift clamped, so off-path
+        /// operand bits cannot overflow a shifter; both the effective-add
+        /// and effective-subtract results computed), with the IEEE special
+        /// cases layered on top as a select cascade in reverse priority
+        /// order. With no data-dependent branches the SIMT lane loops that
+        /// inline this auto-vectorize.
+        ///
+        /// # Panics
+        ///
+        /// Panics if `th` is outside [`TH_RANGE`].
+        #[inline(always)]
+        pub fn $name(exp_bits: u32, frac_bits: u32, a: $u, b: $u, th: u32) -> $u {
+            assert!(TH_RANGE.contains(&th), "TH must lie in [1, 27], got {th}");
+            let f = frac_bits;
+            let frac_mask: $u = (1 << f) - 1;
+            let hidden: $u = 1 << f;
+            let emax: $u = (1 << exp_bits) - 1;
+            let bias: $i = (1 << (exp_bits - 1)) - 1;
+            let sign_shift = exp_bits + f;
+            let sign_bit: $u = 1 << sign_shift;
+            // Flush subnormal inputs to a same-signed zero. The exponents
+            // are re-read from the flushed words on purpose: reusing the
+            // pre-flush fields (equal values) left the AC-multiplier FMA
+            // lane loops scalar, 3-4x slower on an AVX-512 host.
+            let a = sel(((a >> f) & emax) == 0, a & sign_bit, a);
+            let b = sel(((b >> f) & emax) == 0, b & sign_bit, b);
+            let ea = (a >> f) & emax;
+            let eb = (b >> f) & emax;
+            let same_sign = (a >> sign_shift) == (b >> sign_shift);
+            let a_nan = ea == emax && (a & frac_mask) != 0;
+            let b_nan = eb == emax && (b & frac_mask) != 0;
+            let a_inf = ea == emax && (a & frac_mask) == 0;
+            let b_inf = eb == emax && (b & frac_mask) == 0;
+            let a_zero = ea == 0;
+            let b_zero = eb == 0;
 
-    // Compare-and-swap so that |big| >= |small|. Magnitude order for normals
-    // equals integer order of the sign-masked bits (exponent field sits above
-    // the fraction), which keeps this a branch-free select in codegen.
-    let sign_shift = fmt.exp_bits + frac_bits;
-    let mag_mask = (1u64 << sign_shift) - 1;
-    let swap = (a & mag_mask) < (b & mag_mask);
-    let (big_bits, small_bits) = if swap { (b, a) } else { (a, b) };
-    let e_big = (big_bits >> frac_bits) & fmt.exp_max();
-    let e_small = (small_bits >> frac_bits) & fmt.exp_max();
-    let sign = big_bits >> sign_shift;
+            // Compare-and-swap so that |big| >= |small|. Magnitude order for
+            // normals equals integer order of the sign-masked bits (the
+            // exponent field sits above the fraction).
+            let swap = (a & (sign_bit - 1)) < (b & (sign_bit - 1));
+            let big = sel(swap, b, a);
+            let small = sel(swap, a, b);
+            let e_big = (big >> f) & emax;
+            let e_small = (small >> f) & emax;
+            let sign = big >> sign_shift;
 
-    // d >= th zeroes the smaller mantissa in the TH-bit shifter and the sum
-    // degenerates to the larger operand; the shift clamp keeps the off-path
-    // value well defined (it is deselected below).
-    let d = (e_big - e_small) as u32;
-    let hidden = fmt.hidden_bit();
-    let m_big = hidden | (big_bits & fmt.frac_mask());
-    // Shift-and-align, then truncate to TH fraction bits (eq. 7).
-    let mut m_small = (hidden | (small_bits & fmt.frac_mask())) >> d.min(63);
-    if th < frac_bits {
-        let dropped = frac_bits - th;
-        m_small = (m_small >> dropped) << dropped;
-    }
-    let exp = e_big as i64 - fmt.bias();
+            // d >= th zeroes the smaller mantissa in the TH-bit shifter and
+            // the sum degenerates to the larger operand; the shift clamp
+            // keeps the off-path value well defined (deselected below).
+            let d = (e_big - e_small) as u32;
+            let m_big = hidden | (big & frac_mask);
+            // Shift-and-align, then truncate to TH fraction bits (eq. 7).
+            let mut m_small = (hidden | (small & frac_mask)) >> d.min(<$u>::BITS - 1);
+            if th < f {
+                let dropped = f - th;
+                m_small = (m_small >> dropped) << dropped;
+            }
+            let exp = e_big as $i - bias;
 
-    // Effective add: the carry (sum >= 2·hidden) is exactly bit F+1.
-    let sum = m_big + m_small;
-    let carry = (sum >> (frac_bits + 1)) & 1;
-    let add_res = fmt.encode_normal(sign, exp + carry as i64, (sum >> carry) & fmt.frac_mask());
+            // Encode, saturating to infinity on overflow and flushing to
+            // zero on underflow (no subnormal outputs).
+            let max_exp = emax as $i - 1 - bias;
+            let min_exp = 1 - bias;
+            let zero = sign << sign_shift;
+            let inf = zero | (emax << f);
+            let nan = (emax << f) | (1 << (f - 1));
+            let encode = |exp: $i, frac: $u| {
+                let body = zero | (((exp.clamp(min_exp, max_exp) + bias) as $u) << f) | frac;
+                sel(exp > max_exp, inf, sel(exp < min_exp, zero, body))
+            };
 
-    // Effective subtract: m_big >= m_small by ordering + truncation, so the
-    // difference never underflows. Normalize left; shifted-in bits are zeros
-    // (no rounding hardware). `diff | 1` keeps the lzcnt well defined at
-    // diff == 0, whose garbage result is deselected by the zero select.
-    let diff = m_big - m_small;
-    let lead = 63 - i64::from((diff | 1).leading_zeros());
-    let shift = (frac_bits as i64 - lead).max(0);
-    let mant = diff << shift;
-    let sub_res = sel(
-        diff == 0,
-        fmt.zero(0),
-        fmt.encode_normal(sign, exp - shift, mant & fmt.frac_mask()),
-    );
+            // Effective add: the carry (sum >= 2·hidden) is exactly bit F+1.
+            let sum = m_big + m_small;
+            let carry = (sum >> (f + 1)) & 1;
+            let add_res = encode(exp + carry as $i, (sum >> carry) & frac_mask);
 
-    let effective_sub = ((big_bits ^ small_bits) >> sign_shift) == 1;
-    let r = sel(effective_sub, sub_res, add_res);
-    sel(d >= th, big_bits, r)
+            // Effective subtract: m_big >= m_small by ordering + truncation,
+            // so the difference never underflows. Normalize left; shifted-in
+            // bits are zeros (no rounding hardware). `diff | 1` keeps the
+            // lzcnt well defined at diff == 0, whose garbage result the zero
+            // select discards.
+            let diff = m_big - m_small;
+            let lead = (<$u>::BITS - 1 - (diff | 1).leading_zeros()) as $i;
+            let shift = (f as $i - lead).max(0);
+            let sub_res = sel(
+                diff == 0,
+                0,
+                encode(exp - shift, (diff << shift) & frac_mask),
+            );
+
+            let effective_sub = ((big ^ small) >> sign_shift) == 1;
+            let mut r = sel(d >= th, big, sel(effective_sub, sub_res, add_res));
+            r = sel(b_zero && !a_zero, a, r);
+            r = sel(a_zero && !b_zero, b, r);
+            // +0 + -0 = +0; equal signs keep the sign.
+            r = sel(a_zero && b_zero, sel(same_sign, a, 0), r);
+            r = sel(b_inf && !a_inf, b, r);
+            r = sel(a_inf && !b_inf, a, r);
+            // +inf + -inf = NaN; equal signs keep the infinity.
+            r = sel(a_inf && b_inf, sel(same_sign, a, nan), r);
+            sel(a_nan || b_nan, nan, r)
+        }
+    };
 }
+
+add_datapath!(u32, i32, add_word32);
+add_datapath!(u64, i64, add_word64);
 
 /// Imprecise single precision addition with threshold `th`.
 ///
@@ -165,9 +179,14 @@ fn add_normals(fmt: Format, a: u64, b: u64, th: u32) -> u64 {
 /// ```
 #[inline(always)]
 pub fn iadd32(a: f32, b: f32, th: u32) -> f32 {
-    f32::from_bits(
-        imprecise_add_bits(Format::SINGLE, a.to_bits() as u64, b.to_bits() as u64, th) as u32,
-    )
+    let f = Format::SINGLE;
+    f32::from_bits(add_word32(
+        f.exp_bits,
+        f.frac_bits,
+        a.to_bits(),
+        b.to_bits(),
+        th,
+    ))
 }
 
 /// Imprecise single precision subtraction `a - b` with threshold `th`.
@@ -177,9 +196,7 @@ pub fn iadd32(a: f32, b: f32, th: u32) -> f32 {
 /// Panics if `th` is outside [`TH_RANGE`].
 #[inline(always)]
 pub fn isub32(a: f32, b: f32, th: u32) -> f32 {
-    f32::from_bits(
-        imprecise_sub_bits(Format::SINGLE, a.to_bits() as u64, b.to_bits() as u64, th) as u32,
-    )
+    iadd32(a, f32::from_bits(b.to_bits() ^ (1 << 31)), th)
 }
 
 /// Imprecise double precision addition with threshold `th`.

@@ -14,9 +14,9 @@
 //! assert_eq!(y, 9.0);
 //! ```
 
-use crate::adder::imprecise_add_bits;
+use crate::adder::{iadd32, imprecise_add_bits};
 use crate::format::Format;
-use crate::multiplier::imprecise_mul_bits;
+use crate::multiplier::{imprecise_mul_bits, imul32};
 
 /// Imprecise fused multiply–add on raw bit patterns: `a·b + c`.
 pub fn imprecise_fma_bits(fmt: Format, a: u64, b: u64, c: u64, th: u32) -> u64 {
@@ -29,14 +29,9 @@ pub fn imprecise_fma_bits(fmt: Format, a: u64, b: u64, c: u64, th: u32) -> u64 {
 /// # Panics
 ///
 /// Panics if `th` is outside [`crate::adder::TH_RANGE`].
+#[inline(always)]
 pub fn ifma32(a: f32, b: f32, c: f32, th: u32) -> f32 {
-    f32::from_bits(imprecise_fma_bits(
-        Format::SINGLE,
-        a.to_bits() as u64,
-        b.to_bits() as u64,
-        c.to_bits() as u64,
-        th,
-    ) as u32)
+    iadd32(imul32(a, b), c, th)
 }
 
 /// Imprecise double precision `a·b + c` with adder threshold `th`.

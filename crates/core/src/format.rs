@@ -285,6 +285,17 @@ pub fn flush_subnormal(fmt: Format, bits: u64) -> u64 {
     }
 }
 
+/// Branch-free select on raw bit patterns, used by the units'
+/// straight-line select cascades.
+#[inline(always)]
+pub(crate) fn sel<T>(cond: bool, t: T, f: T) -> T {
+    if cond {
+        t
+    } else {
+        f
+    }
+}
+
 /// Convenience wrapper: raw bits of an `f32` widened to `u64`.
 #[inline]
 pub fn f32_bits(x: f32) -> u64 {

@@ -23,58 +23,76 @@
 //! assert_eq!(imul32(4.0, 8.0), 32.0);
 //! ```
 
-use crate::format::{flush_subnormal, Format};
+use crate::format::{sel, Format};
 
-/// Imprecise multiplication on raw bit patterns of the given format.
-///
-/// This is the format-generic core used by [`imul32`] / [`imul64`].
+/// Imprecise multiplication on raw bit patterns of the given format,
+/// carried in a `u64` (runs [`mul_word64`]).
 #[inline(always)]
 pub fn imprecise_mul_bits(fmt: Format, a: u64, b: u64) -> u64 {
-    let a = flush_subnormal(fmt, a);
-    let b = flush_subnormal(fmt, b);
-
-    // Straight-line form: the normal x normal datapath runs unconditionally
-    // and the special cases are layered as a select cascade in reverse
-    // priority order, so the SIMT lane loops that inline this can
-    // auto-vectorize (no data-dependent branches).
-    let frac_bits = fmt.frac_bits;
-    let emax = fmt.exp_max();
-    let ea = (a >> frac_bits) & emax;
-    let eb = (b >> frac_bits) & emax;
-    let fa = a & fmt.frac_mask();
-    let fb = b & fmt.frac_mask();
-    let sign = ((a ^ b) >> (fmt.exp_bits + frac_bits)) & 1;
-    let a_nan = ea == emax && fa != 0;
-    let b_nan = eb == emax && fb != 0;
-    let a_inf = ea == emax && fa == 0;
-    let b_inf = eb == emax && fb == 0;
-    let a_zero = ea == 0; // frac already flushed
-    let b_zero = eb == 0;
-
-    let exp = ea as i64 + eb as i64 - 2 * fmt.bias();
-    let sum = fa + fb; // Ma + Mb in units of 2^-F
-                       // Ma + Mb >= 1: Mz = (1 + Ma + Mb)/2, cin = 1 (eq. 6). Both fractions
-                       // are below the hidden bit, so the carry is exactly bit F of the sum.
-    let cin = sum >> frac_bits;
-    let frac = ((sum + (cin << frac_bits)) >> cin) & fmt.frac_mask();
-    let normal = fmt.encode_normal(sign, exp + cin as i64, frac);
-
-    let mut r = normal;
-    r = sel(a_zero || b_zero, fmt.zero(sign), r);
-    r = sel(a_inf || b_inf, fmt.infinity(sign), r);
-    r = sel((a_inf && b_zero) || (a_zero && b_inf), fmt.nan(), r);
-    sel(a_nan || b_nan, fmt.nan(), r)
+    mul_word64(fmt.exp_bits, fmt.frac_bits, a, b)
 }
 
-/// Branch-free select on raw bit patterns.
-#[inline(always)]
-fn sel(cond: bool, t: u64, f: u64) -> u64 {
-    if cond {
-        t
-    } else {
-        f
-    }
+/// Instantiates the Table 1 multiplier for one machine word width, over
+/// bit patterns of a format with `exp_bits`/`frac_bits` fields held in
+/// that word. Single precision runs in `u32` and double precision in
+/// `u64`: `Ma + Mb` fits in `F + 2` bits and every exponent in the word's
+/// signed twin.
+macro_rules! mul_datapath {
+    ($u:ty, $i:ty, $name:ident) => {
+        /// Imprecise multiplication on one word, straight-line: the normal
+        /// × normal datapath runs unconditionally and the special cases
+        /// are layered as a select cascade in reverse priority order, so
+        /// the SIMT lane loops that inline this auto-vectorize (no
+        /// data-dependent branches). Subnormal inputs are flushed by
+        /// treating a zero exponent field as zero: their fraction only
+        /// reaches the normal datapath, whose result the zero select
+        /// overrides.
+        #[inline(always)]
+        pub fn $name(exp_bits: u32, frac_bits: u32, a: $u, b: $u) -> $u {
+            let f = frac_bits;
+            let frac_mask: $u = (1 << f) - 1;
+            let emax: $u = (1 << exp_bits) - 1;
+            let bias: $i = (1 << (exp_bits - 1)) - 1;
+            let ea = (a >> f) & emax;
+            let eb = (b >> f) & emax;
+            let fa = a & frac_mask;
+            let fb = b & frac_mask;
+            let sign = ((a ^ b) >> (exp_bits + f)) & 1;
+            let a_nan = ea == emax && fa != 0;
+            let b_nan = eb == emax && fb != 0;
+            let a_inf = ea == emax && fa == 0;
+            let b_inf = eb == emax && fb == 0;
+            let a_zero = ea == 0;
+            let b_zero = eb == 0;
+
+            // Ma + Mb in units of 2^-F. Ma + Mb >= 1: Mz = (1 + Ma + Mb)/2,
+            // cin = 1 (eq. 6). Both fractions are below the hidden bit, so
+            // the carry is exactly bit F of the sum.
+            let sum = fa + fb;
+            let cin = sum >> f;
+            let frac = ((sum + (cin << f)) >> cin) & frac_mask;
+            let exp = ea as $i + eb as $i - 2 * bias + cin as $i;
+
+            // Encode, saturating to infinity on overflow and flushing to
+            // zero on underflow (no subnormal outputs).
+            let max_exp = emax as $i - 1 - bias;
+            let min_exp = 1 - bias;
+            let zero = sign << (exp_bits + f);
+            let inf = zero | (emax << f);
+            let nan = (emax << f) | (1 << (f - 1));
+            let body = zero | (((exp.clamp(min_exp, max_exp) + bias) as $u) << f) | frac;
+            let mut r = sel(exp < min_exp, zero, body);
+            r = sel(exp > max_exp, inf, r);
+            r = sel(a_zero || b_zero, zero, r);
+            r = sel(a_inf || b_inf, inf, r);
+            r = sel((a_inf && b_zero) || (a_zero && b_inf), nan, r);
+            sel(a_nan || b_nan, nan, r)
+        }
+    };
 }
+
+mul_datapath!(u32, i32, mul_word32);
+mul_datapath!(u64, i64, mul_word64);
 
 /// Imprecise single precision multiplication (Table 1 `y = a × b`).
 ///
@@ -87,9 +105,13 @@ fn sel(cond: bool, t: u64, f: u64) -> u64 {
 /// ```
 #[inline(always)]
 pub fn imul32(a: f32, b: f32) -> f32 {
-    f32::from_bits(
-        imprecise_mul_bits(Format::SINGLE, a.to_bits() as u64, b.to_bits() as u64) as u32,
-    )
+    let f = Format::SINGLE;
+    f32::from_bits(mul_word32(
+        f.exp_bits,
+        f.frac_bits,
+        a.to_bits(),
+        b.to_bits(),
+    ))
 }
 
 /// Imprecise double precision multiplication.

@@ -30,8 +30,12 @@ use ihw_core::sfu::{idiv32, ilog2_32, ircp32, irsqrt32, isqrt32};
 use ihw_core::truncated::TruncatedMul;
 use std::cell::RefCell;
 
-/// Lane-block width: threads executed per instruction sweep (one warp).
-pub const LANES: usize = 32;
+/// Lane-block width: threads executed per instruction sweep. This is
+/// the engine's block width, not a warp: one block pays the per-op
+/// dispatch, `map*` call and row swap once for all its lanes, so wider
+/// blocks amortize that fixed cost further (DESIGN.md §10 records the
+/// width sweep).
+pub const LANES: usize = 128;
 
 /// The adder selection folded out of an [`IhwConfig`] at lowering time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -260,7 +264,7 @@ pub(crate) fn lower(prog: &crate::isa::Program, cfg: &IhwConfig) -> Vec<Compiled
 #[derive(Debug)]
 pub(crate) struct RegFile {
     /// The register rows, then the scratch row. Boxed so that the swap
-    /// exchanges two pointers instead of copying 128 bytes per op.
+    /// exchanges two pointers instead of copying a row per op.
     #[allow(clippy::vec_box)]
     rows: Vec<Box<Row>>,
 }
