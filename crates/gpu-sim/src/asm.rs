@@ -20,7 +20,8 @@
 //!
 //! * a `.buffers N` directive declares the buffer count, turning any
 //!   `bM[...]` with `M ≥ N` into a parse error (without the directive,
-//!   buffer ids are checked only at launch);
+//!   buffer ids are checked only at launch). It must come before the
+//!   first instruction and may appear at most once;
 //! * a trailing `# ihw-racecheck: allow(RULE) reason=...` comment on an
 //!   instruction line attaches a diagnostic suppression to that
 //!   instruction (see [`crate::isa::AllowMarker`]).
@@ -72,14 +73,16 @@ impl std::error::Error for AsmError {}
 ///
 /// Returns an [`AsmError`] naming the offending line for unknown
 /// mnemonics, malformed operands, arity mismatches, registers read
-/// before any write, and (when a `.buffers` directive is present)
-/// out-of-range buffer ids.
+/// before any write, element indices beyond `i64::MAX`, a repeated or
+/// late `.buffers` directive, and (when one is present) out-of-range
+/// buffer ids.
 pub fn assemble(name: impl Into<String>, source: &str) -> Result<Program, AsmError> {
     let mut instrs = Vec::new();
     let mut lines: Vec<u32> = Vec::new();
     let mut allows: Vec<(usize, String, String)> = Vec::new();
     let mut max_reg = 0u8;
-    let mut declared_buffers: Option<usize> = None;
+    // The `.buffers` count and the line that declared it.
+    let mut declared_buffers: Option<(usize, usize)> = None;
     let mut defined = [false; 256];
     for (idx, raw) in source.lines().enumerate() {
         let line_no = idx + 1;
@@ -114,10 +117,23 @@ pub fn assemble(name: impl Into<String>, source: &str) -> Result<Program, AsmErr
                     message: "allow marker must annotate an instruction line".to_string(),
                 });
             }
-            declared_buffers = Some(count.trim().parse::<usize>().map_err(|_| AsmError {
+            if let Some((_, first)) = declared_buffers {
+                return Err(AsmError {
+                    line: line_no,
+                    message: format!("duplicate .buffers directive (first on line {first})"),
+                });
+            }
+            if !instrs.is_empty() {
+                return Err(AsmError {
+                    line: line_no,
+                    message: ".buffers must precede the first instruction".to_string(),
+                });
+            }
+            let count = count.trim().parse::<usize>().map_err(|_| AsmError {
                 line: line_no,
                 message: format!("bad .buffers count '{}'", count.trim()),
-            })?);
+            })?;
+            declared_buffers = Some((count, line_no));
             continue;
         }
         let (mnemonic, rest) = line.split_once(char::is_whitespace).unwrap_or((line, ""));
@@ -211,7 +227,7 @@ pub fn assemble(name: impl Into<String>, source: &str) -> Result<Program, AsmErr
         if let Some(d) = instr.dest() {
             defined[d.0 as usize] = true;
         }
-        if let (Some(declared), Instr::Ld(_, buf, _) | Instr::St(buf, _, _)) =
+        if let (Some((declared, _)), Instr::Ld(_, buf, _) | Instr::St(buf, _, _)) =
             (declared_buffers, instr)
         {
             if buf >= declared {
@@ -340,11 +356,16 @@ fn memref(s: &str) -> Result<(usize, AddrMode), String> {
             .map_err(|_| format!("bad tid offset '{off}'"))?;
         AddrMode::TidPlus(value)
     } else {
-        AddrMode::Abs(
-            inner
-                .parse::<usize>()
-                .map_err(|_| format!("bad address '{inner}'"))?,
-        )
+        let index = inner
+            .parse::<usize>()
+            .map_err(|_| format!("bad address '{inner}'"))?;
+        if i64::try_from(index).is_err() {
+            return Err(format!(
+                "address {index} exceeds the largest element index {}",
+                i64::MAX
+            ));
+        }
+        AddrMode::Abs(index)
     };
     Ok((buf, mode))
 }
@@ -509,6 +530,50 @@ mod tests {
 
         let err = assemble("bufs", ".buffers two\nld r0, b0[tid]").unwrap_err();
         assert!(err.message.contains("bad .buffers count"));
+    }
+
+    #[test]
+    fn buffers_directive_is_single_and_leading() {
+        // A late directive would leave the instructions above it
+        // unchecked.
+        let err = assemble("late", "ld r0, b5[tid]\n.buffers 1\nst b0[tid], r0").unwrap_err();
+        assert_eq!(err.line, 2);
+        assert!(
+            err.message.contains("precede the first instruction"),
+            "{err}"
+        );
+
+        // A second directive would silently widen the first one.
+        let err = assemble(
+            "twice",
+            ".buffers 1\nld r0, b0[tid]\n.buffers 9\nst b5[tid], r0",
+        )
+        .unwrap_err();
+        assert_eq!(err.line, 3);
+        assert!(err.message.contains("duplicate .buffers"), "{err}");
+        assert!(err.message.contains("line 1"), "{err}");
+        let err = assemble("twice", ".buffers 2\n.buffers 2\nld r0, b0[tid]").unwrap_err();
+        assert_eq!(err.line, 2);
+
+        // Comments and blank lines may precede the directive.
+        assemble(
+            "lead",
+            "# header\n\n.buffers 1\nld r0, b0[tid]\nst b0[tid], r0",
+        )
+        .expect("assembles");
+    }
+
+    #[test]
+    fn absolute_addresses_beyond_i64_are_rejected_with_their_value() {
+        let err = assemble("huge", "ld r0, b0[18446744073709551615]\nst b0[tid], r0").unwrap_err();
+        assert_eq!(err.line, 1);
+        assert!(err.message.contains("18446744073709551615"), "{err}");
+        assert!(!err.message.contains("-1"), "{err}");
+        let err = assemble("huge", "movi r0, 1.0\nst b0[9223372036854775808], r0").unwrap_err();
+        assert_eq!(err.line, 2);
+        assert!(err.message.contains("9223372036854775808"), "{err}");
+        // i64::MAX itself is a representable (if out-of-bounds) index.
+        assemble("max", "ld r0, b0[9223372036854775807]\nst b0[tid], r0").expect("assembles");
     }
 
     #[test]

@@ -140,8 +140,11 @@ impl FpCtx {
     /// straight-line kernel costs the same for every thread, so the
     /// launch driver multiplies the plan's per-thread table up front
     /// and lands it here as a merge instead of `threads × instrs`
-    /// individual counter updates.
-    pub(crate) fn record_static(&mut self, counts: &OpCounts, int_ops: u64, mem_ops: u64) {
+    /// individual counter updates. Workloads that run their kernel on
+    /// a [`crate::isa::WarpInterpreter`] land its FP counts here too,
+    /// together with their own declared integer and memory ops. The
+    /// trace is untouched (see [`FpCtx::extend_trace_pattern`]).
+    pub fn record_static(&mut self, counts: &OpCounts, int_ops: u64, mem_ops: u64) {
         self.counts.merge(counts);
         self.int_ops += int_ops;
         self.mem_ops += mem_ops;
@@ -153,12 +156,7 @@ impl FpCtx {
     /// One thread's pattern is position-identical to what `exec_step`
     /// would have pushed, so a compiled launch's trace is
     /// indistinguishable from an interpreted one's.
-    pub(crate) fn extend_trace_pattern(
-        &mut self,
-        pattern: &[UnitClass],
-        repeats: u64,
-        prefix: usize,
-    ) {
+    pub fn extend_trace_pattern(&mut self, pattern: &[UnitClass], repeats: u64, prefix: usize) {
         if let Some(trace) = &mut self.trace {
             trace.reserve(pattern.len() * repeats as usize + prefix);
             for _ in 0..repeats {

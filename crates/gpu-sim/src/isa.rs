@@ -175,6 +175,14 @@ pub enum ExecError {
         /// Buffer length.
         len: usize,
     },
+    /// An absolute address names an element index beyond `i64::MAX`,
+    /// which the engines' signed index arithmetic cannot represent.
+    IndexOverflow {
+        /// Buffer index.
+        buffer: usize,
+        /// The requested element index.
+        index: usize,
+    },
 }
 
 impl std::fmt::Display for ExecError {
@@ -190,6 +198,11 @@ impl std::fmt::Display for ExecError {
                     "access to element {index} of buffer {buffer} (len {len})"
                 )
             }
+            ExecError::IndexOverflow { buffer, index } => write!(
+                f,
+                "element index {index} of buffer {buffer} exceeds the largest element index {}",
+                i64::MAX
+            ),
         }
     }
 }
@@ -248,7 +261,8 @@ impl Program {
     /// # Errors
     ///
     /// Returns [`ExecError::InvalidRegister`] if any instruction names a
-    /// register outside the file.
+    /// register outside the file, and [`ExecError::IndexOverflow`] if an
+    /// absolute address exceeds `i64::MAX`.
     pub fn new(
         name: impl Into<String>,
         regs: u8,
@@ -258,6 +272,13 @@ impl Program {
             for r in instr.registers() {
                 if r.0 >= regs {
                     return Err(ExecError::InvalidRegister { reg: r.0, regs });
+                }
+            }
+            if let Instr::Ld(_, buffer, AddrMode::Abs(index))
+            | Instr::St(buffer, AddrMode::Abs(index), _) = *instr
+            {
+                if i64::try_from(index).is_err() {
+                    return Err(ExecError::IndexOverflow { buffer, index });
                 }
             }
         }
@@ -382,6 +403,7 @@ fn locate_element(
     let idx: i64 = match mode {
         AddrMode::Tid => tid as i64,
         AddrMode::TidPlus(off) => tid as i64 + off,
+        // `Program::new` bounds absolute indices by `i64::MAX`.
         AddrMode::Abs(i) => i as i64,
     };
     let buffer = buffers
@@ -1386,6 +1408,52 @@ mod tests {
         let k = interp.kernel_launch(&saxpy(), 8);
         assert_eq!(k.mix.fp.total(), 8);
         assert_eq!(k.name, "saxpy");
+    }
+
+    #[test]
+    fn absolute_indices_beyond_i64_are_rejected_with_their_value() {
+        for (instr, buffer) in [
+            (Instr::Ld(Reg(0), 2, AddrMode::Abs(usize::MAX)), 2),
+            (Instr::St(1, AddrMode::Abs(1 << 63), Reg(0)), 1),
+        ] {
+            let index = match instr {
+                Instr::Ld(_, _, AddrMode::Abs(i)) | Instr::St(_, AddrMode::Abs(i), _) => i,
+                _ => unreachable!(),
+            };
+            let err = Program::new("huge", 1, vec![Instr::Movi(Reg(0), 1.0), instr]).unwrap_err();
+            assert_eq!(err, ExecError::IndexOverflow { buffer, index });
+            assert!(err.to_string().contains(&index.to_string()), "{err}");
+            // Unrolling revalidates.
+            let base = Program::new("huge", 1, vec![Instr::Movi(Reg(0), 1.0)]).expect("valid");
+            assert!(base.unroll(&[instr], 1).is_err());
+        }
+        // The largest representable index reaches both engines and is
+        // reported as itself, not wrapped.
+        let prog = Program::new(
+            "max",
+            1,
+            vec![
+                Instr::Ld(Reg(0), 0, AddrMode::Abs(i64::MAX as usize)),
+                Instr::St(0, AddrMode::Tid, Reg(0)),
+            ],
+        )
+        .expect("valid");
+        for engine in [ExecEngine::Interpreted, ExecEngine::Compiled] {
+            let mut bufs = vec![vec![0.0f32; 4]];
+            let err = WarpInterpreter::new(IhwConfig::precise())
+                .with_engine(engine)
+                .launch(&prog, 4, &mut bufs)
+                .unwrap_err();
+            assert_eq!(
+                err,
+                ExecError::OutOfBounds {
+                    buffer: 0,
+                    index: i64::MAX,
+                    len: 4
+                },
+                "{engine:?}"
+            );
+        }
     }
 
     #[test]

@@ -10,17 +10,22 @@
 //!                                  + (T_amb − T(c))/Rz ]
 //! ```
 //!
-//! All floating point arithmetic (including the thermal-resistance
-//! divisions, which execute on the SFU) is routed through the simulator's
-//! [`FpCtx`]. The input power map is synthesized: a handful of hot
-//! functional blocks on a cool background, seeded deterministically.
+//! Each time step is one launch of a kernel-IR program ([`kernel`]) on
+//! the simulator's compiled SIMT engine, one thread per grid cell, so all
+//! floating point arithmetic (including the thermal-resistance
+//! reciprocals, which execute on the SFU) runs on the configured IHW
+//! units and is counted into the caller's [`FpCtx`]. The input power map
+//! is synthesized: a handful of hot functional blocks on a cool
+//! background, seeded deterministically.
 //!
 //! Quality metrics: mean absolute error and worst error distance over all
 //! temperature blocks, in Kelvin — the paper reports MAE 0.05 K with all
 //! IHW units enabled.
 
+use gpu_sim::asm::assemble;
 use gpu_sim::dispatch::FpCtx;
-use gpu_sim::simt::{InstrMix, KernelLaunch};
+use gpu_sim::isa::{Instr, Program, WarpInterpreter};
+use gpu_sim::simt::{InstrMix, KernelLaunch, UnitClass};
 use ihw_core::config::IhwConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -92,11 +97,16 @@ const INIT_SPREAD_K: f32 = 30.0;
 const T_INIT_BASE: f32 = 50.0 + 273.15;
 
 /// Synthesizes a floor-plan power map: `n_blobs` rectangular hot blocks
-/// of random intensity on a low-power background.
+/// of random intensity on a low-power background. A grid with fewer
+/// than 3 rows or columns has no room for a block (block sides are
+/// drawn from `[n/10, n/3)`) and stays background only.
 pub fn synth_power_map(params: &HotspotParams) -> Vec<f32> {
     let mut rng = StdRng::seed_from_u64(params.seed);
     let (r, c) = (params.rows, params.cols);
     let mut p = vec![0.2f32; r * c]; // background activity
+    if r < 3 || c < 3 {
+        return p;
+    }
     let n_blobs = 6 + (r / 32).min(10);
     for _ in 0..n_blobs {
         let bw = rng.gen_range(c / 10..c / 3);
@@ -113,79 +123,187 @@ pub fn synth_power_map(params: &HotspotParams) -> Vec<f32> {
     p
 }
 
-/// Runs the HotSpot kernel under the arithmetic configuration carried by
-/// `ctx`, counting every floating point operation.
+/// Host-side per-grid constants (the Rodinia driver computes these on
+/// the CPU; they are not counted).
+struct Thermal {
+    rx: f32,
+    ry: f32,
+    rz: f32,
+    step_div_cap: f32,
+    cell_area: f32,
+}
+
+impl Thermal {
+    fn new(params: &HotspotParams) -> Self {
+        let grid_height = CHIP_HEIGHT / params.rows as f32;
+        let grid_width = CHIP_WIDTH / params.cols as f32;
+        let cap = FACTOR_CHIP * SPEC_HEAT_SI * T_CHIP * grid_width * grid_height;
+        let max_slope = MAX_PD / (FACTOR_CHIP * T_CHIP * SPEC_HEAT_SI);
+        let step = PRECISION / max_slope;
+        Thermal {
+            rx: grid_width / (2.0 * K_SI * T_CHIP * grid_height),
+            ry: grid_height / (2.0 * K_SI * T_CHIP * grid_width),
+            rz: T_CHIP / (K_SI * grid_height * grid_width),
+            step_div_cap: step / cap,
+            cell_area: grid_width * grid_height,
+        }
+    }
+}
+
+// Kernel buffers the host touches (layout in [`kernel`]).
+const B_T: usize = 0;
+const B_POWER: usize = 5;
+const B_NEXT: usize = 6;
+
+/// Workload-declared per-cell integer ops (index arithmetic and
+/// branches) and memory ops (tiled: one shared-memory load and one
+/// store reach global memory per cell on average). The Figure 12 power
+/// model consumes these in place of the kernel IR's own load/store
+/// counters.
+const CELL_INT_OPS: u64 = 4;
+const CELL_MEM_OPS: u64 = 2;
+
+/// The HotSpot time step as a kernel-IR program: one thread per grid
+/// cell, every access at `b[tid]`. Buffers: `0` the field `T`, `1`..`4`
+/// its north/south/west/east neighbours (edges clamp to the cell
+/// itself), `5` the power map in Watts per cell, `6` the next field.
+///
+/// The 17 FP ops run in the order of the Rodinia loop, including the
+/// three per-cell reciprocals of the constant resistances: the ÷R
+/// divisions compile to SFU reciprocal + FPU multiply, as the CUDA
+/// fast-math path does.
+///
+/// The kernel declares no feedback binding: between steps the host
+/// feeds buffer `6` back as buffer `0` *and* re-derives buffers `1`..`4`
+/// from it, which a single `from → to` binding cannot express.
+pub fn kernel(params: &HotspotParams) -> Program {
+    let th = Thermal::new(params);
+    let source = format!(
+        "
+        .buffers 7
+        ld   r0, b0[tid]    # tc
+        ld   r1, b1[tid]    # tn
+        ld   r2, b2[tid]    # ts
+        fadd r1, r1, r2     # v1 = tn + ts
+        fadd r2, r0, r0     # two_tc = tc + tc
+        fsub r1, r1, r2     # dv = v1 - two_tc
+        movi r3, {ry:?}
+        rcp  r3, r3         # 1/Ry
+        fmul r1, r1, r3     # vert = dv * (1/Ry)
+        ld   r3, b4[tid]    # te
+        ld   r4, b3[tid]    # tw
+        fadd r3, r3, r4     # h1 = te + tw
+        fsub r3, r3, r2     # dh = h1 - two_tc
+        movi r4, {rx:?}
+        rcp  r4, r4         # 1/Rx
+        fmul r3, r3, r4     # horiz = dh * (1/Rx)
+        movi r4, {T_AMB:?}
+        fsub r4, r4, r0     # damb = T_amb - tc
+        movi r2, {rz:?}
+        rcp  r2, r2         # 1/Rz
+        fmul r4, r4, r2     # sink = damb * (1/Rz)
+        ld   r2, b5[tid]    # P(c)
+        fadd r1, r2, r1     # s1 = P + vert
+        fadd r1, r1, r3     # s2 = s1 + horiz
+        fadd r1, r1, r4     # s3 = s2 + sink
+        movi r2, {sdc:?}
+        fmul r1, r2, r1     # delta = step/Cap * s3
+        fadd r1, r0, r1     # T'(c) = tc + delta
+        st   b6[tid], r1
+        ",
+        ry = th.ry,
+        rx = th.rx,
+        rz = th.rz,
+        sdc = th.step_div_cap,
+    );
+    assemble("hotspot", &source).expect("the HotSpot kernel assembles")
+}
+
+/// Refreshes the four neighbour buffers from the current field, with
+/// replicate clamping at the edges (`tn = tc` on the top row, and so
+/// on).
+fn refresh_neighbours(bufs: &mut [Vec<f32>], cols: usize) {
+    let (t, halo) = bufs.split_first_mut().expect("HotSpot buffer set");
+    let [tn, ts, tw, te, ..] = halo else {
+        unreachable!("HotSpot buffer set")
+    };
+    let n = t.len();
+    if n == 0 {
+        return;
+    }
+    tn[..cols].copy_from_slice(&t[..cols]);
+    tn[cols..].copy_from_slice(&t[..n - cols]);
+    ts[..n - cols].copy_from_slice(&t[cols..]);
+    ts[n - cols..].copy_from_slice(&t[n - cols..]);
+    for ((row, w), e) in t
+        .chunks_exact(cols)
+        .zip(tw.chunks_exact_mut(cols))
+        .zip(te.chunks_exact_mut(cols))
+    {
+        w[0] = row[0];
+        w[1..].copy_from_slice(&row[..cols - 1]);
+        e[..cols - 1].copy_from_slice(&row[1..]);
+        e[cols - 1] = row[cols - 1];
+    }
+}
+
+/// Runs HotSpot under the arithmetic configuration carried by `ctx`:
+/// each time step is one launch of [`kernel`] on a compiled
+/// [`WarpInterpreter`], one thread per cell.
+///
+/// Counting contract: `ctx` receives the launches' FP `OpCounts`
+/// (17 per cell and step) plus the workload's declared
+/// `CELL_INT_OPS`/`CELL_MEM_OPS` per cell and step; the kernel IR's own
+/// load/store counters are dropped. A tracing `ctx` gets one
+/// `[ALU×4, LSU×2, FP ops…]` pattern per cell and step.
 pub fn run(params: &HotspotParams, ctx: &mut FpCtx) -> HotspotOutput {
     let (r, c) = (params.rows, params.cols);
+    let cells = r * c;
+    let threads = u32::try_from(cells).expect("HotSpot grid fits one launch");
     let power = synth_power_map(params);
-
-    // Host-side setup (matches the Rodinia driver, not counted: this part
-    // runs on the CPU in the benchmark).
-    let grid_height = CHIP_HEIGHT / r as f32;
-    let grid_width = CHIP_WIDTH / c as f32;
-    let cap = FACTOR_CHIP * SPEC_HEAT_SI * T_CHIP * grid_width * grid_height;
-    let rx = grid_width / (2.0 * K_SI * T_CHIP * grid_height);
-    let ry = grid_height / (2.0 * K_SI * T_CHIP * grid_width);
-    let rz = T_CHIP / (K_SI * grid_height * grid_width);
-    let max_slope = MAX_PD / (FACTOR_CHIP * T_CHIP * SPEC_HEAT_SI);
-    let step = PRECISION / max_slope;
-    let step_div_cap = step / cap;
+    let prog = kernel(params);
 
     // Host-side scaling of the power map into Watts per node: activity ×
     // maximum power density × cell area, which keeps the per-step
-    // temperature increment grid-size independent.
-    let cell_area = grid_width * grid_height;
-    let power_w: Vec<f32> = power.iter().map(|&p| p * MAX_PD * cell_area).collect();
-
-    // Structured initial condition (the Rodinia temp input analogue).
-    let mut t: Vec<f32> = power
+    // temperature increment grid-size independent. The initial field is
+    // structured (the Rodinia temp input analogue).
+    let mut bufs = vec![vec![0.0f32; cells]; B_NEXT + 1];
+    bufs[B_T] = power
         .iter()
         .map(|&p| T_INIT_BASE + INIT_SPREAD_K * p)
         .collect();
-    let mut t_next = t.clone();
+    let cell_area = Thermal::new(params).cell_area;
+    bufs[B_POWER] = power.iter().map(|&p| p * MAX_PD * cell_area).collect();
 
+    let mut sim = WarpInterpreter::new(*ctx.config());
     for _ in 0..params.steps {
-        for y in 0..r {
-            for x in 0..c {
-                let idx = y * c + x;
-                let tc = t[idx];
-                let tn = if y > 0 { t[idx - c] } else { tc };
-                let ts = if y + 1 < r { t[idx + c] } else { tc };
-                let tw = if x > 0 { t[idx - 1] } else { tc };
-                let te = if x + 1 < c { t[idx + 1] } else { tc };
-                ctx.int_op(4); // index arithmetic and branches
-                ctx.mem_op(2); // tiled: one shared-memory load + one store
-                               // reach global memory per cell on average
+        refresh_neighbours(&mut bufs, c);
+        sim.launch(&prog, threads, &mut bufs)
+            .expect("every HotSpot access is in bounds");
+        bufs.swap(B_T, B_NEXT);
+    }
 
-                // Vertical and horizontal conduction terms and the heat
-                // sink term. The ÷R divisions compile to SFU reciprocal +
-                // FPU multiply, as the CUDA fast-math path does.
-                let v1 = ctx.add32(tn, ts);
-                let two_tc = ctx.add32(tc, tc);
-                let dv = ctx.sub32(v1, two_tc);
-                let ry_inv = ctx.rcp32(ry);
-                let vert = ctx.mul32(dv, ry_inv);
-                let h1 = ctx.add32(te, tw);
-                let dh = ctx.sub32(h1, two_tc);
-                let rx_inv = ctx.rcp32(rx);
-                let horiz = ctx.mul32(dh, rx_inv);
-                let damb = ctx.sub32(T_AMB, tc);
-                let rz_inv = ctx.rcp32(rz);
-                let sink = ctx.mul32(damb, rz_inv);
-                let s1 = ctx.add32(power_w[idx], vert);
-                let s2 = ctx.add32(s1, horiz);
-                let s3 = ctx.add32(s2, sink);
-                let delta = ctx.mul32(step_div_cap, s3);
-                t_next[idx] = ctx.add32(tc, delta);
-            }
-        }
-        std::mem::swap(&mut t, &mut t_next);
+    let cell_steps = (cells * params.steps) as u64;
+    ctx.record_static(
+        sim.ctx().counts(),
+        CELL_INT_OPS * cell_steps,
+        CELL_MEM_OPS * cell_steps,
+    );
+    if ctx.is_tracing() {
+        let mut pattern = vec![UnitClass::Alu; CELL_INT_OPS as usize];
+        pattern.extend(std::iter::repeat_n(UnitClass::Lsu, CELL_MEM_OPS as usize));
+        pattern.extend(prog.instrs().iter().filter_map(|i| match i {
+            Instr::Rcp(..) => Some(UnitClass::Sfu),
+            Instr::Fadd(..) | Instr::Fsub(..) | Instr::Fmul(..) => Some(UnitClass::Fpu),
+            _ => None,
+        }));
+        ctx.extend_trace_pattern(&pattern, cell_steps, 0);
     }
 
     HotspotOutput {
         rows: r,
         cols: c,
-        temps: t.iter().map(|&v| v as f64).collect(),
+        temps: bufs[B_T].iter().map(|&v| v as f64).collect(),
     }
 }
 
@@ -306,6 +424,49 @@ mod tests {
         assert_eq!(ctx.counts().get(FpOp::Add), 10 * cells);
         assert_eq!(ctx.counts().get(FpOp::Rcp), 3 * cells);
         assert_eq!(ctx.counts().get(FpOp::Mul), 4 * cells);
+    }
+
+    #[test]
+    fn kernel_is_hygienic_and_thread_independent() {
+        // The same source-level checks the stock kernels pass: no
+        // cross-tid dependence (so the parallel launch path applies), no
+        // unwritten-register reads, no dead stores, no static OOB, and
+        // no suppressions.
+        use gpu_sim::deps::{racecheck, Verdict};
+        for params in [small(), HotspotParams::default(), HotspotParams::paper()] {
+            let prog = kernel(&params);
+            let report = racecheck(&prog);
+            assert_eq!(report.verdict, Verdict::ThreadIndependent);
+            assert!(report.uninit_reads.is_empty(), "{:?}", report.uninit_reads);
+            assert!(report.dead_stores.is_empty(), "{:?}", report.dead_stores);
+            assert!(report.oob.is_empty(), "{:?}", report.oob);
+            assert!(prog.allows().is_empty());
+            assert!(prog.feedback().is_none());
+        }
+    }
+
+    #[test]
+    fn neighbour_buffers_replicate_the_edges() {
+        // Checked directly: every adder is commutative, so swapping the
+        // north/south or west/east views leaves the temperatures
+        // unchanged and no end-to-end comparison can see it.
+        for (rows, cols) in [(3, 7), (1, 1), (1, 5), (5, 1)] {
+            let n = rows * cols;
+            let mut bufs = vec![vec![0.0f32; n]; B_NEXT + 1];
+            bufs[B_T] = (0..n).map(|i| i as f32).collect();
+            refresh_neighbours(&mut bufs, cols);
+            let at = |y: usize, x: usize| (y * cols + x) as f32;
+            for y in 0..rows {
+                for x in 0..cols {
+                    let idx = y * cols + x;
+                    let cell = format!("{rows}x{cols} cell ({y}, {x})");
+                    assert_eq!(bufs[1][idx], at(y.saturating_sub(1), x), "tn {cell}");
+                    assert_eq!(bufs[2][idx], at((y + 1).min(rows - 1), x), "ts {cell}");
+                    assert_eq!(bufs[3][idx], at(y, x.saturating_sub(1)), "tw {cell}");
+                    assert_eq!(bufs[4][idx], at(y, (x + 1).min(cols - 1)), "te {cell}");
+                }
+            }
+        }
     }
 
     #[test]

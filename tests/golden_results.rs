@@ -72,3 +72,24 @@ fn table1_epsilon_bounds_are_anchored() {
     assert!((bounds::AC_LOG_PATH_MAX_ERROR - 1.0 / 9.0).abs() < 1e-15);
     assert!((bounds::adder_add_bound(8) - 1.0 / 129.0).abs() < 1e-15);
 }
+
+/// FNV-1a (64-bit) over a byte string.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn fig19_quick_output_is_pinned() {
+    // Figure 19 at Quick scale: the 11-config HotSpot MAE/WED table and
+    // the lp_tr19 heat map. Any drift in the HotSpot kernel, the
+    // multipliers or the rendering moves this digest.
+    let (table, map) = ihw_bench::experiments::apps::fig19(ihw_bench::Scale::Quick);
+    let rendered = format!("{}\n{map}", table.render());
+    assert_eq!(
+        fnv1a(rendered.as_bytes()),
+        0x9ec8_79a9_2d8b_4517,
+        "fig19 output:\n{rendered}"
+    );
+}
