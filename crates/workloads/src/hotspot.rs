@@ -150,9 +150,8 @@ impl Thermal {
     }
 }
 
-// Kernel buffers the host touches (layout in [`kernel`]).
+// Kernel buffers the host swaps (layout in [`kernel`]).
 const B_T: usize = 0;
-const B_POWER: usize = 5;
 const B_NEXT: usize = 6;
 
 /// Workload-declared per-cell integer ops (index arithmetic and
@@ -260,20 +259,22 @@ pub fn run(params: &HotspotParams, ctx: &mut FpCtx) -> HotspotOutput {
     let (r, c) = (params.rows, params.cols);
     let cells = r * c;
     let threads = u32::try_from(cells).expect("HotSpot grid fits one launch");
-    let power = synth_power_map(params);
     let prog = kernel(params);
 
-    // Host-side scaling of the power map into Watts per node: activity ×
-    // maximum power density × cell area, which keeps the per-step
-    // temperature increment grid-size independent. The initial field is
-    // structured (the Rodinia temp input analogue).
-    let mut bufs = vec![vec![0.0f32; cells]; B_NEXT + 1];
-    bufs[B_T] = power
+    // Structured initial condition (the Rodinia temp input analogue),
+    // then host-side scaling of the power map into Watts per node:
+    // activity × maximum power density × cell area, which keeps the
+    // per-step temperature increment grid-size independent.
+    let mut power = synth_power_map(params);
+    let field: Vec<f32> = power
         .iter()
         .map(|&p| T_INIT_BASE + INIT_SPREAD_K * p)
         .collect();
     let cell_area = Thermal::new(params).cell_area;
-    bufs[B_POWER] = power.iter().map(|&p| p * MAX_PD * cell_area).collect();
+    power.iter_mut().for_each(|p| *p = *p * MAX_PD * cell_area);
+    let zeros = || vec![0.0f32; cells];
+    // T, tn, ts, tw, te, P, T'.
+    let mut bufs = vec![field, zeros(), zeros(), zeros(), zeros(), power, zeros()];
 
     let mut sim = WarpInterpreter::new(*ctx.config());
     for _ in 0..params.steps {
@@ -300,10 +301,13 @@ pub fn run(params: &HotspotParams, ctx: &mut FpCtx) -> HotspotOutput {
         ctx.extend_trace_pattern(&pattern, cell_steps, 0);
     }
 
+    // Free the other six buffers before the f64 copy of the field.
+    let field = bufs.swap_remove(B_T);
+    drop(bufs);
     HotspotOutput {
         rows: r,
         cols: c,
-        temps: bufs[B_T].iter().map(|&v| v as f64).collect(),
+        temps: field.iter().map(|&v| v as f64).collect(),
     }
 }
 
