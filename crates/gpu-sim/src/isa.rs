@@ -1412,14 +1412,14 @@ mod tests {
 
     #[test]
     fn absolute_indices_beyond_i64_are_rejected_with_their_value() {
-        for (instr, buffer) in [
-            (Instr::Ld(Reg(0), 2, AddrMode::Abs(usize::MAX)), 2),
-            (Instr::St(1, AddrMode::Abs(1 << 63), Reg(0)), 1),
+        for (instr, buffer, index) in [
+            (
+                Instr::Ld(Reg(0), 2, AddrMode::Abs(usize::MAX)),
+                2,
+                usize::MAX,
+            ),
+            (Instr::St(1, AddrMode::Abs(1 << 63), Reg(0)), 1, 1 << 63),
         ] {
-            let index = match instr {
-                Instr::Ld(_, _, AddrMode::Abs(i)) | Instr::St(_, AddrMode::Abs(i), _) => i,
-                _ => unreachable!(),
-            };
             let err = Program::new("huge", 1, vec![Instr::Movi(Reg(0), 1.0), instr]).unwrap_err();
             assert_eq!(err, ExecError::IndexOverflow { buffer, index });
             assert!(err.to_string().contains(&index.to_string()), "{err}");
