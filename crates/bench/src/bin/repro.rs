@@ -10,9 +10,9 @@
 //! cargo run --release -p ihw-bench --bin repro -- --json timings.json all
 //! cargo run --release -p ihw-bench --bin repro -- analyze --json
 //! cargo run --release -p ihw-bench --bin repro -- racecheck
-//! cargo run --release -p ihw-bench --bin repro -- racecheck --bench --workers 8
+//! cargo run --release -p ihw-bench --bin repro -- racecheck --bench --threads 16384
 //! cargo run --release -p ihw-bench --bin repro -- autotune --target 1e-3 --json
-//! cargo run --release -p ihw-bench --bin repro -- serve --workers 4 --tenants 8
+//! cargo run --release -p ihw-bench --bin repro -- serve --tenants 8
 //! ```
 //!
 //! Without `--paper`, experiments run at `Scale::Quick` (seconds each);
@@ -288,7 +288,7 @@ fn main() {
         std::process::exit(ihw_analyze::cli::run(&args[1..]));
     }
     // `repro racecheck ...` likewise; `--bench` routes to the
-    // sequential-vs-parallel throughput benchmark instead of the
+    // interpreted-vs-compiled throughput benchmark instead of the
     // diagnostic gate.
     if args.first().map(String::as_str) == Some("racecheck") {
         let rest = &args[1..];
@@ -303,8 +303,8 @@ fn main() {
         std::process::exit(ihw_analyze::autotune::run(&args[1..]));
     }
     // `repro serve ...` — the batched multi-tenant launch service
-    // benchmark: replays a deterministic request mix at worker budgets
-    // 1..=N and records `BENCH_serve.json`.
+    // benchmark: replays a deterministic multi-tenant request mix and
+    // records `BENCH_serve.json`.
     if args.first().map(String::as_str) == Some("serve") {
         std::process::exit(ihw_bench::serve::run_cli(&args[1..]));
     }

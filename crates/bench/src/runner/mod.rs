@@ -10,8 +10,7 @@
 //!    Results are returned **in input order**, so a parallel sweep
 //!    renders byte-identically to the serial one. The
 //!    pool itself lives in the `ihw-pool` crate (re-exported here
-//!    unchanged) so the kernel interpreter's proof-gated parallel
-//!    launch path (`gpu-sim::isa`) can share the same engine.
+//!    unchanged).
 //! 2. **A memoizing run cache** ([`cache`]) — workload executions are
 //!    keyed by a stable hash of (benchmark, params, [`IhwConfig`]) so
 //!    shared baselines (e.g. the precise HotSpot run that fig15, fig19,

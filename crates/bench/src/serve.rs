@@ -1,19 +1,18 @@
 //! `repro serve` — a batched multi-tenant launch service over the
 //! simulator stack, plus its throughput/latency benchmark
-//! (`BENCH_serve.json`, schema `ihw-serve/1`).
+//! (`BENCH_serve.json`, schema `ihw-serve/2`).
 //!
-//! The [`LaunchService`] is the front door ROADMAP item 2 asks for:
-//! tenants submit [`LaunchRequest`]s (program + [`IhwConfig`] + input
-//! buffers) from any number of threads and get back the written
-//! buffers, the per-launch [`gpu_sim::isa::LaunchStats`], and the
+//! The [`LaunchService`] is the multi-tenant front door: tenants submit
+//! [`LaunchRequest`]s (program + [`IhwConfig`] + input buffers) from
+//! any number of threads and get back the written buffers and the
 //! static error-bound metadata `ihw-analyze` derives for the request's
 //! `(program, config)` pair. Four mechanisms stack up behind
 //! [`LaunchService::submit`]:
 //!
-//! * **Admission control** — the op-denominated cost model of the
-//!   adaptive cutover (`instructions × threads`) prices every request
-//!   *before* it runs; anything above the service's `max_ops` budget is
-//!   rejected with the estimate, not executed.
+//! * **Admission control** — every request is priced in estimated ops
+//!   (`instructions × threads`) *before* it runs; anything above the
+//!   service's `max_ops` budget is rejected with the estimate, not
+//!   executed.
 //! * **Request coalescing** — the run-cache key (program fingerprint ×
 //!   typed config × threads × input-buffer bits) routes identical
 //!   requests to one [`crate::runner::cache::RunCache`] cell; while one
@@ -23,20 +22,19 @@
 //! * **Execution** — through [`gpu_sim::concurrent::SharedInterpreter`]
 //!   on the compiled engine: one long-lived interpreter whose
 //!   LRU-bounded plan cache stays warm across requests with different
-//!   configs, fanning threads across the persistent `ihw-pool` when
-//!   the worker budget and the racecheck proof allow it.
+//!   configs. Each launch is one sequential call; tenants' launches
+//!   serialize on the interpreter.
 //! * **Fault isolation** — a request that faults (memory error) or
 //!   panics fails alone: the error is stored in *its* outcome, sibling
-//!   tenants and subsequent requests are untouched (the pool's
-//!   `try_sweep_with` and the shared interpreter's panic containment
-//!   make this hold end to end).
+//!   tenants and subsequent requests are untouched (the shared
+//!   interpreter's panic containment makes this hold end to end).
 //!
-//! The benchmark ([`run_serve`]) replays the same deterministic
-//! multi-tenant request mix against a fresh service at every worker
-//! budget `1..=N` and records requests/sec, p50/p99 latency, dedup
-//! hits and plan-cache counters per row — with the racebench honesty
-//! gates: responses must be byte-identical across worker counts, and a
-//! multi-tenant mix must actually coalesce.
+//! The benchmark ([`run_serve`]) replays a deterministic multi-tenant
+//! request mix against a fresh service and records requests/sec,
+//! p50/p99 latency, dedup hits and plan-cache counters — with two
+//! honesty gates: every concurrent response must be byte-identical to
+//! a one-tenant-at-a-time replay of the same mix, and a multi-tenant
+//! mix must actually coalesce.
 //!
 //! Timing goes through [`Stopwatch`] — the workspace's single
 //! sanctioned wall-clock read (`ihw-lint` rule L003) — so this module
@@ -46,7 +44,7 @@ use crate::racebench::{host_parallelism, seed_buffers};
 use crate::runner::cache::RunCache;
 use crate::runner::report::Stopwatch;
 use gpu_sim::concurrent::SharedInterpreter;
-use gpu_sim::isa::{LaunchStats, Program, WarpInterpreter};
+use gpu_sim::isa::Program;
 use gpu_sim::plan::{fingerprint, PlanCacheStats};
 use ihw_analyze::{analyze_program, AnalysisSettings, KernelAnalysis};
 use ihw_core::config::IhwConfig;
@@ -57,18 +55,13 @@ use std::sync::Arc;
 pub const BENCH_FILE: &str = "BENCH_serve.json";
 
 /// Schema tag of the benchmark JSON document.
-pub const SCHEMA: &str = "ihw-serve/1";
+pub const SCHEMA: &str = "ihw-serve/2";
 
 /// Default concurrent tenants in the benchmark mix.
 pub const DEFAULT_TENANTS: usize = 4;
 
 /// Default requests per tenant in the benchmark mix.
 pub const DEFAULT_REQUESTS: usize = 24;
-
-/// Default top of the worker-budget ladder before clamping to the
-/// host (same convention as the racebench: explicit `--workers` is
-/// honoured verbatim).
-pub const DEFAULT_MAX_WORKERS: usize = 4;
 
 /// Default threads per launch in the benchmark mix.
 pub const DEFAULT_THREADS: u32 = 4096;
@@ -96,7 +89,7 @@ pub struct LaunchRequest {
 
 impl LaunchRequest {
     /// The op-denominated admission estimate: instructions × threads,
-    /// the same denomination the adaptive cutover prices launches in.
+    /// the number of thread-instructions the launch executes.
     pub fn est_ops(&self) -> u64 {
         self.program.instrs().len() as u64 * u64::from(self.threads)
     }
@@ -145,10 +138,8 @@ pub struct BoundMeta {
 #[derive(Debug, Clone)]
 pub struct ServeOutcome {
     /// The written global buffers (possibly partially written when
-    /// `error` is set — identically so on any execution path).
+    /// `error` is set — identically so on either engine).
     pub buffers: Vec<Vec<f32>>,
-    /// Cost-model inputs and path decision of the launch.
-    pub stats: LaunchStats,
     /// `Some` when the launch faulted or panicked; the failure stays
     /// confined to this outcome.
     pub error: Option<String>,
@@ -178,7 +169,7 @@ pub enum ServeReply {
     },
 }
 
-/// Cumulative service counters (one snapshot per benchmark row).
+/// Cumulative service counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServeStats {
     /// Requests submitted.
@@ -208,12 +199,15 @@ pub struct LaunchService {
 
 impl LaunchService {
     /// Builds a service over a fresh shared interpreter (compiled
-    /// engine, adaptive cutover) with the given per-launch worker
-    /// budget (min 1) and admission budget in estimated ops (min 1).
-    pub fn new(workers: usize, max_ops: u64) -> Self {
-        let sim = WarpInterpreter::new(IhwConfig::precise()).with_workers(workers.max(1));
+    /// engine) with the given admission budget in estimated ops (min
+    /// 1).
+    ///
+    /// `_workers` is ignored: a launch runs its threads sequentially.
+    /// The parameter is kept only because the repository benchmark
+    /// (`perfbench/`) still passes `1` here.
+    pub fn new(_workers: usize, max_ops: u64) -> Self {
         LaunchService {
-            sim: SharedInterpreter::from_interpreter(sim),
+            sim: SharedInterpreter::new(IhwConfig::precise()),
             cache: RunCache::new(),
             max_ops: max_ops.max(1),
             submitted: AtomicU64::new(0),
@@ -267,7 +261,6 @@ impl LaunchService {
             .launch(&req.program, &req.config, req.threads, req.buffers.clone());
         ServeOutcome {
             buffers: launch.buffers,
-            stats: launch.stats,
             error: launch.result.err().map(|e| e.to_string()),
             bounds: self.bounds_for(req),
         }
@@ -348,11 +341,19 @@ pub fn stock_requests(tenants: usize, requests: usize, threads: u32) -> Vec<Vec<
         .collect()
 }
 
-/// One worker-budget row of the benchmark.
+/// The benchmark result: one pass of the mix against a fresh service.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ServeRow {
-    /// Per-launch worker budget of this row's service.
-    pub workers: usize,
+pub struct ServeReport {
+    /// Threads per launch.
+    pub threads: u32,
+    /// Concurrent tenants.
+    pub tenants: usize,
+    /// Requests per tenant.
+    pub requests_per_tenant: usize,
+    /// Admission budget in estimated ops.
+    pub max_ops: u64,
+    /// `std::thread::available_parallelism()` of the measuring host.
+    pub host_parallelism: usize,
     /// Requests submitted across all tenants.
     pub submitted: u64,
     /// Requests that executed a launch.
@@ -371,48 +372,36 @@ pub struct ServeRow {
     pub p50_ms: f64,
     /// 99th-percentile per-request latency in milliseconds.
     pub p99_ms: f64,
-    /// Plan-cache hits of this row's interpreter.
+    /// Plan-cache hits of the service's interpreter.
     pub plan_hits: u64,
-    /// Plan-cache misses (compiles) of this row's interpreter.
+    /// Plan-cache misses (compiles) of the service's interpreter.
     pub plan_misses: u64,
-    /// Plan-cache LRU evictions of this row's interpreter.
+    /// Plan-cache LRU evictions of the service's interpreter.
     pub plan_evictions: u64,
-    /// Whether every response matched the 1-worker row bit-for-bit.
+    /// Whether every concurrent response matched the one-tenant-at-a-
+    /// time replay bit-for-bit.
     pub bit_identical: bool,
 }
 
-/// The full benchmark result.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServeReport {
-    /// Threads per launch.
-    pub threads: u32,
-    /// Concurrent tenants.
-    pub tenants: usize,
-    /// Requests per tenant.
-    pub requests_per_tenant: usize,
-    /// Admission budget in estimated ops.
-    pub max_ops: u64,
-    /// Top of the measured worker-budget ladder.
-    pub max_workers: usize,
-    /// Whether the default ladder top was reduced to the host's
-    /// `available_parallelism()` (never true when `--workers` is
-    /// explicit — an override is honoured verbatim; same semantics as
-    /// the racebench record).
-    pub workers_clamped: bool,
-    /// `std::thread::available_parallelism()` of the measuring host.
-    pub host_parallelism: usize,
-    /// One row per worker budget `1..=max_workers`.
-    pub rows: Vec<ServeRow>,
-}
-
 /// Bit patterns of one reply's written buffers (`None` = rejected):
-/// what the cross-worker-budget identity gate compares.
+/// what the concurrent-vs-sequential identity gate compares.
 type ResponseBits = Option<Vec<Vec<u32>>>;
 
-/// Per-tenant, per-request response bits of one benchmark row.
-type TenantResponses = Vec<Vec<ResponseBits>>;
+/// The [`ResponseBits`] of `reply`.
+fn response_bits(reply: &ServeReply) -> ResponseBits {
+    match reply {
+        ServeReply::Rejected { .. } => None,
+        ServeReply::Served { outcome, .. } => Some(
+            outcome
+                .buffers
+                .iter()
+                .map(|b| b.iter().map(|x| x.to_bits()).collect())
+                .collect(),
+        ),
+    }
+}
 
-/// Latency percentile over an unsorted sample, in milliseconds.
+/// Latency percentile over a sorted sample, in milliseconds.
 fn percentile_ms(sorted_seconds: &[f64], q: f64) -> f64 {
     if sorted_seconds.is_empty() {
         return 0.0;
@@ -421,131 +410,86 @@ fn percentile_ms(sorted_seconds: &[f64], q: f64) -> f64 {
     sorted_seconds[idx] * 1e3
 }
 
-/// Replays the deterministic mix against a fresh [`LaunchService`] at
-/// every worker budget `1..=max_workers`, each with `tenants`
-/// submitter threads running their request streams concurrently.
-/// Responses are checked bit-for-bit against the 1-worker row.
-pub fn run_serve(
-    threads: u32,
-    tenants: usize,
-    requests: usize,
-    max_workers: usize,
-    max_ops: u64,
-) -> ServeReport {
+/// Replays the deterministic mix against a fresh [`LaunchService`],
+/// with `tenants` submitter threads running their request streams
+/// concurrently, then checks every response bit-for-bit against an
+/// untimed one-tenant-at-a-time replay on another fresh service.
+pub fn run_serve(threads: u32, tenants: usize, requests: usize, max_ops: u64) -> ServeReport {
     let tenants = tenants.max(1);
     let requests = requests.max(1);
-    let max_workers = max_workers.max(1);
-    let mut rows = Vec::new();
-    // Per tenant, per request: the response buffers as bit patterns
-    // (None for rejected requests) from the 1-worker reference row.
-    let mut reference: Option<TenantResponses> = None;
-    for workers in 1..=max_workers {
-        let service = Arc::new(LaunchService::new(workers, max_ops));
-        let mix = stock_requests(tenants, requests, threads);
-        let sw = Stopwatch::start();
+    let mix = stock_requests(tenants, requests, threads);
+    let service = LaunchService::new(1, max_ops);
+    let sw = Stopwatch::start();
+    let per_tenant: Vec<Vec<(f64, ResponseBits)>> = std::thread::scope(|s| {
         let handles: Vec<_> = mix
-            .into_iter()
-            .map(|tenant_reqs| {
-                let service = Arc::clone(&service);
-                std::thread::spawn(move || {
-                    tenant_reqs
-                        .iter()
+            .iter()
+            .map(|reqs| {
+                let service = &service;
+                s.spawn(move || {
+                    reqs.iter()
                         .map(|req| {
                             let sw = Stopwatch::start();
                             let reply = service.submit(req);
-                            let latency = sw.elapsed_seconds();
-                            let bits = match &reply {
-                                ServeReply::Rejected { .. } => None,
-                                ServeReply::Served { outcome, .. } => Some(
-                                    outcome
-                                        .buffers
-                                        .iter()
-                                        .map(|b| b.iter().map(|x| x.to_bits()).collect())
-                                        .collect::<Vec<Vec<u32>>>(),
-                                ),
-                            };
-                            (latency, bits)
+                            (sw.elapsed_seconds(), response_bits(&reply))
                         })
-                        .collect::<Vec<_>>()
+                        .collect()
                 })
             })
             .collect();
-        let per_tenant: Vec<Vec<(f64, ResponseBits)>> = handles
+        handles
             .into_iter()
             .map(|h| h.join().expect("tenant thread"))
-            .collect();
-        let seconds = sw.elapsed_seconds();
+            .collect()
+    });
+    let seconds = sw.elapsed_seconds();
 
-        let mut latencies: Vec<f64> = per_tenant
-            .iter()
-            .flat_map(|t| t.iter().map(|(l, _)| *l))
-            .collect();
-        latencies.sort_by(f64::total_cmp);
-        let responses: TenantResponses = per_tenant
-            .into_iter()
-            .map(|t| t.into_iter().map(|(_, bits)| bits).collect())
-            .collect();
-        let bit_identical = match &reference {
-            None => {
-                reference = Some(responses);
-                true
-            }
-            Some(reference) => *reference == responses,
-        };
+    let replay = LaunchService::new(1, max_ops);
+    let bit_identical = mix.iter().zip(&per_tenant).all(|(reqs, got)| {
+        reqs.iter()
+            .zip(got)
+            .all(|(req, (_, bits))| response_bits(&replay.submit(req)) == *bits)
+    });
 
-        let stats = service.stats();
-        let plan = service.plan_cache_stats();
-        rows.push(ServeRow {
-            workers,
-            submitted: stats.submitted,
-            executed: stats.executed,
-            dedup_hits: stats.dedup_hits,
-            rejected: stats.rejected,
-            faulted: stats.faulted,
-            seconds,
-            rps: stats.submitted as f64 / seconds.max(1e-9),
-            p50_ms: percentile_ms(&latencies, 0.50),
-            p99_ms: percentile_ms(&latencies, 0.99),
-            plan_hits: plan.hits,
-            plan_misses: plan.misses,
-            plan_evictions: plan.evictions,
-            bit_identical,
-        });
-    }
+    let mut latencies: Vec<f64> = per_tenant.iter().flatten().map(|(l, _)| *l).collect();
+    latencies.sort_by(f64::total_cmp);
+    let stats = service.stats();
+    let plan = service.plan_cache_stats();
     ServeReport {
         threads,
         tenants,
         requests_per_tenant: requests,
         max_ops,
-        max_workers,
-        workers_clamped: false,
         host_parallelism: host_parallelism(),
-        rows,
+        submitted: stats.submitted,
+        executed: stats.executed,
+        dedup_hits: stats.dedup_hits,
+        rejected: stats.rejected,
+        faulted: stats.faulted,
+        seconds,
+        rps: stats.submitted as f64 / seconds.max(1e-9),
+        p50_ms: percentile_ms(&latencies, 0.50),
+        p99_ms: percentile_ms(&latencies, 0.99),
+        plan_hits: plan.hits,
+        plan_misses: plan.misses,
+        plan_evictions: plan.evictions,
+        bit_identical,
     }
 }
 
 impl ServeReport {
     /// Aligned human-readable table.
     pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "== serve: {} tenants × {} requests, {} threads/launch, workers 1..={}{}, \
-             max-ops {}, host parallelism {} ==\n",
+        let mut out = format!(
+            "== serve: {} tenants × {} requests, {} threads/launch, max-ops {}, \
+             host parallelism {} ==\n",
             self.tenants,
             self.requests_per_tenant,
             self.threads,
-            self.max_workers,
-            if self.workers_clamped {
-                " (clamped to host)"
-            } else {
-                ""
-            },
             self.max_ops,
             self.host_parallelism,
-        ));
+        );
         out.push_str(&format!(
-            "{:>7} {:>9} {:>9} {:>9} {:>8} {:>7} {:>10} {:>10} {:>9} {:>9} {:>9}\n",
-            "workers",
+            "{:>9} {:>9} {:>9} {:>8} {:>7} {:>10} {:>10} {:>9} {:>9} {:>9}\n",
             "submitted",
             "executed",
             "dedup",
@@ -557,22 +501,19 @@ impl ServeReport {
             "p99 (ms)",
             "bitexact"
         ));
-        for r in &self.rows {
-            out.push_str(&format!(
-                "{:>7} {:>9} {:>9} {:>9} {:>8} {:>7} {:>10.4} {:>10.1} {:>9.3} {:>9.3} {:>9}\n",
-                r.workers,
-                r.submitted,
-                r.executed,
-                r.dedup_hits,
-                r.rejected,
-                r.faulted,
-                r.seconds,
-                r.rps,
-                r.p50_ms,
-                r.p99_ms,
-                if r.bit_identical { "yes" } else { "NO" },
-            ));
-        }
+        out.push_str(&format!(
+            "{:>9} {:>9} {:>9} {:>8} {:>7} {:>10.4} {:>10.1} {:>9.3} {:>9.3} {:>9}\n",
+            self.submitted,
+            self.executed,
+            self.dedup_hits,
+            self.rejected,
+            self.faulted,
+            self.seconds,
+            self.rps,
+            self.p50_ms,
+            self.p99_ms,
+            if self.bit_identical { "yes" } else { "NO" },
+        ));
         out
     }
 
@@ -586,78 +527,56 @@ impl ServeReport {
                 "0.0".to_owned()
             }
         };
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&format!("  \"schema\": \"{SCHEMA}\",\n"));
-        out.push_str(&format!("  \"threads\": {},\n", self.threads));
-        out.push_str(&format!("  \"tenants\": {},\n", self.tenants));
-        out.push_str(&format!(
-            "  \"requests_per_tenant\": {},\n",
-            self.requests_per_tenant
-        ));
-        out.push_str(&format!("  \"max_ops\": {},\n", self.max_ops));
-        out.push_str(&format!("  \"max_workers\": {},\n", self.max_workers));
-        out.push_str(&format!(
-            "  \"workers_clamped\": {},\n",
-            self.workers_clamped
-        ));
-        out.push_str(&format!(
-            "  \"host_parallelism\": {},\n",
-            self.host_parallelism
-        ));
-        out.push_str("  \"rows\": [\n");
-        for (i, r) in self.rows.iter().enumerate() {
-            let comma = if i + 1 < self.rows.len() { "," } else { "" };
-            out.push_str(&format!(
-                "    {{ \"workers\": {}, \"submitted\": {}, \"executed\": {}, \
-                 \"dedup_hits\": {}, \"rejected\": {}, \"faulted\": {}, \
-                 \"seconds\": {}, \"rps\": {}, \"p50_ms\": {}, \"p99_ms\": {}, \
-                 \"plan_hits\": {}, \"plan_misses\": {}, \"plan_evictions\": {}, \
-                 \"bit_identical\": {} }}{comma}\n",
-                r.workers,
-                r.submitted,
-                r.executed,
-                r.dedup_hits,
-                r.rejected,
-                r.faulted,
-                f(r.seconds),
-                f(r.rps),
-                f(r.p50_ms),
-                f(r.p99_ms),
-                r.plan_hits,
-                r.plan_misses,
-                r.plan_evictions,
-                r.bit_identical,
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
+        format!(
+            "{{\n  \"schema\": \"{SCHEMA}\",\n  \"threads\": {},\n  \"tenants\": {},\n  \
+             \"requests_per_tenant\": {},\n  \"max_ops\": {},\n  \"host_parallelism\": {},\n  \
+             \"submitted\": {},\n  \"executed\": {},\n  \"dedup_hits\": {},\n  \
+             \"rejected\": {},\n  \"faulted\": {},\n  \"seconds\": {},\n  \"rps\": {},\n  \
+             \"p50_ms\": {},\n  \"p99_ms\": {},\n  \"plan_hits\": {},\n  \
+             \"plan_misses\": {},\n  \"plan_evictions\": {},\n  \"bit_identical\": {}\n}}\n",
+            self.threads,
+            self.tenants,
+            self.requests_per_tenant,
+            self.max_ops,
+            self.host_parallelism,
+            self.submitted,
+            self.executed,
+            self.dedup_hits,
+            self.rejected,
+            self.faulted,
+            f(self.seconds),
+            f(self.rps),
+            f(self.p50_ms),
+            f(self.p99_ms),
+            self.plan_hits,
+            self.plan_misses,
+            self.plan_evictions,
+            self.bit_identical,
+        )
     }
 }
 
 /// CLI for `repro serve`: runs the benchmark mix, prints the table and
 /// writes the JSON record. Returns the process exit code — non-zero
-/// when any row's coalesced responses are not bit-identical to the
-/// 1-worker reference, or when a multi-tenant mix recorded no dedup
-/// hits (the coalescing layer regressed).
+/// when any concurrent response differs from the sequential replay, or
+/// when a multi-tenant mix recorded no dedup hits (the coalescing layer
+/// regressed).
 pub fn run_cli(args: &[String]) -> i32 {
     let mut threads: u32 = DEFAULT_THREADS;
     let mut tenants: usize = DEFAULT_TENANTS;
     let mut requests: usize = DEFAULT_REQUESTS;
-    let mut workers: Option<usize> = None;
     let mut max_ops: u64 = DEFAULT_MAX_OPS;
     let mut out_path = std::path::PathBuf::from(BENCH_FILE);
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--threads" | "--tenants" | "--requests" | "--workers" | "--max-ops" | "--out" => {
+            "--threads" | "--tenants" | "--requests" | "--max-ops" | "--out" => {
                 let Some(value) = it.next() else {
                     eprintln!("{arg} expects a value");
                     return 2;
                 };
                 // Every count is rejected at 0 with a diagnostic —
-                // never silently clamped (the racebench used to clamp
-                // `--workers 0` to 1; subcommands now agree).
+                // never silently clamped.
                 let ok = match arg.as_str() {
                     "--threads" => match value.parse::<u32>() {
                         Ok(v) if v >= 1 => {
@@ -676,13 +595,6 @@ pub fn run_cli(args: &[String]) -> i32 {
                     "--requests" => match value.parse::<usize>() {
                         Ok(v) if v >= 1 => {
                             requests = v;
-                            true
-                        }
-                        _ => false,
-                    },
-                    "--workers" => match value.parse::<usize>() {
-                        Ok(v) if v >= 1 => {
-                            workers = Some(v);
                             true
                         }
                         _ => false,
@@ -707,18 +619,15 @@ pub fn run_cli(args: &[String]) -> i32 {
             "--help" | "-h" => {
                 println!(
                     "usage: repro serve [--tenants N] [--requests N] [--threads N] \
-                     [--workers N] [--max-ops N] [--out FILE]\n\
+                     [--max-ops N] [--out FILE]\n\
                      \n\
                      Replays a deterministic multi-tenant request mix against the\n\
-                     launch service at every worker budget 1..=N, recording req/s,\n\
-                     p50/p99 latency, dedup hits and plan-cache counters per row\n\
-                     ({BENCH_FILE}, schema {SCHEMA}).\n\
-                     The default ladder top ({DEFAULT_MAX_WORKERS}) is clamped to the host's\n\
-                     available parallelism; pass --workers to override the clamp.\n\
+                     launch service, recording req/s, p50/p99 latency, dedup hits\n\
+                     and plan-cache counters ({BENCH_FILE}, schema {SCHEMA}).\n\
                      All counts must be positive — 0 is rejected, not clamped.\n\
-                     Exits non-zero when any row's responses diverge from the\n\
-                     1-worker reference, or when a multi-tenant mix coalesced\n\
-                     nothing."
+                     Exits non-zero when any concurrent response differs from a\n\
+                     one-tenant-at-a-time replay, or when a multi-tenant mix\n\
+                     coalesced nothing."
                 );
                 return 0;
             }
@@ -728,29 +637,20 @@ pub fn run_cli(args: &[String]) -> i32 {
             }
         }
     }
-    let host = host_parallelism();
-    let (max_workers, workers_clamped) = match workers {
-        Some(w) => (w, false),
-        None => (
-            DEFAULT_MAX_WORKERS.min(host).max(1),
-            host < DEFAULT_MAX_WORKERS,
-        ),
-    };
-    let mut report = run_serve(threads, tenants, requests, max_workers, max_ops);
-    report.workers_clamped = workers_clamped;
+    let report = run_serve(threads, tenants, requests, max_ops);
     print!("{}", report.render());
     if let Err(e) = std::fs::write(&out_path, report.to_json()) {
         eprintln!("cannot write {}: {e}", out_path.display());
         return 2;
     }
     println!("serve record written to {}", out_path.display());
-    if !report.rows.iter().all(|r| r.bit_identical) {
+    if !report.bit_identical {
         eprintln!(
-            "serve-smoke: coalesced responses diverged across worker budgets — see table above"
+            "serve-smoke: concurrent responses diverged from the sequential replay — see table above"
         );
         return 1;
     }
-    if tenants >= 2 && report.rows.iter().any(|r| r.dedup_hits == 0) {
+    if tenants >= 2 && report.dedup_hits == 0 {
         eprintln!(
             "serve-smoke: a {tenants}-tenant mix recorded zero dedup hits — \
              request coalescing has regressed"
@@ -827,15 +727,13 @@ mod tests {
     }
 
     #[test]
-    fn outcomes_carry_stats_and_static_bounds() {
+    fn outcomes_carry_static_bounds() {
         let service = LaunchService::new(1, u64::MAX);
         let req = request(64);
         let ServeReply::Served { outcome, .. } = service.submit(&req) else {
             panic!("admitted");
         };
         assert!(outcome.error.is_none());
-        assert_eq!(outcome.stats.threads, 64);
-        assert_eq!(outcome.stats.est_ops, req.est_ops());
         assert!(!outcome.bounds.is_empty(), "saxpy has an output bound");
         for b in &outcome.bounds {
             assert!(b.bound.is_finite() && b.bound > 0.0);
@@ -871,24 +769,20 @@ mod tests {
     }
 
     #[test]
-    fn serve_report_is_bit_identical_across_worker_budgets() {
-        let report = run_serve(128, 2, 6, 2, u64::MAX);
-        assert_eq!(report.rows.len(), 2);
-        assert!(report.rows.iter().all(|r| r.bit_identical));
-        for r in &report.rows {
-            assert_eq!(r.submitted, 2 * 6);
-            assert_eq!(r.rejected, 0);
-            assert!(r.dedup_hits > 0, "two tenants must coalesce");
-            assert_eq!(r.executed + r.dedup_hits, r.submitted);
-        }
+    fn serve_report_matches_the_sequential_replay_and_coalesces() {
+        let report = run_serve(128, 2, 6, u64::MAX);
+        assert!(report.bit_identical);
+        assert_eq!(report.submitted, 2 * 6);
+        assert_eq!(report.rejected, 0);
+        assert!(report.dedup_hits > 0, "two tenants must coalesce");
+        assert_eq!(report.executed + report.dedup_hits, report.submitted);
         let json = report.to_json();
-        assert!(json.contains("\"schema\": \"ihw-serve/1\""));
+        assert!(json.contains("\"schema\": \"ihw-serve/2\""));
         assert!(json.contains("\"dedup_hits\""));
         assert!(json.contains("\"p99_ms\""));
-        assert!(json.contains("\"workers_clamped\": false"));
         assert!(json.contains("\"plan_evictions\""));
+        assert!(!json.contains("\"workers"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
     }
 
     #[test]

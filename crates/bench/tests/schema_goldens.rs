@@ -14,9 +14,9 @@
 //! | `ihw_analyze::races::to_json`        | `ihw-racecheck/1` |
 //! | `ihw_analyze::autotune::to_json`     | `ihw-autotune/1`  |
 //! | `ihw_analyze::contraction::to_json`  | `ihw-converge/1`  |
-//! | `ihw_bench::racebench` report        | `ihw-racebench/3` |
+//! | `ihw_bench::racebench` report        | `ihw-racebench/4` |
 //! | `ihw_bench::solverbench::to_json`    | `ihw-solverbench/1` |
-//! | `ihw_bench::serve` report            | `ihw-serve/1`     |
+//! | `ihw_bench::serve` report            | `ihw-serve/2`     |
 
 use ihw_analyze::diag::{Finding, Rule};
 use ihw_analyze::interp::AnalysisSettings;
@@ -344,18 +344,18 @@ fn converge_document_parses_with_its_schema_tag() {
 
 #[test]
 fn racebench_document_parses_with_its_schema_tag() {
-    let report = ihw_bench::racebench::run_stock(32, 1, 1, gpu_sim::isa::ExecEngine::Compiled);
-    assert_golden(&report.to_json(), "ihw-racebench/3");
+    let report = ihw_bench::racebench::run_stock(32, 1, gpu_sim::isa::ExecEngine::Compiled);
+    assert_golden(&report.to_json(), "ihw-racebench/4");
 }
 
 #[test]
 fn serve_document_parses_with_its_schema_tag() {
-    let report = ihw_bench::serve::run_serve(64, 2, 5, 2, u64::MAX);
+    let report = ihw_bench::serve::run_serve(64, 2, 5, u64::MAX);
     assert!(
-        report.rows.iter().all(|r| r.bit_identical),
-        "coalesced responses must match the 1-worker reference"
+        report.bit_identical,
+        "concurrent responses must match the sequential replay"
     );
-    assert_golden(&report.to_json(), "ihw-serve/1");
+    assert_golden(&report.to_json(), "ihw-serve/2");
 }
 
 #[test]

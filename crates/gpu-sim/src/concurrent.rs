@@ -15,9 +15,8 @@
 //!   [`crate::isa::WarpInterpreter::set_config`] only when it differs
 //!   from the previous launch's (the plan cache is keyed on
 //!   `(program, config)`, so config switches stay warm);
-//! * counters are reset per launch, so the returned
-//!   [`crate::isa::LaunchStats`] and energy counters describe exactly
-//!   one request;
+//! * counters are reset per launch, so each launch's energy counters
+//!   describe exactly one request;
 //! * a panicking launch is contained: the panic is caught, the
 //!   interpreter is rebuilt to a consistent state, and the caller gets
 //!   [`LaunchError::Panicked`] — one faulting request never takes a
@@ -25,13 +24,12 @@
 //!   panic is recovered for the same reason.
 //!
 //! Determinism carries over unchanged: launches are serialized, each
-//! starts from a per-launch-reset context, and the underlying engines
-//! are bit-identical at any worker count — so any interleaving of
-//! requests produces byte-identical per-request outputs to running
-//! them sequentially (asserted by `ihw-bench`'s serve concurrency
-//! tests).
+//! starts from a per-launch-reset context, and each launch is one
+//! sequential call on the engine — so any interleaving of requests
+//! produces byte-identical per-request outputs to running them
+//! sequentially (asserted by `ihw-bench`'s serve concurrency tests).
 
-use crate::isa::{ExecError, LaunchStats, Program, WarpInterpreter};
+use crate::isa::{ExecError, Program, WarpInterpreter};
 use crate::plan::PlanCacheStats;
 use ihw_core::config::IhwConfig;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -42,7 +40,7 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 pub enum LaunchError {
     /// The kernel reported a memory fault (unknown buffer or
     /// out-of-bounds access); the returned buffers may be partially
-    /// written, identically so on any execution path.
+    /// written, identically so on either engine.
     Exec(ExecError),
     /// The launch panicked inside the engine; the payload is rendered
     /// to text. The interpreter was rebuilt afterwards, so subsequent
@@ -60,16 +58,13 @@ impl std::fmt::Display for LaunchError {
 }
 
 /// Everything one concurrent launch produces: the (possibly partially
-/// written) buffers, the per-request outcome, and the launch's cost
-/// and path-decision stats.
+/// written) buffers and the per-request outcome.
 #[derive(Debug, Clone)]
 pub struct LaunchOutcome {
     /// The global buffers after the launch, in input order.
     pub buffers: Vec<Vec<f32>>,
     /// `Ok` for a clean launch, or the per-request failure.
     pub result: Result<(), LaunchError>,
-    /// Cost-model inputs and path decision of this launch.
-    pub stats: LaunchStats,
 }
 
 /// A thread-safe, long-lived interpreter for multi-tenant launching.
@@ -92,31 +87,16 @@ fn recover<'a>(
 }
 
 impl SharedInterpreter {
-    /// Wraps a fresh [`WarpInterpreter`] over `cfg` (sequential,
-    /// adaptive cutover, compiled engine — the same defaults).
+    /// Wraps a fresh [`WarpInterpreter`] over `cfg` (compiled engine,
+    /// the same default).
     pub fn new(cfg: IhwConfig) -> Self {
         SharedInterpreter {
             inner: Mutex::new(WarpInterpreter::new(cfg)),
         }
     }
 
-    /// Wraps an already-configured interpreter (engine, cutover,
-    /// worker budget and plan-cache capacity as set by the caller).
-    pub fn from_interpreter(sim: WarpInterpreter) -> Self {
-        SharedInterpreter {
-            inner: Mutex::new(sim),
-        }
-    }
-
-    /// Sets the per-launch worker budget (min 1) and returns `self`
-    /// (builder style).
-    pub fn with_workers(self, workers: usize) -> Self {
-        recover(self.inner.lock()).set_workers(workers);
-        self
-    }
-
     /// Runs `f` with exclusive access to the underlying interpreter —
-    /// for configuration (engine, cutover, plan-cache capacity) and
+    /// for configuration (engine, plan-cache capacity) and
     /// diagnostics, not for launching (use
     /// [`SharedInterpreter::launch`], which owns the per-request
     /// reset/containment discipline).
@@ -130,7 +110,7 @@ impl SharedInterpreter {
     }
 
     /// Runs `threads` threads of `prog` under `cfg` over `buffers`,
-    /// returning the written buffers plus per-request stats. Safe to
+    /// returning the written buffers and the per-request result. Safe to
     /// call from any number of threads; launches serialize on the
     /// interpreter, and each one observes a freshly reset context.
     pub fn launch(
@@ -151,7 +131,6 @@ impl SharedInterpreter {
             Ok(result) => LaunchOutcome {
                 buffers,
                 result: result.map_err(LaunchError::Exec),
-                stats: sim.last_launch_stats(),
             },
             Err(payload) => {
                 let msg = payload
@@ -159,14 +138,12 @@ impl SharedInterpreter {
                     .map(|s| (*s).to_owned())
                     .or_else(|| payload.downcast_ref::<String>().cloned())
                     .unwrap_or_else(|| "<non-string panic payload>".to_owned());
-                let stats = sim.last_launch_stats();
                 // Rebuild the context so the next tenant starts clean;
                 // the plan cache is exception-safe and stays.
                 sim.set_config(*cfg);
                 LaunchOutcome {
                     buffers,
                     result: Err(LaunchError::Panicked(msg)),
-                    stats,
                 }
             }
         }
@@ -273,6 +250,5 @@ mod tests {
         // ...and the very next request on the same interpreter is clean.
         let good = sim.launch(&prog, &IhwConfig::precise(), 64, seed(&prog, 64));
         assert!(good.result.is_ok());
-        assert_eq!(good.stats.threads, 64);
     }
 }

@@ -22,15 +22,15 @@
 //! # Verdicts
 //!
 //! * [`Verdict::ThreadIndependent`] — no cross-tid write-write overlap
-//!   and no read that can observe an earlier tid's store. A parallel
-//!   schedule that serves reads from the launch-entry snapshot (plus
-//!   the thread's own prior stores) and applies stores in tid order is
-//!   observationally identical to the sequential loop.
+//!   and no read that can observe an earlier tid's store: the threads
+//!   may run in any order. [`store_shape`] refines the proof into the
+//!   shape that licenses the compiled engine's instruction-major lane
+//!   blocks.
 //! * [`Verdict::SequentialCarried`] — some cross-tid ordering
 //!   dependence exists (a later tid reads an earlier tid's store, or
 //!   two tids write the same element). Legal under the sequential
-//!   semantics, but order-dependent: the launch path must stay
-//!   sequential.
+//!   semantics, but order-dependent: the compiled engine runs such a
+//!   kernel one lane at a time, in tid order.
 //! * [`Verdict::Unknown`] — reserved for accesses outside the affine
 //!   domain. Every current [`AddrMode`] is affine, so this verdict is
 //!   unreachable today; it exists so indirect addressing can be added
@@ -120,7 +120,7 @@ impl AffineIndex {
 
     /// Whether a **single** thread can touch the same element through
     /// both accesses (same-thread reuse is served by program order and
-    /// never blocks parallelisation).
+    /// never creates a cross-thread dependence).
     pub fn overlaps_same_tid(self, other: AffineIndex) -> bool {
         match (self.scale, other.scale) {
             (1, 1) | (0, 0) => self.offset == other.offset,
@@ -146,8 +146,8 @@ impl AffineIndex {
     /// Note the asymmetry with [`AffineIndex::overlaps_cross_tid`]: a
     /// read that collides only with **later** tids' stores (a
     /// write-after-read pair, e.g. read `tid+1` / write `tid`) still
-    /// reads launch-entry data in both the sequential and the
-    /// snapshot-parallel schedule, so it is not carried.
+    /// reads launch-entry data under the sequential schedule, so it is
+    /// not carried.
     pub fn reads_earlier_store(self, write: AffineIndex) -> bool {
         match (self.scale, write.scale) {
             (1, 1) => self.offset < write.offset,
@@ -268,7 +268,7 @@ pub struct RegSite {
 /// use gpu_sim::isa::{AddrMode, Instr, Program, Reg};
 ///
 /// // out[tid] = in[tid−1]: thread t reads what thread t−1 may have
-/// // written — order-dependent, so the parallel path must not run it.
+/// // written — order-dependent, so its threads must run in tid order.
 /// let shift = Program::new("shift", 1, vec![
 ///     Instr::Ld(Reg(0), 0, AddrMode::TidPlus(-1)),
 ///     Instr::St(0, AddrMode::Tid, Reg(0)),
@@ -450,15 +450,16 @@ fn register_hygiene(prog: &Program) -> (Vec<RegSite>, Vec<RegSite>) {
     (uninit, dead)
 }
 
-/// How the parallel launch path may apply a proven thread-independent
-/// kernel's stores (see [`store_shape`]).
+/// The store shape of a proven thread-independent kernel (see
+/// [`store_shape`]), which decides whether the compiled engine may run
+/// it as instruction-major lane blocks.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StoreShape {
     /// Every store site is `tid + offset` with one common offset per
     /// written buffer, and no load of a written buffer can alias
-    /// another thread's store: each tid-chunk owns a disjoint output
-    /// sub-range and may write it **in place**, with no snapshot and
-    /// no store journal.
+    /// another thread's store: a block of threads may run each
+    /// instruction across all its lanes before the next one, and the
+    /// result equals the sequential tid order.
     DirectWrite {
         /// Written buffer index → the (single) store offset.
         offsets: BTreeMap<usize, i64>,
@@ -466,12 +467,13 @@ pub enum StoreShape {
     /// Proven independent, but some load of a written buffer aliases
     /// another thread's store range (a write-after-read shape such as
     /// read `tid+1` / write `tid`), or a store is not `scale = 1`
-    /// affine: loads must be served from launch-entry state, so the
-    /// chunks run against a snapshot and journal their stores.
+    /// affine: a lane block could read a slot another lane already
+    /// overwrote, so the compiled engine runs the kernel one lane at a
+    /// time.
     Journal,
 }
 
-/// Classifies how the parallel path may execute a kernel's stores.
+/// Classifies a kernel's stores: whether lane blocks may execute them.
 /// Returns `None` unless `report` proves thread-independence — the
 /// shape refines an existing proof, it never creates one.
 ///
@@ -506,10 +508,10 @@ pub fn store_shape(report: &RaceReport) -> Option<StoreShape> {
         {
             return Some(StoreShape::Journal);
         }
-        // In-place writes are only safe when no other thread can load
-        // what this thread overwrites. A same-offset load is the
-        // thread's own slot (served by program order); anything else
-        // aliasing the store window forces the snapshot + journal.
+        // Lane blocks are only safe when no other thread can load what
+        // this thread overwrites. A same-offset load is the thread's
+        // own slot (served by program order); anything else aliasing
+        // the store window forces one lane at a time.
         if fp.reads.iter().any(|r| {
             fp.writes
                 .iter()
@@ -606,8 +608,8 @@ mod tests {
     fn forward_read_is_not_carried() {
         use crate::isa::{AddrMode, Instr, Program, Reg};
         // out[tid] = in[tid+1], same buffer: a write-after-read pair.
-        // Both the sequential loop and the snapshot-parallel schedule
-        // read launch-entry data, so this stays ThreadIndependent.
+        // The sequential loop reads launch-entry data, so this stays
+        // ThreadIndependent.
         let prog = Program::new(
             "fwd",
             1,

@@ -9,8 +9,8 @@
 //! * the threaded-code table of monomorphized lane ops
 //!   ([`crate::compile::CompiledOp`]), with every configuration branch
 //!   constant-folded at lowering time;
-//! * the racecheck verdict and store shape, so the proof-gated parallel
-//!   path is a field read instead of a per-launch dependence analysis;
+//! * whether the racecheck store-shape proof licenses instruction-major
+//!   lane blocks, decided once instead of per launch;
 //! * a static cost table — per-thread [`OpCounts`], integer/memory op
 //!   totals, and the `UnitClass` trace pattern — because a
 //!   straight-line kernel executes the same units for every thread, the
@@ -27,7 +27,7 @@
 //! before a hit is served, so a stale or colliding entry recompiles
 //! instead of running the wrong kernel.
 
-use crate::compile::{exec_block, lower, CompiledOp, LaneMem, RegFile, LANES};
+use crate::compile::{exec_block, lower, CompiledOp, RegFile, LANES};
 use crate::deps::{racecheck, store_shape, AffineIndex, StoreShape};
 use crate::dispatch::FpCtx;
 use crate::isa::{AddrMode, ExecError, Instr, Program};
@@ -78,14 +78,10 @@ pub struct CompiledKernel {
     name: String,
     regs: u8,
     ops: Vec<CompiledOp>,
-    /// `Some` iff the racecheck proof holds (`ThreadIndependent`).
-    shape: Option<StoreShape>,
     /// Whether lane-block (instruction-major) execution is
-    /// observationally sequential: true iff the shape is `DirectWrite`.
+    /// observationally sequential: true iff the racecheck store shape
+    /// is `DirectWrite`.
     block_safe: bool,
-    /// Buffer index → store offset, dense over touched buffers
-    /// (meaningful only under `DirectWrite`).
-    store_offsets: Vec<Option<i64>>,
     sites: Vec<Site>,
     per_thread: StaticCost,
     /// `prefix[i]` = cost of instructions `0..=i` for one thread (the
@@ -142,18 +138,10 @@ fn instr_cost(instr: &Instr) -> (Option<FpOp>, u64, u64, Vec<UnitClass>) {
 /// plan cache amortizes across launches.
 pub fn compile(prog: &Program, cfg: &IhwConfig) -> CompiledKernel {
     let ops = lower(prog, cfg);
-    let report = racecheck(prog);
-    let shape = store_shape(&report);
-    let block_safe = matches!(shape, Some(StoreShape::DirectWrite { .. }));
-
-    let mut store_offsets = Vec::new();
-    if let Some(StoreShape::DirectWrite { offsets }) = &shape {
-        let max_buf = offsets.keys().max().copied().unwrap_or(0);
-        store_offsets = vec![None; max_buf + 1];
-        for (&buf, &off) in offsets {
-            store_offsets[buf] = Some(off);
-        }
-    }
+    let block_safe = matches!(
+        store_shape(&racecheck(prog)),
+        Some(StoreShape::DirectWrite { .. })
+    );
 
     let mut sites = Vec::new();
     let mut per_thread = StaticCost::default();
@@ -184,9 +172,7 @@ pub fn compile(prog: &Program, cfg: &IhwConfig) -> CompiledKernel {
         name: prog.name().to_string(),
         regs: prog.regs(),
         ops,
-        shape,
         block_safe,
-        store_offsets,
         sites,
         per_thread,
         prefix,
@@ -214,18 +200,6 @@ impl CompiledKernel {
     /// Whether the plan is empty (a zero-instruction kernel).
     pub fn is_empty(&self) -> bool {
         self.ops.is_empty()
-    }
-
-    /// The racecheck store shape the plan was compiled against, if the
-    /// independence proof holds.
-    pub(crate) fn shape(&self) -> Option<&StoreShape> {
-        self.shape.as_ref()
-    }
-
-    /// Buffer → direct-write store offset table (dense; empty unless
-    /// the shape is `DirectWrite`).
-    pub(crate) fn store_offsets(&self) -> &[Option<i64>] {
-        &self.store_offsets
     }
 
     /// The first fault a `threads`-thread launch over `buffers` hits in
@@ -286,22 +260,22 @@ impl CompiledKernel {
         best
     }
 
-    /// Executes tids `[lo, hi)` against `mem`: lane blocks of
+    /// Executes tids `[lo, hi)` over `buffers`: lane blocks of
     /// [`LANES`] when the `DirectWrite` proof licenses
     /// instruction-major order, scalar (one-lane blocks, which *is*
     /// the sequential order) otherwise. All accesses must be
     /// pre-checked fault-free.
-    pub(crate) fn run_range<M: LaneMem>(&self, rf: &mut RegFile, mem: &mut M, lo: u32, hi: u32) {
+    pub(crate) fn run_range(&self, rf: &mut RegFile, buffers: &mut [Vec<f32>], lo: u32, hi: u32) {
         if self.block_safe {
             let mut t = lo;
             while t < hi {
                 let n = (hi - t).min(LANES as u32);
-                exec_block(&self.ops, rf, mem, t, n as usize);
+                exec_block(&self.ops, rf, buffers, t, n as usize);
                 t += n;
             }
         } else {
             for t in lo..hi {
-                exec_block(&self.ops, rf, mem, t, 1);
+                exec_block(&self.ops, rf, buffers, t, 1);
             }
         }
     }
@@ -309,14 +283,14 @@ impl CompiledKernel {
     /// Replays the faulting thread's clean instruction prefix
     /// `ops[..upto]` (the partial state the interpreter leaves behind
     /// before reporting the error at instruction `upto`).
-    pub(crate) fn run_prefix<M: LaneMem>(
+    pub(crate) fn run_prefix(
         &self,
         rf: &mut RegFile,
-        mem: &mut M,
+        buffers: &mut [Vec<f32>],
         tid: u32,
         upto: usize,
     ) {
-        exec_block(&self.ops[..upto], rf, mem, tid, 1);
+        exec_block(&self.ops[..upto], rf, buffers, tid, 1);
     }
 
     /// Credits `ctx` with the launch's counters: `complete` full

@@ -1,8 +1,8 @@
 //! The affine memory-dependence analysis surface, plus a brute-force
 //! concrete oracle.
 //!
-//! The analysis core lives in [`gpu_sim::deps`] (the interpreter's
-//! launch path consults it directly to gate parallel execution); this
+//! The analysis core lives in [`gpu_sim::deps`] (the compiled engine's
+//! plans consult it directly to gate lane-block execution); this
 //! module re-exports it so analyzer users have one import surface, and
 //! adds [`brute_force_conflicts`] — a concrete footprint-enumeration
 //! oracle that property tests check the symbolic verdicts against.

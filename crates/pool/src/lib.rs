@@ -1,23 +1,17 @@
 //! # ihw-pool — persistent worker-pool sweep engine
 //!
 //! The workspace's one implementation of "run N independent jobs on
-//! worker threads and return the results in input order". Two layers
-//! use it:
-//!
-//! * the repro harness (`ihw-bench::runner`) — every experiment sweep
-//!   is a list of independent (benchmark × configuration × scale)
-//!   evaluations assembled into a table in a fixed order;
-//! * the kernel interpreter (`gpu-sim::isa`) — the proof-gated parallel
-//!   launch path fans a kernel's threads across cores once the static
-//!   race analysis (`gpu_sim::deps`) proves them independent.
+//! worker threads and return the results in input order". Its one user
+//! is the repro harness (`ihw-bench::runner`): every experiment sweep
+//! is a list of independent (benchmark × configuration × scale)
+//! evaluations assembled into a table in a fixed order. A kernel launch
+//! runs its threads sequentially and never enters the pool.
 //!
 //! # Persistent workers
 //!
 //! Worker threads are spawned lazily on first demand and then **parked
 //! between sweeps** on a condition variable, so a sweep pays a queue
-//! handoff rather than N `thread::spawn`s. The kernel launch path calls
-//! [`sweep_with`] once per launch; per-launch thread-spawn cost was the
-//! dominant overhead of the previous scoped-thread design.
+//! handoff rather than N `thread::spawn`s.
 //!
 //! Each sweep submits one *batch*: its items pre-chunked into
 //! contiguous index ranges, each chunk a single queue entry that writes
@@ -37,7 +31,7 @@
 //! plain serial map that never touches the pool: the reference
 //! execution the parallel path must match byte-for-byte.
 //!
-//! # Panic policy & per-launch fault isolation
+//! # Panic policy & per-sweep fault isolation
 //!
 //! A panicking job never takes the pool down: each chunk runs under
 //! `catch_unwind`, every chunk of the batch still completes and reports
@@ -80,8 +74,8 @@ pub struct SweepPoint<I> {
 ///
 /// Default 1 (serial). The `repro` binary sets it from `--jobs`/the
 /// available parallelism; tests flip it to prove determinism. Callers
-/// that need an explicit, caller-owned budget (the kernel launch path)
-/// use [`sweep_with`] instead and never touch this global.
+/// that need an explicit, caller-owned budget use [`sweep_with`]
+/// instead and never touch this global.
 static JOBS: AtomicUsize = AtomicUsize::new(1);
 
 /// Sets the worker-thread budget for subsequent [`sweep`]s (min 1).
@@ -97,11 +91,11 @@ pub fn jobs() -> usize {
 /// A queued unit of work: one chunk of one sweep.
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// Why a sweep failed, reported per launch by [`try_sweep_with`]: the
+/// Why a sweep failed, reported per sweep by [`try_sweep_with`]: the
 /// lowest-indexed failing chunk either panicked (payload preserved) or
 /// was lost without reporting (its worker died mid-job). Sibling chunks
 /// of the same sweep — and every other submitter's sweep — still
-/// complete; the error is confined to the launch that raised it.
+/// complete; the error is confined to the sweep that raised it.
 #[derive(Debug)]
 pub struct SweepError {
     /// Index of the first failing chunk (chunks are contiguous input
@@ -324,7 +318,7 @@ where
 ///
 /// Re-raises the first job panic (lowest chunk index) after the whole
 /// sweep has drained; sibling chunks still complete. Callers that must
-/// survive a faulting launch use [`try_sweep_with`] instead.
+/// survive a faulting job use [`try_sweep_with`] instead.
 pub fn sweep_with<I, T, F>(workers: usize, items: Vec<I>, f: F) -> Vec<T>
 where
     I: Send + 'static,
@@ -338,8 +332,7 @@ where
 }
 
 /// [`sweep_with`], but a faulting sweep comes back as `Err(SweepError)`
-/// instead of unwinding the calling thread — the per-launch fault
-/// isolation the multi-tenant serve path builds on. The whole batch
+/// instead of unwinding the calling thread. The whole batch
 /// still drains before the error is returned (sibling chunks complete;
 /// the pool stays usable), and concurrent sweeps from other submitters
 /// are unaffected.
@@ -353,7 +346,7 @@ where
     let workers = workers.min(n);
     if workers <= 1 {
         // Serial path: the whole sweep is one logical chunk, guarded so
-        // a panicking job still yields a per-launch error.
+        // a panicking job still yields a per-sweep error.
         return catch_unwind(AssertUnwindSafe(move || {
             items.into_iter().map(f).collect::<Vec<T>>()
         }))
@@ -385,9 +378,7 @@ where
             }));
             // Release the shared closure handle *before* reporting, so
             // once the caller has collected every chunk the closure
-            // (and everything it captured) is provably dropped — the
-            // launch path relies on this to reclaim its `Arc`ed
-            // buffers without a copy.
+            // (and everything it captured) is provably dropped.
             drop(run);
             let _ = report.send((index, out));
         }));

@@ -433,7 +433,7 @@ mod tests {
     #[test]
     fn kernel_is_hygienic_and_thread_independent() {
         // The same source-level checks the stock kernels pass: no
-        // cross-tid dependence (so the parallel launch path applies), no
+        // cross-tid dependence (so the compiled engine runs lane blocks), no
         // unwritten-register reads, no dead stores, no static OOB, and
         // no suppressions.
         use gpu_sim::deps::{racecheck, Verdict};

@@ -36,9 +36,10 @@ lint *ARGS:
 analyze *ARGS:
     cargo run --release -p ihw-bench --bin repro -- analyze {{ARGS}}
 
-# Memory-dependence / race analysis and the parallel-launch gate
-# (see DESIGN.md §9). Fails on findings not in racecheck-baseline.txt.
-# `just racecheck --bench` records BENCH_kernel_throughput.json.
+# Memory-dependence / race analysis, whose store-shape proof licenses
+# the compiled engine's lane blocks (see DESIGN.md §9). Fails on
+# findings not in racecheck-baseline.txt. `just racecheck --bench`
+# records BENCH_kernel_throughput.json (interpreted vs compiled).
 racecheck *ARGS:
     cargo run --release -p ihw-bench --bin repro -- racecheck {{ARGS}}
 
@@ -61,20 +62,13 @@ converge *ARGS:
     cargo run --release -p ihw-bench --bin repro -- converge {{ARGS}}
 
 # Batched multi-tenant launch service benchmark (see DESIGN.md §14):
-# replays a deterministic request mix at worker budgets 1..=N and
-# records req/s, p50/p99 latency, dedup hits and plan-cache counters
-# (BENCH_serve.json, schema ihw-serve/1). Exits non-zero if any row's
-# coalesced responses diverge from the 1-worker reference or a
-# multi-tenant mix coalesces nothing.
+# replays a deterministic request mix and records req/s, p50/p99
+# latency, dedup hits and plan-cache counters (BENCH_serve.json,
+# schema ihw-serve/2). Exits non-zero if any concurrent response
+# diverges from a one-tenant-at-a-time replay or a multi-tenant mix
+# coalesces nothing.
 serve *ARGS:
     cargo run --release -p ihw-bench --bin repro -- serve {{ARGS}}
-
-# Bench honesty gate: fails if any kernel×config row that took a
-# parallel launch path recorded a speedup below 0.9x (rows the
-# adaptive cutover kept sequential are exempt).
-bench-sanity:
-    cargo run --release -p ihw-bench --bin repro -- racecheck --bench \
-        --threads 4096 --repeats 2 --min-speedup 0.9 --out target/bench-sanity.json
 
 # Compiled-engine perf gate: fails if the geomean compiled-sequential
 # speedup over the interpreted-sequential reference drops below the

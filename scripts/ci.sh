@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Local CI gate: formatting, lints, tier-1 tests, and a smoke run of the
-# repro harness with timings (exercises the parallel runner + run cache).
+# repro harness with timings (exercises the sweep runner + run cache).
 # Run from anywhere; `just ci` delegates here.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -51,29 +51,17 @@ echo "== solverbench: certificates vs measured solver trajectories =="
 # the effective tolerance. Refreshes the committed BENCH_solvers.json.
 cargo run --release -p ihw-bench --bin repro -- converge --bench
 
-echo "== racebench: interpreted vs compiled vs parallel (bit-identity + throughput) =="
-# Fails if any engine run diverges from the interpreted-sequential
+echo "== racebench: interpreted vs compiled (bit-identity + throughput) =="
+# Fails if any compiled run diverges from the interpreted-sequential
 # reference; refreshes the committed BENCH_kernel_throughput.json perf
-# record. The default worker budget self-clamps to the host's cores
-# (schema ihw-racebench/3 records workers_clamped), so no explicit
-# --workers.
+# record (schema ihw-racebench/4).
 cargo run --release -p ihw-bench --bin repro -- racecheck --bench
 
 echo "== serve-smoke: multi-tenant launch service (coalescing + bit-identity) =="
-# Fails (exit 1) if any worker-budget row's coalesced responses are not
-# bit-identical to the 1-worker reference, or the multi-tenant mix
-# recorded zero dedup hits. The explicit --workers 4 keeps the recorded
-# ladder multi-row even on small CI hosts (the default top self-clamps
-# to the host's cores); refreshes the committed BENCH_serve.json.
-cargo run --release -p ihw-bench --bin repro -- serve --workers 4
-
-echo "== bench-sanity: every parallel row must pay for itself =="
-# Fails (exit 1) if any row that actually took a parallel path recorded
-# a speedup below 0.9x — i.e. the proof-gated fan-out made things
-# slower. Rows the adaptive cutover kept sequential are exempt: they
-# are the cost model working, not a regression. JSON kept as artifact.
-cargo run --release -p ihw-bench --bin repro -- racecheck --bench \
-    --threads 4096 --repeats 2 --min-speedup 0.9 --out target/bench-sanity.json
+# Fails (exit 1) if any concurrent response is not bit-identical to a
+# one-tenant-at-a-time replay of the same mix, or the multi-tenant mix
+# recorded zero dedup hits; refreshes the committed BENCH_serve.json.
+cargo run --release -p ihw-bench --bin repro -- serve
 
 echo "== bench-compiled: compiled engine must beat the interpreter =="
 # Fails (exit 1) if the geomean compiled-sequential speedup over the

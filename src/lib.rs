@@ -17,8 +17,8 @@
 //!   imprecision-taint analysis over the kernel IR (rules A001–A003 and
 //!   A009; interval plus affine relational domains, DESIGN.md §8, §12),
 //!   plus the [`racecheck`] memory-dependence pass (rules A004–A007)
-//!   whose `ThreadIndependent` proof gates the simulator's parallel
-//!   launch path, and the [`autotune`] static-bound-driven precision
+//!   whose store-shape proof gates the compiled engine's lane blocks,
+//!   and the [`autotune`] static-bound-driven precision
 //!   autotuner (per-site sensitivity analysis, rule A008, energy-vs-bound
 //!   Pareto fronts);
 //! * [`lint`] (`ihw-lint`) — workspace bit-determinism auditor and the
@@ -33,7 +33,7 @@
 //! assert_eq!(cfg.mul32(1.5, 1.5), 2.0);
 //! ```
 //!
-//! The race analysis proves which kernels may fan out across cores:
+//! The race analysis proves which kernels' threads are order-independent:
 //!
 //! ```
 //! use imprecise_gpgpu::racecheck;

@@ -156,28 +156,21 @@ fn compiled_matches_sequential_reference_across_block_edges() {
                     .expect("stock kernels run");
                 let want_trace = reference.take_trace();
 
-                for workers in [1, 2] {
-                    let tag = format!(
-                        "{}/{label}/{threads} threads/{workers} workers",
-                        prog.name()
-                    );
-                    let mut compiled = WarpInterpreter::new(*cfg)
-                        .with_engine(ExecEngine::Compiled)
-                        .with_workers(workers);
-                    compiled.enable_trace();
-                    let mut got = base.clone();
-                    compiled
-                        .launch(prog, threads, &mut got)
-                        .expect("stock kernels run");
+                let tag = format!("{}/{label}/{threads} threads", prog.name());
+                let mut compiled = WarpInterpreter::new(*cfg).with_engine(ExecEngine::Compiled);
+                compiled.enable_trace();
+                let mut got = base;
+                compiled
+                    .launch(prog, threads, &mut got)
+                    .expect("stock kernels run");
 
-                    assert_eq!(bits(&got), bits(&want), "{tag}: buffers diverge");
-                    let (r, c) = (reference.ctx(), compiled.ctx());
-                    assert_eq!(r.counts(), c.counts(), "{tag}: OpCounts diverge");
-                    assert_eq!(r.int_ops(), c.int_ops(), "{tag}");
-                    assert_eq!(r.mem_ops(), c.mem_ops(), "{tag}");
-                    assert_eq!(r.precise_mul_ops(), c.precise_mul_ops(), "{tag}");
-                    assert_eq!(compiled.take_trace(), want_trace, "{tag}: traces diverge");
-                }
+                assert_eq!(bits(&got), bits(&want), "{tag}: buffers diverge");
+                let (r, c) = (reference.ctx(), compiled.ctx());
+                assert_eq!(r.counts(), c.counts(), "{tag}: OpCounts diverge");
+                assert_eq!(r.int_ops(), c.int_ops(), "{tag}");
+                assert_eq!(r.mem_ops(), c.mem_ops(), "{tag}");
+                assert_eq!(r.precise_mul_ops(), c.precise_mul_ops(), "{tag}");
+                assert_eq!(compiled.take_trace(), want_trace, "{tag}: traces diverge");
             }
         }
     }

@@ -1,18 +1,23 @@
-//! Counter and trace parity gate for the compiled execution engine:
-//! a compiled launch must be indistinguishable from an interpreted one
-//! through every observable side channel of `FpCtx` — the per-unit
-//! `OpCounts` map, the int/mem/precise-mul counters, and the
-//! `UnitClass` issue-port trace captured by `take_trace` — including
-//! on faulting launches, where the partially-executed prefix must
-//! count and trace identically. Nothing else guards counter drift
-//! against a second execution engine: the power model (§5) and the
-//! tuner both consume these counters, so a silent divergence would
-//! skew every downstream energy number.
+//! Parity gate for the compiled execution engine: a compiled launch
+//! must be indistinguishable from the interpreter's sequential
+//! reference loop through every observable side channel — the written
+//! buffers (bit for bit), the returned error, the per-unit `OpCounts`
+//! map, the int/mem/precise-mul counters, and the `UnitClass`
+//! issue-port trace captured by `take_trace` — including on faulting
+//! launches, where the partially-executed prefix must write, count and
+//! trace identically. The power model (§5) and the tuner both consume
+//! these counters, so a silent divergence would skew every downstream
+//! energy number.
+//!
+//! Besides the stock kernels (lane blocks), the suite drives the plans
+//! the compiled engine must run one lane at a time: a carried
+//! prefix-propagation kernel and a journal-shaped in-place shift.
 
 use imprecise_gpgpu::analyze::{stock_configs, stock_kernels};
+use imprecise_gpgpu::core::config::IhwConfig;
 use imprecise_gpgpu::sim::asm::assemble;
-use imprecise_gpgpu::sim::deps::footprints;
-use imprecise_gpgpu::sim::isa::{ExecEngine, Program, WarpInterpreter};
+use imprecise_gpgpu::sim::deps::{footprints, racecheck, store_shape, StoreShape, Verdict};
+use imprecise_gpgpu::sim::isa::{ExecEngine, ExecError, Program, WarpInterpreter};
 
 /// Deterministic well-conditioned inputs sized by the kernel's own
 /// footprint (mirrors `ihw_bench::racebench::seed_buffers`).
@@ -29,24 +34,46 @@ fn seed_buffers(prog: &Program, threads: u32) -> Vec<Vec<f32>> {
         .collect()
 }
 
-/// Runs `prog` on one engine with tracing enabled and returns the
-/// interpreter (counters accumulated) plus its trace and the result.
-fn run_traced(
+fn bits(bufs: &[Vec<f32>]) -> Vec<Vec<u32>> {
+    bufs.iter()
+        .map(|b| b.iter().map(|x| x.to_bits()).collect())
+        .collect()
+}
+
+/// Runs `prog` over `base` on the interpreter's sequential loop and on
+/// the compiled engine, both traced, and asserts that the results,
+/// buffers, counters and traces agree. Returns the (shared) result and
+/// the reference buffers.
+fn assert_engines_agree(
     prog: &Program,
-    cfg: &imprecise_gpgpu::core::config::IhwConfig,
-    engine: ExecEngine,
+    cfg: &IhwConfig,
     threads: u32,
-    buffers: &mut [Vec<f32>],
-) -> (
-    WarpInterpreter,
-    Vec<imprecise_gpgpu::sim::simt::UnitClass>,
-    Result<(), imprecise_gpgpu::sim::isa::ExecError>,
-) {
-    let mut interp = WarpInterpreter::new(cfg.to_owned()).with_engine(engine);
-    interp.enable_trace();
-    let result = interp.launch(prog, threads, buffers);
-    let trace = interp.take_trace();
-    (interp, trace, result)
+    base: &[Vec<f32>],
+    tag: &str,
+) -> (Result<(), ExecError>, Vec<Vec<f32>>) {
+    let mut want = base.to_vec();
+    let mut reference = WarpInterpreter::new(*cfg);
+    reference.enable_trace();
+    let want_res = reference.launch_sequential(prog, threads, &mut want);
+
+    let mut got = base.to_vec();
+    let mut compiled = WarpInterpreter::new(*cfg).with_engine(ExecEngine::Compiled);
+    compiled.enable_trace();
+    let got_res = compiled.launch(prog, threads, &mut got);
+
+    assert_eq!(want_res, got_res, "{tag}: results diverge");
+    assert_eq!(bits(&want), bits(&got), "{tag}: buffers diverge");
+    let (r, c) = (reference.ctx(), compiled.ctx());
+    assert_eq!(r.counts(), c.counts(), "{tag}: OpCounts diverge");
+    assert_eq!(r.int_ops(), c.int_ops(), "{tag}: int ops diverge");
+    assert_eq!(r.mem_ops(), c.mem_ops(), "{tag}: mem ops diverge");
+    assert_eq!(r.precise_mul_ops(), c.precise_mul_ops(), "{tag}");
+    assert_eq!(
+        reference.take_trace(),
+        compiled.take_trace(),
+        "{tag}: UnitClass traces diverge"
+    );
+    (want_res, want)
 }
 
 #[test]
@@ -54,36 +81,10 @@ fn compiled_counts_and_traces_match_interpreted_for_every_stock_pair() {
     let threads = 193u32;
     for prog in stock_kernels() {
         for (label, cfg) in stock_configs() {
-            let base = seed_buffers(&prog, threads);
             let tag = format!("{}/{label}", prog.name());
-
-            let mut ibufs = base.clone();
-            let (interp, itrace, ires) =
-                run_traced(&prog, &cfg, ExecEngine::Interpreted, threads, &mut ibufs);
-            ires.expect("stock kernels run");
-
-            let mut cbufs = base;
-            let (compiled, ctrace, cres) =
-                run_traced(&prog, &cfg, ExecEngine::Compiled, threads, &mut cbufs);
-            cres.expect("stock kernels run");
-
-            assert_eq!(
-                interp.ctx().counts(),
-                compiled.ctx().counts(),
-                "{tag}: OpCounts diverge between engines"
-            );
-            assert_eq!(interp.ctx().int_ops(), compiled.ctx().int_ops(), "{tag}");
-            assert_eq!(interp.ctx().mem_ops(), compiled.ctx().mem_ops(), "{tag}");
-            assert_eq!(
-                interp.ctx().precise_mul_ops(),
-                compiled.ctx().precise_mul_ops(),
-                "{tag}"
-            );
-            assert!(
-                !itrace.is_empty(),
-                "{tag}: tracing must capture issue ports"
-            );
-            assert_eq!(itrace, ctrace, "{tag}: UnitClass traces diverge");
+            let (res, _) =
+                assert_engines_agree(&prog, &cfg, threads, &seed_buffers(&prog, threads), &tag);
+            res.expect("stock kernels run");
         }
     }
 }
@@ -91,8 +92,8 @@ fn compiled_counts_and_traces_match_interpreted_for_every_stock_pair() {
 #[test]
 fn faulting_launch_counts_and_traces_match() {
     // Strided read one past the end: thread `threads-1` faults, and
-    // both engines must have counted and traced exactly the threads
-    // (and the faulting thread's instruction prefix) that ran.
+    // both engines must have written, counted and traced exactly the
+    // threads (and the faulting thread's instruction prefix) that ran.
     let src = "\
 .buffers 2
 ld r0, b0[tid+1]
@@ -106,24 +107,14 @@ st b1[tid], r0
         vec![0.0f32; threads as usize],
     ];
     for (label, cfg) in stock_configs() {
-        let mut ibufs = base.clone();
-        let (interp, itrace, ires) =
-            run_traced(&prog, &cfg, ExecEngine::Interpreted, threads, &mut ibufs);
-        let ierr = ires.expect_err("last thread faults");
-
-        let mut cbufs = base.clone();
-        let (compiled, ctrace, cres) =
-            run_traced(&prog, &cfg, ExecEngine::Compiled, threads, &mut cbufs);
-        let cerr = cres.expect_err("last thread faults");
-
-        assert_eq!(ierr, cerr, "{label}: error values diverge");
+        let (res, bufs) = assert_engines_agree(&prog, &cfg, threads, &base, label);
+        res.expect_err("last thread faults");
+        assert_ne!(bufs[1][threads as usize - 2], 0.0, "earlier threads stored");
         assert_eq!(
-            interp.ctx().counts(),
-            compiled.ctx().counts(),
-            "{label}: partial-launch OpCounts diverge"
+            bufs[1][threads as usize - 1],
+            0.0,
+            "the faulting one did not"
         );
-        assert_eq!(interp.ctx().mem_ops(), compiled.ctx().mem_ops(), "{label}");
-        assert_eq!(itrace, ctrace, "{label}: partial-launch traces diverge");
     }
 }
 
@@ -160,4 +151,77 @@ fn parity_survives_plan_cache_reuse() {
 
     assert_eq!(interp.ctx().counts(), compiled.ctx().counts());
     assert_eq!(interp.take_trace(), ctrace);
+}
+
+#[test]
+fn zero_and_single_thread_launches_match() {
+    let prog = stock_kernels().remove(0);
+    let (label, cfg) = &stock_configs()[0];
+    for threads in [0u32, 1] {
+        let tag = format!("{label}/{threads} threads");
+        let (res, _) =
+            assert_engines_agree(&prog, cfg, threads, &seed_buffers(&prog, threads), &tag);
+        res.expect("runs");
+    }
+}
+
+#[test]
+fn carried_kernel_matches_sequential() {
+    // A prefix-propagation kernel: thread `t` reads what thread `t−1`
+    // stored into `b1[t]` — legal sequentially, so the compiled engine
+    // must run it one lane at a time, in tid order.
+    let src = "\
+.buffers 2
+ld r0, b0[tid]
+ld r1, b1[tid]
+fadd r0, r0, r1
+st b1[tid+1], r0
+";
+    let prog = assemble("prefix", src).expect("assembles");
+    assert_eq!(racecheck(&prog).verdict, Verdict::SequentialCarried);
+
+    let threads = 200u32;
+    let base = vec![vec![0.25f32; 200], {
+        let mut b = vec![0.0f32; 201];
+        b[0] = 1.0;
+        b
+    }];
+    for (label, cfg) in stock_configs() {
+        let (res, bufs) = assert_engines_agree(&prog, &cfg, threads, &base, label);
+        res.expect("runs");
+        // The chain really is order-dependent: the last output
+        // accumulates every earlier thread's contribution.
+        assert!(bufs[1][200] > 1.0, "{label}");
+    }
+}
+
+#[test]
+fn journal_shape_kernel_is_bit_identical() {
+    // Forward shift: thread `t` reads `b0[t+1]` and writes `b0[t]`.
+    // Every read belongs to a *different* thread's write slot, so the
+    // kernel is proven independent but not own-slot: the store-shape
+    // proof does not cover it, and the compiled engine runs it one lane
+    // at a time. With exactly `threads` elements the last thread's read
+    // faults, and the partial state must match too.
+    let src = "\
+.buffers 1
+ld r0, b0[tid+1]
+st b0[tid], r0
+";
+    let prog = assemble("fwd_shift", src).expect("assembles");
+    let report = racecheck(&prog);
+    assert_eq!(report.verdict, Verdict::ThreadIndependent);
+    assert_eq!(store_shape(&report), Some(StoreShape::Journal));
+
+    let threads = 301u32;
+    for (label, cfg) in stock_configs() {
+        for len in [threads + 1, threads] {
+            let base = vec![(0..len)
+                .map(|i| i as f32 * 0.25 + 0.5)
+                .collect::<Vec<f32>>()];
+            let tag = format!("{label}/{len} elements");
+            let (res, _) = assert_engines_agree(&prog, &cfg, threads, &base, &tag);
+            assert_eq!(res.is_err(), len == threads, "{tag}");
+        }
+    }
 }

@@ -11,6 +11,12 @@
 //! * `ThreadIndependent` ⇔ the brute-force intersection is empty;
 //! * the brute-force WW / carried flags match the dependence kinds the
 //!   analysis reports.
+//!
+//! A second property runs the same random kernels on the compiled
+//! engine and on the interpreter's sequential loop: the compiled plan
+//! runs instruction-major lane blocks only when the store-shape proof
+//! says that is observationally sequential, so an unsound proof shows
+//! up as a buffer mismatch.
 
 use imprecise_gpgpu::analyze::deps::{brute_force_conflicts, racecheck, DepKind, Verdict};
 use imprecise_gpgpu::sim::isa::{AddrMode, Instr, Program, Reg};
@@ -31,16 +37,18 @@ fn access() -> impl Strategy<Value = (bool, usize, AddrMode)> {
     )
 }
 
-/// Straight-line kernel from an access list: loads into `r1`, stores
-/// from the constant in `r0`.
+/// Straight-line kernel from an access list: each load lands in `r1`
+/// and is summed into `r0`, and stores write `r0`, so every stored
+/// value depends on what the thread loaded before it.
 fn build(accesses: &[(bool, usize, AddrMode)]) -> Program {
     let mut instrs = vec![Instr::Movi(Reg(0), 1.0)];
     for &(store, buf, mode) in accesses {
-        instrs.push(if store {
-            Instr::St(buf, mode, Reg(0))
+        if store {
+            instrs.push(Instr::St(buf, mode, Reg(0)));
         } else {
-            Instr::Ld(Reg(1), buf, mode)
-        });
+            instrs.push(Instr::Ld(Reg(1), buf, mode));
+            instrs.push(Instr::Fadd(Reg(0), Reg(0), Reg(1)));
+        }
     }
     Program::new("affine_rand", 2, instrs).expect("valid program")
 }
@@ -77,50 +85,41 @@ proptest! {
     }
 
     #[test]
-    fn thread_independent_kernels_take_the_parallel_path(accesses in vec(access(), 1..6)) {
+    fn compiled_launch_matches_sequential_on_random_kernels(accesses in vec(access(), 1..6)) {
         use imprecise_gpgpu::core::prelude::IhwConfig;
         use imprecise_gpgpu::sim::deps::footprints;
-        use imprecise_gpgpu::sim::isa::{CutoverPolicy, WarpInterpreter};
+        use imprecise_gpgpu::sim::isa::WarpInterpreter;
 
         let prog = build(&accesses);
-        let report = racecheck(&prog);
-        // Skip statically-OOB kernels: they fault identically either
-        // way, but here we want the happy-path bit-identity too.
-        prop_assume!(report.oob.is_empty());
-
-        let threads = 12u32;
         let fps = footprints(&prog);
         let n_bufs = fps.keys().max().map_or(0, |b| b + 1);
-        let base: Vec<Vec<f32>> = (0..n_bufs)
-            .map(|b| {
-                let len = fps.get(&b).map_or(0, |fp| fp.required_len(threads));
-                (0..len).map(|i| 0.5 + (i as f32 % 7.0) / 16.0).collect()
-            })
-            .collect();
+        // 12 threads run as one partial lane block, 130 cross a block
+        // edge. Kernels with a negative offset fault at thread 0, so
+        // the error path is covered as well.
+        for threads in [12u32, 130] {
+            let base: Vec<Vec<f32>> = (0..n_bufs)
+                .map(|b| {
+                    let len = fps.get(&b).map_or(0, |fp| fp.required_len(threads));
+                    (0..len).map(|i| 0.5 + (i as f32 % 7.0) / 16.0).collect()
+                })
+                .collect();
 
-        let mut seq_bufs = base.clone();
-        let mut seq = WarpInterpreter::new(IhwConfig::all_imprecise());
-        seq.launch_sequential(&prog, threads, &mut seq_bufs).expect("in bounds");
+            let mut seq_bufs = base.clone();
+            let mut seq = WarpInterpreter::new(IhwConfig::all_imprecise());
+            let seq_res = seq.launch_sequential(&prog, threads, &mut seq_bufs);
 
-        let mut par_bufs = base.clone();
-        // ForceParallel pins the cutover decision: under Adaptive the
-        // 12-thread launch is below the overhead threshold (and a
-        // 1-core host never fans out), which would make the
-        // verdict ⇔ parallel-path equivalence below vacuous.
-        let mut par = WarpInterpreter::new(IhwConfig::all_imprecise())
-            .with_workers(4)
-            .with_cutover(CutoverPolicy::ForceParallel);
-        par.launch(&prog, threads, &mut par_bufs).expect("in bounds");
+            let mut comp_bufs = base;
+            let mut comp = WarpInterpreter::new(IhwConfig::all_imprecise());
+            let comp_res = comp.launch(&prog, threads, &mut comp_bufs);
 
-        prop_assert_eq!(
-            par.last_launch_was_parallel(),
-            report.verdict == Verdict::ThreadIndependent,
-            "parallel path must be taken exactly on proven-independent kernels"
-        );
-        let bits = |bufs: &[Vec<f32>]| -> Vec<Vec<u32>> {
-            bufs.iter().map(|b| b.iter().map(|x| x.to_bits()).collect()).collect()
-        };
-        prop_assert_eq!(bits(&seq_bufs), bits(&par_bufs));
-        prop_assert_eq!(seq.ctx().counts(), par.ctx().counts());
+            let bits = |bufs: &[Vec<f32>]| -> Vec<Vec<u32>> {
+                bufs.iter().map(|b| b.iter().map(|x| x.to_bits()).collect()).collect()
+            };
+            prop_assert_eq!(seq_res, comp_res);
+            prop_assert_eq!(bits(&seq_bufs), bits(&comp_bufs));
+            prop_assert_eq!(seq.ctx().counts(), comp.ctx().counts());
+            prop_assert_eq!(seq.ctx().int_ops(), comp.ctx().int_ops());
+            prop_assert_eq!(seq.ctx().mem_ops(), comp.ctx().mem_ops());
+        }
     }
 }
