@@ -87,8 +87,7 @@ fn recover<'a>(
 }
 
 impl SharedInterpreter {
-    /// Wraps a fresh [`WarpInterpreter`] over `cfg` (compiled engine,
-    /// the same default).
+    /// Wraps a fresh [`WarpInterpreter::new`] over `cfg`.
     pub fn new(cfg: IhwConfig) -> Self {
         SharedInterpreter {
             inner: Mutex::new(WarpInterpreter::new(cfg)),
