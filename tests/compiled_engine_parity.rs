@@ -9,14 +9,15 @@
 //! these counters, so a silent divergence would skew every downstream
 //! energy number.
 //!
-//! Besides the stock kernels (lane blocks), the suite drives the plans
-//! the compiled engine must run one lane at a time: a carried
-//! prefix-propagation kernel and a journal-shaped in-place shift.
+//! Besides the stock kernels (lane blocks), the suite drives a plan the
+//! compiled engine must run one lane at a time: a carried
+//! prefix-propagation kernel. The journal-shaped in-place shift, the
+//! other one-lane case, is in `parallel_launch_differential.rs`.
 
 use imprecise_gpgpu::analyze::{stock_configs, stock_kernels};
 use imprecise_gpgpu::core::config::IhwConfig;
 use imprecise_gpgpu::sim::asm::assemble;
-use imprecise_gpgpu::sim::deps::{footprints, racecheck, store_shape, StoreShape, Verdict};
+use imprecise_gpgpu::sim::deps::{footprints, racecheck, Verdict};
 use imprecise_gpgpu::sim::isa::{ExecEngine, ExecError, Program, WarpInterpreter};
 
 /// Deterministic well-conditioned inputs sized by the kernel's own
@@ -192,36 +193,5 @@ st b1[tid+1], r0
         // The chain really is order-dependent: the last output
         // accumulates every earlier thread's contribution.
         assert!(bufs[1][200] > 1.0, "{label}");
-    }
-}
-
-#[test]
-fn journal_shape_kernel_is_bit_identical() {
-    // Forward shift: thread `t` reads `b0[t+1]` and writes `b0[t]`.
-    // Every read belongs to a *different* thread's write slot, so the
-    // kernel is proven independent but not own-slot: the store-shape
-    // proof does not cover it, and the compiled engine runs it one lane
-    // at a time. With exactly `threads` elements the last thread's read
-    // faults, and the partial state must match too.
-    let src = "\
-.buffers 1
-ld r0, b0[tid+1]
-st b0[tid], r0
-";
-    let prog = assemble("fwd_shift", src).expect("assembles");
-    let report = racecheck(&prog);
-    assert_eq!(report.verdict, Verdict::ThreadIndependent);
-    assert_eq!(store_shape(&report), Some(StoreShape::Journal));
-
-    let threads = 301u32;
-    for (label, cfg) in stock_configs() {
-        for len in [threads + 1, threads] {
-            let base = vec![(0..len)
-                .map(|i| i as f32 * 0.25 + 0.5)
-                .collect::<Vec<f32>>()];
-            let tag = format!("{label}/{len} elements");
-            let (res, _) = assert_engines_agree(&prog, &cfg, threads, &base, &tag);
-            assert_eq!(res.is_err(), len == threads, "{tag}");
-        }
     }
 }
