@@ -453,24 +453,21 @@ fn register_hygiene(prog: &Program) -> (Vec<RegSite>, Vec<RegSite>) {
 /// The store shape of a proven thread-independent kernel (see
 /// [`store_shape`]), which decides whether the compiled engine may run
 /// it as instruction-major lane blocks.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StoreShape {
     /// Every store site is `tid + offset` with one common offset per
     /// written buffer, and no load of a written buffer can alias
     /// another thread's store: a block of threads may run each
     /// instruction across all its lanes before the next one, and the
     /// result equals the sequential tid order.
-    DirectWrite {
-        /// Written buffer index → the (single) store offset.
-        offsets: BTreeMap<usize, i64>,
-    },
+    DirectWrite,
     /// Proven independent, but some load of a written buffer aliases
     /// another thread's store range (a write-after-read shape such as
     /// read `tid+1` / write `tid`), or a store is not `scale = 1`
     /// affine: a lane block could read a slot another lane already
     /// overwrote, so the compiled engine runs the kernel one lane at a
     /// time.
-    Journal,
+    OneLane,
 }
 
 /// Classifies a kernel's stores: whether lane blocks may execute them.
@@ -482,17 +479,13 @@ pub enum StoreShape {
 /// use gpu_sim::programs;
 ///
 /// let report = racecheck(&programs::saxpy(2.0));
-/// assert!(matches!(
-///     store_shape(&report),
-///     Some(StoreShape::DirectWrite { .. })
-/// ));
+/// assert_eq!(store_shape(&report), Some(StoreShape::DirectWrite));
 /// ```
 pub fn store_shape(report: &RaceReport) -> Option<StoreShape> {
     if report.verdict != Verdict::ThreadIndependent {
         return None;
     }
-    let mut offsets = BTreeMap::new();
-    for (&buffer, fp) in &report.footprints {
+    for fp in report.footprints.values() {
         let Some(first) = fp.writes.first() else {
             continue;
         };
@@ -506,7 +499,7 @@ pub fn store_shape(report: &RaceReport) -> Option<StoreShape> {
                 .iter()
                 .any(|w| w.index.scale != 1 || w.index.offset != first.index.offset)
         {
-            return Some(StoreShape::Journal);
+            return Some(StoreShape::OneLane);
         }
         // Lane blocks are only safe when no other thread can load what
         // this thread overwrites. A same-offset load is the thread's
@@ -517,11 +510,10 @@ pub fn store_shape(report: &RaceReport) -> Option<StoreShape> {
                 .iter()
                 .any(|w| r.index.overlaps_cross_tid(w.index))
         }) {
-            return Some(StoreShape::Journal);
+            return Some(StoreShape::OneLane);
         }
-        offsets.insert(buffer, first.index.offset);
     }
-    Some(StoreShape::DirectWrite { offsets })
+    Some(StoreShape::DirectWrite)
 }
 
 #[cfg(test)]
@@ -691,12 +683,18 @@ mod tests {
             programs::distance(),
         ] {
             let report = racecheck(&prog);
-            let shape = store_shape(&report).expect("thread-independent");
-            let StoreShape::DirectWrite { offsets } = shape else {
-                panic!("{} should be direct-write", prog.name());
-            };
+            assert_eq!(
+                store_shape(&report),
+                Some(StoreShape::DirectWrite),
+                "{} should be direct-write",
+                prog.name()
+            );
             assert!(
-                offsets.values().all(|&o| o == 0),
+                report
+                    .footprints
+                    .values()
+                    .flat_map(|fp| &fp.writes)
+                    .all(|w| w.index.offset == 0),
                 "{} stores land at tid+0",
                 prog.name()
             );
@@ -704,10 +702,10 @@ mod tests {
     }
 
     #[test]
-    fn write_after_read_shape_needs_the_journal() {
+    fn write_after_read_shape_runs_one_lane() {
         // out[tid] = in[tid+1] *in the same buffer*: independent (reads
-        // observe launch-entry data either way), but an in-place chunk
-        // write would clobber what the previous tid still has to read.
+        // observe launch-entry data either way), but a lane block's
+        // store would clobber what the previous lane still has to read.
         let prog = Program::new(
             "fwd",
             1,
@@ -719,13 +717,13 @@ mod tests {
         .unwrap();
         let report = racecheck(&prog);
         assert_eq!(report.verdict, Verdict::ThreadIndependent);
-        assert_eq!(store_shape(&report), Some(StoreShape::Journal));
+        assert_eq!(store_shape(&report), Some(StoreShape::OneLane));
     }
 
     #[test]
     fn cross_buffer_stride_is_still_direct() {
         // out[tid] = in[tid+1] across *different* buffers: the read
-        // aliases nothing anyone writes, so in-place chunks are safe.
+        // aliases nothing anyone writes, so lane blocks are safe.
         let prog = Program::new(
             "stride_copy",
             1,
@@ -736,10 +734,7 @@ mod tests {
         )
         .unwrap();
         let report = racecheck(&prog);
-        assert!(matches!(
-            store_shape(&report),
-            Some(StoreShape::DirectWrite { .. })
-        ));
+        assert_eq!(store_shape(&report), Some(StoreShape::DirectWrite));
     }
 
     #[test]
@@ -755,10 +750,8 @@ mod tests {
         )
         .unwrap();
         let report = racecheck(&prog);
-        let Some(StoreShape::DirectWrite { offsets }) = store_shape(&report) else {
-            panic!("shifted window is direct");
-        };
-        assert_eq!(offsets.get(&1), Some(&2));
+        assert_eq!(store_shape(&report), Some(StoreShape::DirectWrite));
+        assert_eq!(report.footprints[&1].writes[0].index.offset, 2);
     }
 
     #[test]

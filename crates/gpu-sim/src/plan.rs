@@ -138,10 +138,7 @@ fn instr_cost(instr: &Instr) -> (Option<FpOp>, u64, u64, Vec<UnitClass>) {
 /// plan cache amortizes across launches.
 pub fn compile(prog: &Program, cfg: &IhwConfig) -> CompiledKernel {
     let ops = lower(prog, cfg);
-    let block_safe = matches!(
-        store_shape(&racecheck(prog)),
-        Some(StoreShape::DirectWrite { .. })
-    );
+    let block_safe = store_shape(&racecheck(prog)) == Some(StoreShape::DirectWrite);
 
     let mut sites = Vec::new();
     let mut per_thread = StaticCost::default();

@@ -41,15 +41,13 @@
 //!
 //! Multiple submitters may sweep concurrently (each batch is private;
 //! the pool's workers drain batches in FIFO order), and a fault stays
-//! confined to the sweep that raised it: [`try_sweep_with`] returns a
-//! [`SweepError`] instead of unwinding, and even a chunk that is *lost*
+//! confined to the sweep that raised it: even a chunk that is *lost*
 //! outright — its worker died between claiming the job and reporting —
-//! surfaces as a per-sweep error rather than the process-aborting
-//! `recv().expect(...)` it used to be. Worker threads additionally run
-//! every job under their own `catch_unwind`, so a pathological panic
-//! that escapes the chunk wrapper (e.g. a panicking `Drop` in a job's
-//! captures) kills neither the persistent worker nor any sibling
-//! submitter's sweep.
+//! panics that sweep's caller with a lost-chunk message instead of
+//! blocking forever. Worker threads additionally run every job under
+//! their own `catch_unwind`, so a pathological panic that escapes the
+//! chunk wrapper (e.g. a panicking `Drop` in a job's captures) kills
+//! neither the persistent worker nor any sibling submitter's sweep.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -90,88 +88,6 @@ pub fn jobs() -> usize {
 
 /// A queued unit of work: one chunk of one sweep.
 type Job = Box<dyn FnOnce() + Send + 'static>;
-
-/// Why a sweep failed, reported per sweep by [`try_sweep_with`]: the
-/// lowest-indexed failing chunk either panicked (payload preserved) or
-/// was lost without reporting (its worker died mid-job). Sibling chunks
-/// of the same sweep — and every other submitter's sweep — still
-/// complete; the error is confined to the sweep that raised it.
-#[derive(Debug)]
-pub struct SweepError {
-    /// Index of the first failing chunk (chunks are contiguous input
-    /// ranges in input order).
-    pub chunk: usize,
-    kind: SweepErrorKind,
-}
-
-enum SweepErrorKind {
-    /// The chunk's job panicked; the payload is preserved so
-    /// [`SweepError::resume`] can re-raise it unchanged.
-    Panic(Box<dyn std::any::Any + Send>),
-    /// The chunk never reported: its worker died between claiming the
-    /// job and sending the result (e.g. a panicking `Drop` escaped the
-    /// chunk's own `catch_unwind`).
-    Lost,
-}
-
-impl std::fmt::Debug for SweepErrorKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SweepErrorKind::Panic(p) => write!(f, "Panic({:?})", payload_message(&**p)),
-            SweepErrorKind::Lost => write!(f, "Lost"),
-        }
-    }
-}
-
-/// Renders a panic payload as text (`&str`/`String` payloads verbatim,
-/// anything else a placeholder).
-fn payload_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "<non-string panic payload>".to_owned()
-    }
-}
-
-impl SweepError {
-    /// Whether the chunk was lost (no report at all) rather than
-    /// panicking through the chunk wrapper.
-    pub fn is_lost(&self) -> bool {
-        matches!(self.kind, SweepErrorKind::Lost)
-    }
-
-    /// Human-readable description of the failure.
-    pub fn message(&self) -> String {
-        match &self.kind {
-            SweepErrorKind::Panic(p) => {
-                format!("chunk {} panicked: {}", self.chunk, payload_message(&**p))
-            }
-            SweepErrorKind::Lost => format!(
-                "chunk {} was lost: its worker died before reporting",
-                self.chunk
-            ),
-        }
-    }
-
-    /// Re-raises the failure on the current thread: panics with the
-    /// original payload (so callers that `catch_unwind` a [`sweep`]
-    /// still observe the job's own panic) or with the lost-chunk
-    /// description.
-    pub fn resume(self) -> ! {
-        match self.kind {
-            SweepErrorKind::Panic(payload) => resume_unwind(payload),
-            SweepErrorKind::Lost => panic!("{}", self.message()),
-        }
-    }
-}
-
-impl std::fmt::Display for SweepError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.message())
-    }
-}
 
 /// One sweep's private chunk queue. Shared between the pool (workers
 /// steal chunks) and the submitting thread (which helps drain it).
@@ -317,26 +233,10 @@ where
 /// # Panics
 ///
 /// Re-raises the first job panic (lowest chunk index) after the whole
-/// sweep has drained; sibling chunks still complete. Callers that must
-/// survive a faulting job use [`try_sweep_with`] instead.
+/// sweep has drained; sibling chunks still complete and the pool stays
+/// usable. A chunk lost without reporting panics with a lost-chunk
+/// message.
 pub fn sweep_with<I, T, F>(workers: usize, items: Vec<I>, f: F) -> Vec<T>
-where
-    I: Send + 'static,
-    T: Send + 'static,
-    F: Fn(I) -> T + Send + Sync + 'static,
-{
-    match try_sweep_with(workers, items, f) {
-        Ok(results) => results,
-        Err(err) => err.resume(),
-    }
-}
-
-/// [`sweep_with`], but a faulting sweep comes back as `Err(SweepError)`
-/// instead of unwinding the calling thread. The whole batch
-/// still drains before the error is returned (sibling chunks complete;
-/// the pool stays usable), and concurrent sweeps from other submitters
-/// are unaffected.
-pub fn try_sweep_with<I, T, F>(workers: usize, items: Vec<I>, f: F) -> Result<Vec<T>, SweepError>
 where
     I: Send + 'static,
     T: Send + 'static,
@@ -345,15 +245,7 @@ where
     let n = items.len();
     let workers = workers.min(n);
     if workers <= 1 {
-        // Serial path: the whole sweep is one logical chunk, guarded so
-        // a panicking job still yields a per-sweep error.
-        return catch_unwind(AssertUnwindSafe(move || {
-            items.into_iter().map(f).collect::<Vec<T>>()
-        }))
-        .map_err(|payload| SweepError {
-            chunk: 0,
-            kind: SweepErrorKind::Panic(payload),
-        });
+        return items.into_iter().map(f).collect();
     }
 
     let chunk_len = n.div_ceil(workers);
@@ -403,32 +295,14 @@ where
     drop(f);
 
     let mut results = Vec::with_capacity(n);
-    let mut failure: Option<SweepError> = None;
     for (chunk, slot) in slots.into_iter().enumerate() {
         match slot {
             Some(Ok(out)) => results.extend(out),
-            Some(Err(payload)) => {
-                if failure.is_none() {
-                    failure = Some(SweepError {
-                        chunk,
-                        kind: SweepErrorKind::Panic(payload),
-                    });
-                }
-            }
-            None => {
-                if failure.is_none() {
-                    failure = Some(SweepError {
-                        chunk,
-                        kind: SweepErrorKind::Lost,
-                    });
-                }
-            }
+            Some(Err(payload)) => resume_unwind(payload),
+            None => panic!("chunk {chunk} was lost: its worker died before reporting"),
         }
     }
-    match failure {
-        Some(err) => Err(err),
-        None => Ok(results),
-    }
+    results
 }
 
 /// Collects up to `n_chunks` chunk reports into index-addressed slots.
@@ -437,8 +311,7 @@ where
 /// (or instead of) sending, so a disconnected channel proves no further
 /// report can ever arrive: a slot still `None` at that point is a *lost*
 /// chunk — its worker died between claiming the job and reporting —
-/// and is mapped to [`SweepError::is_lost`] by the caller rather than
-/// the process-aborting `recv().expect(..)` this replaces.
+/// which [`sweep_with`] reports instead of blocking on `recv()`.
 fn collect_chunks<T>(
     rx: &mpsc::Receiver<(usize, std::thread::Result<Vec<T>>)>,
     n_chunks: usize,
@@ -564,56 +437,37 @@ mod tests {
     }
 
     #[test]
-    fn try_sweep_returns_error_instead_of_unwinding() {
-        let _guard = jobs_lock();
-        let err = try_sweep_with(4, (0..32).collect::<Vec<u64>>(), |x| {
-            if x == 9 {
-                panic!("boom at {x}");
-            }
-            x
-        })
-        .expect_err("panicking job surfaces as a per-launch error");
-        assert!(!err.is_lost());
-        assert_eq!(err.chunk, 1, "item 9 lives in chunk 1 of 4×8");
-        assert_eq!(err.message(), "chunk 1 panicked: boom at 9");
-        // Serial path is guarded too.
-        let err = try_sweep_with(1, vec![0u64], |_| -> u64 { panic!("serial boom") })
-            .expect_err("serial panics surface as errors as well");
-        assert_eq!(err.message(), "chunk 0 panicked: serial boom");
-        // And a healthy sweep is plain Ok.
-        let ok = try_sweep_with(4, (0..16).collect::<Vec<u64>>(), |x| x * 3).unwrap();
-        assert_eq!(ok, (0..16).map(|x| x * 3).collect::<Vec<u64>>());
-    }
-
-    #[test]
     fn faulting_submitter_leaves_concurrent_sweep_intact() {
         let _guard = jobs_lock();
-        // Submitter A keeps throwing faulting launches at the pool while
-        // submitter B's healthy launches run concurrently: B must see
-        // byte-identical results and A must see only its own errors.
+        // Submitter A keeps throwing faulting sweeps at the pool while
+        // submitter B's healthy sweeps run concurrently: B must see
+        // byte-identical results and A must see only its own panics.
         let faulty = std::thread::spawn(|| {
-            let mut errors = 0usize;
+            let mut panics = 0usize;
             for _ in 0..8 {
-                let res = try_sweep_with(4, (0..32).collect::<Vec<u64>>(), |x| {
-                    if x % 5 == 0 {
-                        panic!("tenant-a fault at {x}");
-                    }
-                    x
+                let res = catch_unwind(|| {
+                    sweep_with(4, (0..32).collect::<Vec<u64>>(), |x| {
+                        if x % 5 == 0 {
+                            panic!("tenant-a fault at {x}");
+                        }
+                        x
+                    })
                 });
                 if res.is_err() {
-                    errors += 1;
+                    panics += 1;
                 }
             }
-            errors
+            panics
         });
         let expect: Vec<u64> = (0..64).map(|x| x * x).collect();
         for _ in 0..8 {
-            let got = try_sweep_with(4, (0..64).collect::<Vec<u64>>(), |x| x * x)
-                .expect("healthy tenant is unaffected by the faulting one");
+            let got = sweep_with(4, (0..64).collect::<Vec<u64>>(), |x| x * x);
             assert_eq!(got, expect);
         }
-        let errors = faulty.join().expect("faulting submitter never unwinds");
-        assert_eq!(errors, 8, "every faulting launch reported its own error");
+        let panics = faulty
+            .join()
+            .expect("faulting submitter catches its panics");
+        assert_eq!(panics, 8, "every faulting sweep raised its own panic");
         // The pool survives the whole episode.
         let again: Vec<u64> = sweep_with(4, (0..16).collect(), |x| x + 1);
         assert_eq!(again, (0..16).map(|x| x + 1).collect::<Vec<u64>>());
@@ -633,15 +487,6 @@ mod tests {
         let slots = collect_chunks(&rx, 3);
         assert!(slots[0].is_some() && slots[2].is_some());
         assert!(slots[1].is_none(), "unreported chunk stays empty");
-        let err = SweepError {
-            chunk: 1,
-            kind: SweepErrorKind::Lost,
-        };
-        assert!(err.is_lost());
-        assert_eq!(
-            err.message(),
-            "chunk 1 was lost: its worker died before reporting"
-        );
     }
 
     #[test]

@@ -11,71 +11,16 @@
 //!
 //! Besides the stock kernels (lane blocks), the suite drives a plan the
 //! compiled engine must run one lane at a time: a carried
-//! prefix-propagation kernel. The journal-shaped in-place shift, the
+//! prefix-propagation kernel. The write-after-read in-place shift, the
 //! other one-lane case, is in `parallel_launch_differential.rs`.
 
+mod common;
+
+use common::{assert_engines_agree, seed_buffers};
 use imprecise_gpgpu::analyze::{stock_configs, stock_kernels};
-use imprecise_gpgpu::core::config::IhwConfig;
 use imprecise_gpgpu::sim::asm::assemble;
-use imprecise_gpgpu::sim::deps::{footprints, racecheck, Verdict};
-use imprecise_gpgpu::sim::isa::{ExecEngine, ExecError, Program, WarpInterpreter};
-
-/// Deterministic well-conditioned inputs sized by the kernel's own
-/// footprint (mirrors `ihw_bench::racebench::seed_buffers`).
-fn seed_buffers(prog: &Program, threads: u32) -> Vec<Vec<f32>> {
-    let fps = footprints(prog);
-    let n_bufs = fps.keys().max().map_or(0, |b| b + 1);
-    (0..n_bufs)
-        .map(|b| {
-            let len = fps.get(&b).map_or(0, |fp| fp.required_len(threads));
-            (0..len)
-                .map(|i| 0.5 + ((i * 37 + b * 11) % 512) as f32 / 1024.0)
-                .collect()
-        })
-        .collect()
-}
-
-fn bits(bufs: &[Vec<f32>]) -> Vec<Vec<u32>> {
-    bufs.iter()
-        .map(|b| b.iter().map(|x| x.to_bits()).collect())
-        .collect()
-}
-
-/// Runs `prog` over `base` on the interpreter's sequential loop and on
-/// the compiled engine, both traced, and asserts that the results,
-/// buffers, counters and traces agree. Returns the (shared) result and
-/// the reference buffers.
-fn assert_engines_agree(
-    prog: &Program,
-    cfg: &IhwConfig,
-    threads: u32,
-    base: &[Vec<f32>],
-    tag: &str,
-) -> (Result<(), ExecError>, Vec<Vec<f32>>) {
-    let mut want = base.to_vec();
-    let mut reference = WarpInterpreter::new(*cfg);
-    reference.enable_trace();
-    let want_res = reference.launch_sequential(prog, threads, &mut want);
-
-    let mut got = base.to_vec();
-    let mut compiled = WarpInterpreter::new(*cfg).with_engine(ExecEngine::Compiled);
-    compiled.enable_trace();
-    let got_res = compiled.launch(prog, threads, &mut got);
-
-    assert_eq!(want_res, got_res, "{tag}: results diverge");
-    assert_eq!(bits(&want), bits(&got), "{tag}: buffers diverge");
-    let (r, c) = (reference.ctx(), compiled.ctx());
-    assert_eq!(r.counts(), c.counts(), "{tag}: OpCounts diverge");
-    assert_eq!(r.int_ops(), c.int_ops(), "{tag}: int ops diverge");
-    assert_eq!(r.mem_ops(), c.mem_ops(), "{tag}: mem ops diverge");
-    assert_eq!(r.precise_mul_ops(), c.precise_mul_ops(), "{tag}");
-    assert_eq!(
-        reference.take_trace(),
-        compiled.take_trace(),
-        "{tag}: UnitClass traces diverge"
-    );
-    (want_res, want)
-}
+use imprecise_gpgpu::sim::deps::{racecheck, Verdict};
+use imprecise_gpgpu::sim::isa::{ExecEngine, WarpInterpreter};
 
 #[test]
 fn compiled_counts_and_traces_match_interpreted_for_every_stock_pair() {
@@ -142,6 +87,7 @@ fn parity_survives_plan_cache_reuse() {
         "second launch must hit the cache"
     );
     let ctrace = compiled.take_trace();
+    assert!(!ctrace.is_empty(), "tracing must capture issue ports");
 
     let mut interp = WarpInterpreter::new(cfg).with_engine(ExecEngine::Interpreted);
     interp.enable_trace();
