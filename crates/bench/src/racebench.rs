@@ -30,6 +30,9 @@ pub const BENCH_FILE: &str = "BENCH_kernel_throughput.json";
 /// Schema tag of the benchmark JSON document.
 pub const SCHEMA: &str = "ihw-racebench/4";
 
+/// Timed repetitions per measurement unless `--repeats` says otherwise.
+pub const DEFAULT_REPEATS: u32 = 21;
+
 /// One kernel × config measurement.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ThroughputRow {
@@ -43,10 +46,10 @@ pub struct ThroughputRow {
     /// One-time `(Program, IhwConfig)` plan-lowering seconds (0 for
     /// the interpreted engine, which has no lowering step).
     pub compile_seconds: f64,
-    /// Best-of-N **interpreted**-sequential launch seconds — the
+    /// Median-of-N **interpreted**-sequential launch seconds — the
     /// engine-independent reference everything is compared against.
     pub interp_seconds: f64,
-    /// Best-of-N warm launch seconds on the row's engine.
+    /// Median-of-N warm launch seconds on the row's engine.
     pub sequential_seconds: f64,
     /// `interp_seconds / sequential_seconds` — what the engine buys
     /// over per-thread re-interpretation (~1.0 on the interpreted
@@ -64,7 +67,7 @@ pub struct ThroughputReport {
     pub engine: String,
     /// Threads per launch.
     pub threads: u32,
-    /// Repetitions per measurement (best-of).
+    /// Repetitions per measurement (the median is recorded).
     pub repeats: u32,
     /// `std::thread::available_parallelism()` of the measuring host
     /// (context only: every measured launch runs on one thread).
@@ -78,7 +81,7 @@ pub struct ThroughputReport {
 pub struct MeasureOpts {
     /// Threads per launch.
     pub threads: u32,
-    /// Best-of repetitions.
+    /// Repetitions whose median is recorded.
     pub repeats: u32,
     /// Engine serving the measured launches.
     pub engine: ExecEngine,
@@ -88,7 +91,7 @@ impl Default for MeasureOpts {
     fn default() -> Self {
         Self {
             threads: 1 << 15,
-            repeats: 3,
+            repeats: DEFAULT_REPEATS,
             engine: ExecEngine::Compiled,
         }
     }
@@ -111,15 +114,38 @@ pub fn seed_buffers(prog: &Program, threads: u32) -> Vec<Vec<f32>> {
         .collect()
 }
 
-/// Times one closure best-of-`repeats`.
-fn best_of<F: FnMut()>(repeats: u32, mut f: F) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..repeats.max(1) {
-        let sw = Stopwatch::start();
-        f();
-        best = best.min(sw.elapsed_seconds());
+/// Runs `launch` `repeats` times, each on a fresh copy of `base` made
+/// before the clock starts, and returns the median launch time (the
+/// mean of the two middle times for an even count) with the buffers of
+/// the last run. A best-of-3 at these sub-millisecond launch times
+/// moved the record's geomean by 15% between identical binaries; the
+/// median of many repeats does not chase the luckiest run.
+fn median_of<F: FnMut(&mut Vec<Vec<f32>>)>(
+    repeats: u32,
+    base: &[Vec<f32>],
+    mut launch: F,
+) -> (f64, Vec<Vec<f32>>) {
+    let mut bufs = Vec::new();
+    let times = (0..repeats.max(1))
+        .map(|_| {
+            bufs = base.to_vec();
+            let sw = Stopwatch::start();
+            launch(&mut bufs);
+            sw.elapsed_seconds()
+        })
+        .collect();
+    (median(times), bufs)
+}
+
+/// Median of a non-empty sample.
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    let mid = xs.len() / 2;
+    if xs.len().is_multiple_of(2) {
+        (xs[mid - 1] + xs[mid]) / 2.0
+    } else {
+        xs[mid]
     }
-    best
 }
 
 /// Measures one kernel under one config: the interpreted-sequential
@@ -136,15 +162,12 @@ pub fn measure(prog: &Program, cfg: &IhwConfig, label: &str, opts: MeasureOpts) 
     let base = seed_buffers(prog, threads);
 
     // Interpreted-sequential reference (engine-independent semantics).
-    let mut ref_bufs = Vec::new();
     let mut ref_interp = WarpInterpreter::new(*cfg).with_engine(ExecEngine::Interpreted);
-    let interp_seconds = best_of(repeats, || {
-        let mut bufs = base.clone();
+    let (interp_seconds, ref_bufs) = median_of(repeats, &base, |bufs| {
         ref_interp.reset_counters();
         ref_interp
-            .launch_sequential(prog, threads, &mut bufs)
+            .launch_sequential(prog, threads, bufs)
             .expect("stock kernels run");
-        ref_bufs = bufs;
     });
 
     // One-time lowering cost (the plan cache amortizes this away; it
@@ -162,7 +185,6 @@ pub fn measure(prog: &Program, cfg: &IhwConfig, label: &str, opts: MeasureOpts) 
 
     // The measured engine. One warm-up launch populates the plan cache
     // so the timed loop measures steady state.
-    let mut seq_bufs = Vec::new();
     let mut seq_interp = WarpInterpreter::new(*cfg).with_engine(engine);
     {
         let mut bufs = base.clone();
@@ -171,13 +193,11 @@ pub fn measure(prog: &Program, cfg: &IhwConfig, label: &str, opts: MeasureOpts) 
             .expect("stock kernels run");
         seq_interp.reset_counters();
     }
-    let sequential_seconds = best_of(repeats, || {
-        let mut bufs = base.clone();
+    let (sequential_seconds, seq_bufs) = median_of(repeats, &base, |bufs| {
         seq_interp.reset_counters();
         seq_interp
-            .launch(prog, threads, &mut bufs)
+            .launch(prog, threads, bufs)
             .expect("stock kernels run");
-        seq_bufs = bufs;
     });
 
     let bits = |bufs: &Vec<Vec<f32>>| -> Vec<Vec<u32>> {
@@ -254,7 +274,7 @@ impl ThroughputReport {
     pub fn render(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
-            "== kernel throughput: {} engine, {} threads, best of {}, host parallelism {} ==\n",
+            "== kernel throughput: {} engine, {} threads, median of {}, host parallelism {} ==\n",
             self.engine, self.threads, self.repeats, self.host_parallelism,
         ));
         out.push_str(&format!(
@@ -334,7 +354,7 @@ impl ThroughputReport {
 /// speedup falls below the recorded floor).
 pub fn run_cli(args: &[String]) -> i32 {
     let mut threads: u32 = 1 << 15;
-    let mut repeats: u32 = 3;
+    let mut repeats: u32 = DEFAULT_REPEATS;
     let mut min_compiled_speedup: Option<f64> = None;
     let mut engine = ExecEngine::Compiled;
     let mut out_path = std::path::PathBuf::from(BENCH_FILE);
@@ -399,6 +419,8 @@ pub fn run_cli(args: &[String]) -> i32 {
                      [--engine interpreted|compiled] [--min-compiled-speedup X] [--out FILE]\n\
                      \n\
                      All counts must be positive — 0 is rejected, not clamped.\n\
+                     Each launch is timed --repeats times (default {DEFAULT_REPEATS}) and\n\
+                     the median is recorded.\n\
                      --engine selects the execution engine measured against the\n\
                      interpreted-sequential reference (default: compiled).\n\
                      --min-compiled-speedup X fails the run (exit 1) when the geomean\n\
@@ -488,6 +510,13 @@ mod tests {
         assert_eq!(row.engine, "interpreted");
         assert_eq!(row.compile_seconds, 0.0);
         assert!(row.bit_identical);
+    }
+
+    #[test]
+    fn median_takes_the_middle_time() {
+        assert_eq!(median(vec![3.0, 1.0, 9.0]), 3.0);
+        assert_eq!(median(vec![4.0, 1.0, 2.0, 100.0]), 3.0);
+        assert_eq!(median(vec![5.0]), 5.0);
     }
 
     #[test]

@@ -49,122 +49,166 @@ pub fn imprecise_sub_bits(fmt: Format, a: u64, b: u64, th: u32) -> u64 {
     imprecise_add_bits(fmt, a, b ^ sign_bit, th)
 }
 
-/// Instantiates the threshold adder for one machine word width, over bit
-/// patterns of a format with `exp_bits`/`frac_bits` fields held in that
-/// word. Single precision runs in `u32` and double precision in `u64`:
-/// every significand intermediate fits in `F + 2` bits and every exponent
-/// in the word's signed twin, so SIMT lane loops over the `u32` body
-/// vectorize at full lane width.
-macro_rules! add_datapath {
-    ($u:ty, $i:ty, $name:ident) => {
-        /// Imprecise addition on one word: the normal × normal datapath
-        /// evaluated unconditionally (every shift clamped, so off-path
-        /// operand bits cannot overflow a shifter; both the effective-add
-        /// and effective-subtract results computed), with the IEEE special
-        /// cases layered on top as a select cascade in reverse priority
-        /// order. With no data-dependent branches the SIMT lane loops that
-        /// inline this auto-vectorize.
-        ///
-        /// # Panics
-        ///
-        /// Panics if `th` is outside [`TH_RANGE`].
-        #[inline(always)]
-        pub fn $name(exp_bits: u32, frac_bits: u32, a: $u, b: $u, th: u32) -> $u {
-            assert!(TH_RANGE.contains(&th), "TH must lie in [1, 27], got {th}");
-            let f = frac_bits;
-            let frac_mask: $u = (1 << f) - 1;
-            let hidden: $u = 1 << f;
-            let emax: $u = (1 << exp_bits) - 1;
-            let bias: $i = (1 << (exp_bits - 1)) - 1;
-            let sign_shift = exp_bits + f;
-            let sign_bit: $u = 1 << sign_shift;
-            // Flush subnormal inputs to a same-signed zero. The exponents
-            // are re-read from the flushed words on purpose: reusing the
-            // pre-flush fields (equal values) left the AC-multiplier FMA
-            // lane loops scalar, 3-4x slower on an AVX-512 host.
-            let a = sel(((a >> f) & emax) == 0, a & sign_bit, a);
-            let b = sel(((b >> f) & emax) == 0, b & sign_bit, b);
-            let ea = (a >> f) & emax;
-            let eb = (b >> f) & emax;
-            let same_sign = (a >> sign_shift) == (b >> sign_shift);
-            let a_nan = ea == emax && (a & frac_mask) != 0;
-            let b_nan = eb == emax && (b & frac_mask) != 0;
-            let a_inf = ea == emax && (a & frac_mask) == 0;
-            let b_inf = eb == emax && (b & frac_mask) == 0;
-            let a_zero = ea == 0;
-            let b_zero = eb == 0;
+/// Imprecise addition on one `u64` word holding a format with
+/// `exp_bits`/`frac_bits` fields (double precision, binary16 and every
+/// `Format`-taking caller): the normal × normal datapath evaluated
+/// unconditionally (every shift clamped, so off-path operand bits cannot
+/// overflow a shifter; both the effective-add and effective-subtract
+/// results computed), with the IEEE special cases layered on top as a
+/// select cascade in reverse priority order. Every significand
+/// intermediate fits in `F + 2` bits and every exponent in an `i64`.
+///
+/// # Panics
+///
+/// Panics if `th` is outside [`TH_RANGE`].
+#[inline(always)]
+pub fn add_word64(exp_bits: u32, frac_bits: u32, a: u64, b: u64, th: u32) -> u64 {
+    assert!(TH_RANGE.contains(&th), "TH must lie in [1, 27], got {th}");
+    let f = frac_bits;
+    let frac_mask: u64 = (1 << f) - 1;
+    let hidden: u64 = 1 << f;
+    let emax: u64 = (1 << exp_bits) - 1;
+    let bias: i64 = (1 << (exp_bits - 1)) - 1;
+    let sign_shift = exp_bits + f;
+    let sign_bit: u64 = 1 << sign_shift;
+    // Flush subnormal inputs to a same-signed zero.
+    let a = sel(((a >> f) & emax) == 0, a & sign_bit, a);
+    let b = sel(((b >> f) & emax) == 0, b & sign_bit, b);
+    let ea = (a >> f) & emax;
+    let eb = (b >> f) & emax;
+    let same_sign = (a >> sign_shift) == (b >> sign_shift);
+    let a_nan = ea == emax && (a & frac_mask) != 0;
+    let b_nan = eb == emax && (b & frac_mask) != 0;
+    let a_inf = ea == emax && (a & frac_mask) == 0;
+    let b_inf = eb == emax && (b & frac_mask) == 0;
+    let a_zero = ea == 0;
+    let b_zero = eb == 0;
 
-            // Compare-and-swap so that |big| >= |small|. Magnitude order for
-            // normals equals integer order of the sign-masked bits (the
-            // exponent field sits above the fraction).
-            let swap = (a & (sign_bit - 1)) < (b & (sign_bit - 1));
-            let big = sel(swap, b, a);
-            let small = sel(swap, a, b);
-            let e_big = (big >> f) & emax;
-            let e_small = (small >> f) & emax;
-            let sign = big >> sign_shift;
+    // Compare-and-swap so that |big| >= |small|. Magnitude order for
+    // normals equals integer order of the sign-masked bits (the exponent
+    // field sits above the fraction).
+    let swap = (a & (sign_bit - 1)) < (b & (sign_bit - 1));
+    let big = sel(swap, b, a);
+    let small = sel(swap, a, b);
+    let e_big = (big >> f) & emax;
+    let e_small = (small >> f) & emax;
+    let sign = big >> sign_shift;
 
-            // d >= th zeroes the smaller mantissa in the TH-bit shifter and
-            // the sum degenerates to the larger operand; the shift clamp
-            // keeps the off-path value well defined (deselected below).
-            let d = (e_big - e_small) as u32;
-            let m_big = hidden | (big & frac_mask);
-            // Shift-and-align, then truncate to TH fraction bits (eq. 7).
-            let mut m_small = (hidden | (small & frac_mask)) >> d.min(<$u>::BITS - 1);
-            if th < f {
-                let dropped = f - th;
-                m_small = (m_small >> dropped) << dropped;
-            }
-            let exp = e_big as $i - bias;
+    // d >= th zeroes the smaller mantissa in the TH-bit shifter and the
+    // sum degenerates to the larger operand; the shift clamp keeps the
+    // off-path value well defined (deselected below).
+    let d = (e_big - e_small) as u32;
+    let m_big = hidden | (big & frac_mask);
+    // Shift-and-align, then truncate to TH fraction bits (eq. 7).
+    let mut m_small = (hidden | (small & frac_mask)) >> d.min(u64::BITS - 1);
+    if th < f {
+        let dropped = f - th;
+        m_small = (m_small >> dropped) << dropped;
+    }
+    let exp = e_big as i64 - bias;
 
-            // Encode, saturating to infinity on overflow and flushing to
-            // zero on underflow (no subnormal outputs).
-            let max_exp = emax as $i - 1 - bias;
-            let min_exp = 1 - bias;
-            let zero = sign << sign_shift;
-            let inf = zero | (emax << f);
-            let nan = (emax << f) | (1 << (f - 1));
-            let encode = |exp: $i, frac: $u| {
-                let body = zero | (((exp.clamp(min_exp, max_exp) + bias) as $u) << f) | frac;
-                sel(exp > max_exp, inf, sel(exp < min_exp, zero, body))
-            };
-
-            // Effective add: the carry (sum >= 2·hidden) is exactly bit F+1.
-            let sum = m_big + m_small;
-            let carry = (sum >> (f + 1)) & 1;
-            let add_res = encode(exp + carry as $i, (sum >> carry) & frac_mask);
-
-            // Effective subtract: m_big >= m_small by ordering + truncation,
-            // so the difference never underflows. Normalize left; shifted-in
-            // bits are zeros (no rounding hardware). `diff | 1` keeps the
-            // lzcnt well defined at diff == 0, whose garbage result the zero
-            // select discards.
-            let diff = m_big - m_small;
-            let lead = (<$u>::BITS - 1 - (diff | 1).leading_zeros()) as $i;
-            let shift = (f as $i - lead).max(0);
-            let sub_res = sel(
-                diff == 0,
-                0,
-                encode(exp - shift, (diff << shift) & frac_mask),
-            );
-
-            let effective_sub = ((big ^ small) >> sign_shift) == 1;
-            let mut r = sel(d >= th, big, sel(effective_sub, sub_res, add_res));
-            r = sel(b_zero && !a_zero, a, r);
-            r = sel(a_zero && !b_zero, b, r);
-            // +0 + -0 = +0; equal signs keep the sign.
-            r = sel(a_zero && b_zero, sel(same_sign, a, 0), r);
-            r = sel(b_inf && !a_inf, b, r);
-            r = sel(a_inf && !b_inf, a, r);
-            // +inf + -inf = NaN; equal signs keep the infinity.
-            r = sel(a_inf && b_inf, sel(same_sign, a, nan), r);
-            sel(a_nan || b_nan, nan, r)
-        }
+    // Encode, saturating to infinity on overflow and flushing to zero on
+    // underflow (no subnormal outputs).
+    let max_exp = emax as i64 - 1 - bias;
+    let min_exp = 1 - bias;
+    let zero = sign << sign_shift;
+    let inf = zero | (emax << f);
+    let nan = (emax << f) | (1 << (f - 1));
+    let encode = |exp: i64, frac: u64| {
+        let body = zero | (((exp.clamp(min_exp, max_exp) + bias) as u64) << f) | frac;
+        sel(exp > max_exp, inf, sel(exp < min_exp, zero, body))
     };
+
+    // Effective add: the carry (sum >= 2·hidden) is exactly bit F+1.
+    let sum = m_big + m_small;
+    let carry = (sum >> (f + 1)) & 1;
+    let add_res = encode(exp + carry as i64, (sum >> carry) & frac_mask);
+
+    // Effective subtract: m_big >= m_small by ordering + truncation, so
+    // the difference never underflows. Normalize left; shifted-in bits
+    // are zeros (no rounding hardware). `diff | 1` keeps the lzcnt well
+    // defined at diff == 0, whose garbage result the zero select discards.
+    let diff = m_big - m_small;
+    let lead = (u64::BITS - 1 - (diff | 1).leading_zeros()) as i64;
+    let shift = (f as i64 - lead).max(0);
+    let sub_res = sel(
+        diff == 0,
+        0,
+        encode(exp - shift, (diff << shift) & frac_mask),
+    );
+
+    let effective_sub = ((big ^ small) >> sign_shift) == 1;
+    let mut r = sel(d >= th, big, sel(effective_sub, sub_res, add_res));
+    r = sel(b_zero && !a_zero, a, r);
+    r = sel(a_zero && !b_zero, b, r);
+    // +0 + -0 = +0; equal signs keep the sign.
+    r = sel(a_zero && b_zero, sel(same_sign, a, 0), r);
+    r = sel(b_inf && !a_inf, b, r);
+    r = sel(a_inf && !b_inf, a, r);
+    // +inf + -inf = NaN; equal signs keep the infinity.
+    r = sel(a_inf && b_inf, sel(same_sign, a, nan), r);
+    sel(a_nan || b_nan, nan, r)
 }
 
-add_datapath!(u32, i32, add_word32);
-add_datapath!(u64, i64, add_word64);
+const SIGN32: u32 = 1 << 31;
+const EXP32: u32 = 0xff << 23;
+const FRAC32: u32 = (1 << 23) - 1;
+
+/// Imprecise single precision addition on one `u32` word, through an
+/// exact `f64` sum. After the subnormal flush and the magnitude ordering,
+/// the TH-bit shifter becomes a mask on the smaller operand: it keeps the
+/// bits of weight `>= 2^(e_big - min(th, 23))`, and a smaller operand
+/// shifted out entirely (`d >= th`, or `d > 23`) becomes its signed zero.
+/// Both terms are then multiples of `2^(e_big - 23)` and their sum lies
+/// below `2^(e_big + 2)`, so it has at most 25 significant bits: the
+/// `f64` add never rounds. Keeping its top 24 significant bits is then
+/// the integer datapath's truncating encode. The `f64` add also supplies
+/// the normalisation shift and the special cases (`inf + -inf = NaN`,
+/// `+0 + -0 = +0`, `x + 0 = x`). With no data-dependent branches the
+/// SIMT lane loops that inline this auto-vectorize. `exp_bits` and
+/// `frac_bits` must be single precision's.
+///
+/// # Panics
+///
+/// Panics if `th` is outside [`TH_RANGE`], or if `(exp_bits, frac_bits)`
+/// is not `(8, 23)`.
+#[inline(always)]
+pub fn add_word32(exp_bits: u32, frac_bits: u32, a: u32, b: u32, th: u32) -> u32 {
+    assert!(TH_RANGE.contains(&th), "TH must lie in [1, 27], got {th}");
+    assert!(
+        (exp_bits, frac_bits) == (8, 23),
+        "add_word32 is single precision only, got ({exp_bits}, {frac_bits})"
+    );
+    // Flush subnormal inputs to a same-signed zero.
+    let a = sel(a & EXP32 == 0, a & SIGN32, a);
+    let b = sel(b & EXP32 == 0, b & SIGN32, b);
+    // Compare-and-swap so that |big| >= |small|.
+    let swap = (a & !SIGN32) < (b & !SIGN32);
+    let big = sel(swap, b, a);
+    let small = sel(swap, a, b);
+    // The exponent fields are ordered as the magnitudes are.
+    let d = ((big & EXP32) - (small & EXP32)) >> 23;
+    let cut = (23 - th.min(23) + d).min(23);
+    let small = sel(d >= th.min(24), small & SIGN32, small & (u32::MAX << cut));
+    // ihw-lint: allow(float-arith) reason=exact sum: both terms are multiples of 2^(e_big-23) below 2^(e_big+2), so the f64 add has at most 25 significant bits and never rounds; the truncating encode that follows is the adder's
+    let sum = f32::from_bits(big) as f64 + f32::from_bits(small) as f64;
+    truncate_f64_to_f32(sum.to_bits())
+}
+
+/// Truncates the bits of an `f64` into single precision: the exponent
+/// and the top 23 fraction bits, saturating to a signed infinity above
+/// exponent 127 and flushing to a signed zero below -126. Any NaN becomes
+/// the canonical quiet NaN `0x7fc0_0000`.
+#[inline(always)]
+fn truncate_f64_to_f32(bits: u64) -> u32 {
+    let sign = (bits >> 32) as u32 & SIGN32;
+    let exp = ((bits >> 52) & 0x7ff) as i32 - 1023;
+    let frac = (bits >> 29) as u32 & FRAC32;
+    let nan = (bits & !(1 << 63)) > 0x7ff0_0000_0000_0000;
+    let body = sign | (((exp + 127) as u32) << 23) | frac;
+    let r = sel(exp > 127, sign | EXP32, sel(exp < -126, sign, body));
+    sel(nan, 0x7fc0_0000, r)
+}
 
 /// Imprecise single precision addition with threshold `th`.
 ///

@@ -70,7 +70,7 @@ pub fn adder_sub_far_bound(th: u32) -> f64 {
 /// the larger operand magnitude, valid in *every* §4.1.1 case — including
 /// case (d), where the *relative* error is unbounded.
 ///
-/// From the `adder` implementation (`add_datapath!`), with
+/// From the `adder` implementation (`add_word32`/`add_word64`), with
 /// `M = max(|a|, |b|)` and `e = exponent(M)` (so `2^e ≤ M`):
 ///
 /// * `d ≥ TH`: the small operand is dropped entirely —

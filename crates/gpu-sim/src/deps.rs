@@ -151,8 +151,10 @@ impl AffineIndex {
     pub fn reads_earlier_store(self, write: AffineIndex) -> bool {
         match (self.scale, write.scale) {
             (1, 1) => self.offset < write.offset,
-            (1, 0) => write.offset - self.offset >= 1,
-            (0, 1) => self.offset - write.offset >= 0,
+            // `e − b_r ≥ 1` and `e − b_w ≥ 0`, compared without the
+            // subtraction, which overflows for offsets near `i64::MIN`.
+            (1, 0) => write.offset > self.offset,
+            (0, 1) => self.offset >= write.offset,
             (0, 0) => self.offset == write.offset,
             _ => true,
         }
@@ -552,6 +554,11 @@ mod tests {
         // writers exist iff e ≥ 1.
         assert!(idx(1, 0).reads_earlier_store(idx(0, 1)));
         assert!(!idx(1, 0).reads_earlier_store(idx(0, 0)));
+        // Offsets at the ends of i64 decide without overflowing.
+        assert!(idx(1, i64::MIN).reads_earlier_store(idx(0, 0)));
+        assert!(!idx(1, i64::MAX).reads_earlier_store(idx(0, i64::MIN)));
+        assert!(idx(0, i64::MAX).reads_earlier_store(idx(1, i64::MIN)));
+        assert!(!idx(0, i64::MIN).reads_earlier_store(idx(1, i64::MAX)));
     }
 
     #[test]

@@ -374,6 +374,46 @@ fn adder_seeded_patterns_every_th() {
     }
 }
 
+/// Every single precision exponent-field pair `(ea, eb)` in `0..=255`
+/// at every TH, with each fraction of {0, 1, all ones, seeded} on the
+/// first operand, paired with a rotation of the same set on the second
+/// (the rotation steps with `eb`, so every exponent difference up to 252
+/// meets all 16 fraction pairs), in both operand orders and with seeded
+/// signs (the sub check flips the second sign). Covers every exponent difference
+/// against every TH cut-off, including the `th >= 24` gaps where the
+/// shifter, not TH, drops the smaller operand, and every pair that
+/// touches a subnormal, zero, infinity or NaN field.
+#[test]
+fn adder32_every_exponent_pair_at_every_th() {
+    let fmt = Format::SINGLE;
+    let sign = sign_bit(fmt) as u32;
+    let mut st = 0x5EED_A003;
+    for th in TH_RANGE {
+        for ea in 0..=255u32 {
+            for eb in 0..=255u32 {
+                let seeded = splitmix(&mut st);
+                let fracs = [0, 1, fmt.frac_mask() as u32, seeded as u32 >> 9];
+                for (i, &fa) in fracs.iter().enumerate() {
+                    let fb = fracs[(i + eb as usize) % 4];
+                    let signs = seeded >> (32 + 2 * i);
+                    let a = (ea << 23) | fa | (sign * (signs & 1) as u32);
+                    let b = (eb << 23) | fb | (sign * ((signs >> 1) & 1) as u32);
+                    for (x, y) in [(a, b), (b, a)] {
+                        let want_add = oracle_add(fmt, x.into(), y.into(), th);
+                        let want_sub = oracle_add(fmt, x.into(), (y ^ sign).into(), th);
+                        let got_add = add_word32(8, 23, x, y, th);
+                        let (fx, fy) = (f32::from_bits(x), f32::from_bits(y));
+                        let got_sub = isub32(fx, fy, th).to_bits();
+                        let ctx = || format!("th={th} a={x:#010x} b={y:#010x}");
+                        assert_eq!(u64::from(got_add), want_add, "add_word32 {}", ctx());
+                        assert_eq!(u64::from(got_sub), want_sub, "isub32 {}", ctx());
+                    }
+                }
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Multiplier
 // ---------------------------------------------------------------------
