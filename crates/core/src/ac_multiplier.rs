@@ -28,6 +28,7 @@
 //! ```
 
 use crate::format::{sel, Format};
+use crate::multiplier::{mul_specials32, mul_specials64};
 use serde::{Deserialize, Serialize};
 
 /// Which datapath of Figure 7 the multiplier is configured to use.
@@ -106,10 +107,12 @@ impl AcMulConfig {
 
 /// Instantiates the Figure 7 datapath for one machine word width: the full
 /// path's Mitchell term and the whole multiplier over bit patterns held in
-/// that word. Single precision runs in `u32` and double precision in `u64`;
-/// every intermediate fits in `F + 2` bits, so no wider type is needed.
+/// that word, finished by the Table 1 multiplier's special-operand stage
+/// for that word (the two units share their special cases). Single
+/// precision runs in `u32` and double precision in `u64`; every
+/// intermediate fits in `F + 2` bits, so no wider type is needed.
 macro_rules! ac_mul_datapath {
-    ($u:ty, $i:ty, $term:ident, $mul:ident) => {
+    ($u:ty, $i:ty, $term:ident, $mul:ident, $specials:ident) => {
         /// The full path's Mitchell term `MA(fa, fb) >> F` for `F`-bit
         /// fractions `fa, fb < 2^F`, bit-identical to
         /// `mitchell_mul(fa, fb) >> F` without its 128-bit datapath.
@@ -161,13 +164,12 @@ macro_rules! ac_mul_datapath {
             ((1 << f) + (sum & frac_mask)) >> shift.min(f + 1)
         }
 
-        /// The whole multiplier on one word: a straight-line select
-        /// cascade (reverse priority order) over an unconditionally
-        /// evaluated normal × normal datapath. The only branch is the
-        /// loop-invariant path choice, which loop unswitching hoists out of
-        /// the SIMT lane loops. Subnormal inputs are flushed by treating a
-        /// zero exponent field as zero: their fraction only reaches the
-        /// normal datapath, whose result the zero select overrides.
+        /// The whole multiplier on one word: an unconditionally evaluated
+        /// normal × normal datapath finished by the special-operand stage
+        /// `$specials`. The only branch is the loop-invariant path choice,
+        /// which loop unswitching hoists out of the SIMT lane loops. A
+        /// zero, subnormal, infinite or NaN operand only reaches the normal
+        /// datapath, whose result the stage overrides.
         #[inline(always)]
         fn $mul(cfg: AcMulConfig, exp_bits: u32, frac_bits: u32, a: $u, b: $u) -> $u {
             let f = frac_bits;
@@ -177,20 +179,12 @@ macro_rules! ac_mul_datapath {
             let bias: $i = (1 << (exp_bits - 1)) - 1;
             let ea = (a >> f) & emax;
             let eb = (b >> f) & emax;
-            let fra = a & frac_mask;
-            let frb = b & frac_mask;
             let sign = ((a ^ b) >> (exp_bits + f)) & 1;
-            let a_nan = ea == emax && fra != 0;
-            let b_nan = eb == emax && frb != 0;
-            let a_inf = ea == emax && fra == 0;
-            let b_inf = eb == emax && frb == 0;
-            let a_zero = ea == 0;
-            let b_zero = eb == 0;
 
             let t = cfg.truncation.min(f);
             let keep_mask = frac_mask & !((1 << t) - 1);
-            let fa = fra & keep_mask;
-            let fb = frb & keep_mask;
+            let fa = a & keep_mask;
+            let fb = b & keep_mask;
             let (inc, frac) = match cfg.path {
                 // Log path (paper eq. 12 with x = M): `frac = Ma + Mb`. Both
                 // fractions sit below the hidden bit, so the carry into the
@@ -216,20 +210,15 @@ macro_rules! ac_mul_datapath {
             let min_exp = 1 - bias;
             let zero = sign << (exp_bits + f);
             let inf = zero | (emax << f);
-            let nan = (emax << f) | (1 << (f - 1));
             let body = zero | (((exp.clamp(min_exp, max_exp) + bias) as $u) << f) | frac;
-            let mut r = sel(exp < min_exp, zero, body);
-            r = sel(exp > max_exp, inf, r);
-            r = sel(a_zero || b_zero, zero, r);
-            r = sel(a_inf || b_inf, inf, r);
-            r = sel((a_inf && b_zero) || (a_zero && b_inf), nan, r);
-            sel(a_nan || b_nan, nan, r)
+            let r = sel(exp < min_exp, zero, body);
+            $specials(exp_bits, frac_bits, a, b, sel(exp > max_exp, inf, r))
         }
     };
 }
 
-ac_mul_datapath!(u32, i32, mitchell_term32, mul_word32);
-ac_mul_datapath!(u64, i64, mitchell_term64, mul_word64);
+ac_mul_datapath!(u32, i32, mitchell_term32, mul_word32, mul_specials32);
+ac_mul_datapath!(u64, i64, mitchell_term64, mul_word64, mul_specials64);
 
 #[cfg(test)]
 mod tests {

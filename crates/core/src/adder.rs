@@ -26,7 +26,7 @@
 //! assert!((s - 2.75).abs() / 2.75 < 0.01);
 //! ```
 
-use crate::format::{sel, Format};
+use crate::format::{canon32, flush32, is_special32, sel, Format, EXP32, SIGN32};
 
 /// Inclusive range of valid `TH` values (Table 1: `TH ∈ [1, 27]`).
 pub const TH_RANGE: std::ops::RangeInclusive<u32> = 1..=27;
@@ -150,28 +150,33 @@ pub fn add_word64(exp_bits: u32, frac_bits: u32, a: u64, b: u64, th: u32) -> u64
     sel(a_nan || b_nan, nan, r)
 }
 
-const SIGN32: u32 = 1 << 31;
-const EXP32: u32 = 0xff << 23;
-const FRAC32: u32 = (1 << 23) - 1;
-
-/// Imprecise single precision addition on one `u32` word, through an
-/// exact `f64` sum. After the subnormal flush and the magnitude ordering,
-/// the TH-bit shifter becomes a mask on the smaller operand: it keeps the
-/// bits of weight `>= 2^(e_big - min(th, 23))`, and a smaller operand
-/// shifted out entirely (`d >= th`, or `d > 23`) becomes its signed zero.
-/// Both terms are then multiples of `2^(e_big - 23)` and their sum lies
-/// below `2^(e_big + 2)`, so it has at most 25 significant bits: the
-/// `f64` add never rounds. Keeping its top 24 significant bits is then
-/// the integer datapath's truncating encode. The `f64` add also supplies
-/// the normalisation shift and the special cases (`inf + -inf = NaN`,
-/// `+0 + -0 = +0`, `x + 0 = x`). With no data-dependent branches the
-/// SIMT lane loops that inline this auto-vectorize. `exp_bits` and
-/// `frac_bits` must be single precision's.
+/// Imprecise single precision addition on one `u32` word, in `f32`
+/// lanes. After the magnitude ordering, the TH-bit shifter becomes a mask
+/// on the smaller operand: it keeps the bits of weight
+/// `>= 2^(e_big - min(th, 23))`, and a smaller operand shifted out
+/// entirely (`d >= th`, or `d > 23`) becomes its signed zero. Both terms
+/// are then multiples of `2^(e_big - 23)`, so their exact sum has at most
+/// 25 significant bits, and the adder's truncating encode keeps the top
+/// 24 of them. The `f32` add rounds that sum to nearest; its error
+/// `err = small - (s - big)` is exact (Fast2Sum, since
+/// `|big| >= |small|`), and where `err` is non-zero with the sign
+/// opposite to `s` the add rounded away from zero, so `s` steps one ulp
+/// back toward zero. That step also turns a sum rounded up to infinity
+/// into the largest finite value. At `e_big = 254` both terms are halved
+/// first and the result doubled after, so a sum of `2^128` or more, whose
+/// truncation overflows, still reaches infinity. A subnormal result
+/// flushes to its signed zero. When either operand is zero, subnormal,
+/// infinite or NaN, the result is instead the IEEE sum of the flushed
+/// operands (`inf + -inf = NaN`, `+0 + -0 = +0`, `x + 0 = x`), with any
+/// NaN made canonical. With no data-dependent branches the SIMT lane loops
+/// that inline this auto-vectorize. `exp_bits` and `frac_bits` must be
+/// single precision's.
 ///
 /// # Panics
 ///
 /// Panics if `th` is outside [`TH_RANGE`], or if `(exp_bits, frac_bits)`
 /// is not `(8, 23)`.
+// ihw-lint: allow(float-arith) reason=the f32 add of two terms on a 2^(e_big-23) grid, corrected to the adder's truncation by its exact Fast2Sum error; the special-operand stage is the host sum of flushed operands one of which is zero, infinite or NaN
 #[inline(always)]
 pub fn add_word32(exp_bits: u32, frac_bits: u32, a: u32, b: u32, th: u32) -> u32 {
     assert!(TH_RANGE.contains(&th), "TH must lie in [1, 27], got {th}");
@@ -179,35 +184,30 @@ pub fn add_word32(exp_bits: u32, frac_bits: u32, a: u32, b: u32, th: u32) -> u32
         (exp_bits, frac_bits) == (8, 23),
         "add_word32 is single precision only, got ({exp_bits}, {frac_bits})"
     );
-    // Flush subnormal inputs to a same-signed zero.
-    let a = sel(a & EXP32 == 0, a & SIGN32, a);
-    let b = sel(b & EXP32 == 0, b & SIGN32, b);
     // Compare-and-swap so that |big| >= |small|.
     let swap = (a & !SIGN32) < (b & !SIGN32);
     let big = sel(swap, b, a);
     let small = sel(swap, a, b);
     // The exponent fields are ordered as the magnitudes are.
-    let d = ((big & EXP32) - (small & EXP32)) >> 23;
+    let e_big = (big & EXP32) >> 23;
+    let d = e_big - ((small & EXP32) >> 23);
     let cut = (23 - th.min(23) + d).min(23);
     let small = sel(d >= th.min(24), small & SIGN32, small & (u32::MAX << cut));
-    // ihw-lint: allow(float-arith) reason=exact sum: both terms are multiples of 2^(e_big-23) below 2^(e_big+2), so the f64 add has at most 25 significant bits and never rounds; the truncating encode that follows is the adder's
-    let sum = f32::from_bits(big) as f64 + f32::from_bits(small) as f64;
-    truncate_f64_to_f32(sum.to_bits())
-}
-
-/// Truncates the bits of an `f64` into single precision: the exponent
-/// and the top 23 fraction bits, saturating to a signed infinity above
-/// exponent 127 and flushing to a signed zero below -126. Any NaN becomes
-/// the canonical quiet NaN `0x7fc0_0000`.
-#[inline(always)]
-fn truncate_f64_to_f32(bits: u64) -> u32 {
-    let sign = (bits >> 32) as u32 & SIGN32;
-    let exp = ((bits >> 52) & 0x7ff) as i32 - 1023;
-    let frac = (bits >> 29) as u32 & FRAC32;
-    let nan = (bits & !(1 << 63)) > 0x7ff0_0000_0000_0000;
-    let body = sign | (((exp + 127) as u32) << 23) | frac;
-    let r = sel(exp > 127, sign | EXP32, sel(exp < -126, sign, body));
-    sel(nan, 0x7fc0_0000, r)
+    let top = e_big == 254;
+    let x = f32::from_bits(big) * sel(top, 0.5, 1.0);
+    let y = f32::from_bits(small) * sel(top, 0.5, 1.0);
+    let s = x + y;
+    let err = y - (s - x);
+    // Keep the `&&`: with a non-short-circuit `&` here, LLVM leaves four
+    // of the compiled engine's FMA lane loops scalar.
+    let away = err != 0.0 && (err.to_bits() ^ s.to_bits()) & SIGN32 != 0;
+    let s = f32::from_bits(s.to_bits() - u32::from(away)) * sel(top, 2.0, 1.0);
+    let host = f32::from_bits(flush32(a)) + f32::from_bits(flush32(b));
+    sel(
+        is_special32(a) | is_special32(b),
+        canon32(host),
+        flush32(s.to_bits()),
+    )
 }
 
 /// Imprecise single precision addition with threshold `th`.

@@ -296,6 +296,52 @@ pub(crate) fn sel<T>(cond: bool, t: T, f: T) -> T {
     }
 }
 
+/// Sign bit of a single-precision word.
+pub(crate) const SIGN32: u32 = 1 << 31;
+/// Exponent field of a single-precision word.
+pub(crate) const EXP32: u32 = 0xff << 23;
+/// Fraction field of a single-precision word.
+pub(crate) const FRAC32: u32 = (1 << 23) - 1;
+/// The canonical quiet NaN every single-precision unit returns.
+pub(crate) const NAN32: u32 = 0x7fc0_0000;
+
+/// True for a zero, subnormal, infinite or NaN single-precision word:
+/// the operands whose result the units' special-operand stage supplies.
+/// One subtract and one compare: the normals are the magnitudes in
+/// `[0x0080_0000, 0x7f80_0000)`, which the subtract moves to
+/// `[0, 0x7f00_0000)` and every other magnitude wraps out of.
+#[inline(always)]
+pub(crate) fn is_special32(x: u32) -> bool {
+    (x & !SIGN32).wrapping_sub(0x0080_0000) >= 0x7f00_0000
+}
+
+/// Flushes a subnormal single-precision word to its signed zero.
+#[inline(always)]
+pub(crate) fn flush32(x: u32) -> u32 {
+    sel(x & EXP32 == 0, x & SIGN32, x)
+}
+
+/// Bits of a host `f32` result with any NaN mapped to [`NAN32`].
+#[inline(always)]
+pub(crate) fn canon32(x: f32) -> u32 {
+    sel(x.is_nan(), NAN32, x.to_bits())
+}
+
+/// Truncating encode of `value · 2^extra_exp` into a single-precision
+/// word with sign bit `sign` (`0` or [`SIGN32`]): the exponent and the top
+/// 23 fraction bits of `value`, saturating to a signed infinity above
+/// exponent 127 and flushing to a signed zero below -126. `value` must be
+/// a positive normal `f64`; the single-precision twin of
+/// [`Format::encode_truncating`], with no branch.
+#[inline(always)]
+pub(crate) fn encode_scaled32(sign: u32, value: f64, extra_exp: i32) -> u32 {
+    let bits = value.to_bits();
+    let exp = ((bits >> 52) & 0x7ff) as i32 - 1023 + extra_exp;
+    let frac = (bits >> 29) as u32 & FRAC32;
+    let body = sign | (((exp + 127) as u32) << 23) | frac;
+    sel(exp > 127, sign | EXP32, sel(exp < -126, sign, body))
+}
+
 /// Convenience wrapper: raw bits of an `f32` widened to `u64`.
 #[inline]
 pub fn f32_bits(x: f32) -> u64 {

@@ -23,7 +23,7 @@
 //! assert_eq!(imul32(4.0, 8.0), 32.0);
 //! ```
 
-use crate::format::{sel, Format};
+use crate::format::{canon32, flush32, is_special32, sel, Format};
 
 /// Imprecise multiplication on raw bit patterns of the given format,
 /// carried in a `u64` (runs [`mul_word64`]).
@@ -34,19 +34,17 @@ pub fn imprecise_mul_bits(fmt: Format, a: u64, b: u64) -> u64 {
 
 /// Instantiates the Table 1 multiplier for one machine word width, over
 /// bit patterns of a format with `exp_bits`/`frac_bits` fields held in
-/// that word. Single precision runs in `u32` and double precision in
-/// `u64`: `Ma + Mb` fits in `F + 2` bits and every exponent in the word's
-/// signed twin.
+/// that word, finished by the special-operand stage `$specials`. Single
+/// precision runs in `u32` and double precision in `u64`: `Ma + Mb` fits
+/// in `F + 2` bits and every exponent in the word's signed twin.
 macro_rules! mul_datapath {
-    ($u:ty, $i:ty, $name:ident) => {
+    ($u:ty, $i:ty, $name:ident, $specials:ident) => {
         /// Imprecise multiplication on one word, straight-line: the normal
-        /// × normal datapath runs unconditionally and the special cases
-        /// are layered as a select cascade in reverse priority order, so
-        /// the SIMT lane loops that inline this auto-vectorize (no
-        /// data-dependent branches). Subnormal inputs are flushed by
-        /// treating a zero exponent field as zero: their fraction only
-        /// reaches the normal datapath, whose result the zero select
-        /// overrides.
+        /// × normal datapath runs unconditionally and the special-operand
+        /// stage selects over its result, so the SIMT lane loops that
+        /// inline this auto-vectorize (no data-dependent branches). A zero,
+        /// subnormal, infinite or NaN operand only reaches the normal
+        /// datapath, whose result the stage overrides.
         #[inline(always)]
         pub fn $name(exp_bits: u32, frac_bits: u32, a: $u, b: $u) -> $u {
             let f = frac_bits;
@@ -55,20 +53,12 @@ macro_rules! mul_datapath {
             let bias: $i = (1 << (exp_bits - 1)) - 1;
             let ea = (a >> f) & emax;
             let eb = (b >> f) & emax;
-            let fa = a & frac_mask;
-            let fb = b & frac_mask;
             let sign = ((a ^ b) >> (exp_bits + f)) & 1;
-            let a_nan = ea == emax && fa != 0;
-            let b_nan = eb == emax && fb != 0;
-            let a_inf = ea == emax && fa == 0;
-            let b_inf = eb == emax && fb == 0;
-            let a_zero = ea == 0;
-            let b_zero = eb == 0;
 
             // Ma + Mb in units of 2^-F. Ma + Mb >= 1: Mz = (1 + Ma + Mb)/2,
             // cin = 1 (eq. 6). Both fractions are below the hidden bit, so
             // the carry is exactly bit F of the sum.
-            let sum = fa + fb;
+            let sum = (a & frac_mask) + (b & frac_mask);
             let cin = sum >> f;
             let frac = ((sum + (cin << f)) >> cin) & frac_mask;
             let exp = ea as $i + eb as $i - 2 * bias + cin as $i;
@@ -79,20 +69,60 @@ macro_rules! mul_datapath {
             let min_exp = 1 - bias;
             let zero = sign << (exp_bits + f);
             let inf = zero | (emax << f);
-            let nan = (emax << f) | (1 << (f - 1));
             let body = zero | (((exp.clamp(min_exp, max_exp) + bias) as $u) << f) | frac;
-            let mut r = sel(exp < min_exp, zero, body);
-            r = sel(exp > max_exp, inf, r);
-            r = sel(a_zero || b_zero, zero, r);
-            r = sel(a_inf || b_inf, inf, r);
-            r = sel((a_inf && b_zero) || (a_zero && b_inf), nan, r);
-            sel(a_nan || b_nan, nan, r)
+            let r = sel(exp < min_exp, zero, body);
+            $specials(exp_bits, frac_bits, a, b, sel(exp > max_exp, inf, r))
         }
     };
 }
 
-mul_datapath!(u32, i32, mul_word32);
-mul_datapath!(u64, i64, mul_word64);
+mul_datapath!(u32, i32, mul_word32, mul_specials32);
+mul_datapath!(u64, i64, mul_word64, mul_specials64);
+
+/// The single-precision special-operand stage of both multipliers: when
+/// either operand is zero, subnormal, infinite or NaN, the result is the
+/// IEEE product of the flushed operands (exact: a signed zero, a signed
+/// infinity or NaN), with any NaN made canonical; otherwise `normal`.
+/// `exp_bits` and `frac_bits` must be single precision's.
+///
+/// # Panics
+///
+/// Panics if `(exp_bits, frac_bits)` is not `(8, 23)`.
+// ihw-lint: allow(float-arith) reason=special-operand stage: the host product of two flushed operands one of which is zero, infinite or NaN is exact, so it is the unit's IEEE special result
+#[inline(always)]
+pub(crate) fn mul_specials32(exp_bits: u32, frac_bits: u32, a: u32, b: u32, normal: u32) -> u32 {
+    assert!(
+        (exp_bits, frac_bits) == (8, 23),
+        "the u32 multipliers are single precision only, got ({exp_bits}, {frac_bits})"
+    );
+    let host = f32::from_bits(flush32(a)) * f32::from_bits(flush32(b));
+    sel(is_special32(a) | is_special32(b), canon32(host), normal)
+}
+
+/// The special-operand stage of both multipliers in a `u64` word, for any
+/// format: the IEEE special cases layered over `normal` as a select
+/// cascade in reverse priority order. A subnormal operand counts as zero.
+#[inline(always)]
+pub(crate) fn mul_specials64(exp_bits: u32, frac_bits: u32, a: u64, b: u64, normal: u64) -> u64 {
+    let f = frac_bits;
+    let frac_mask: u64 = (1 << f) - 1;
+    let emax: u64 = (1 << exp_bits) - 1;
+    let ea = (a >> f) & emax;
+    let eb = (b >> f) & emax;
+    let a_nan = ea == emax && (a & frac_mask) != 0;
+    let b_nan = eb == emax && (b & frac_mask) != 0;
+    let a_inf = ea == emax && (a & frac_mask) == 0;
+    let b_inf = eb == emax && (b & frac_mask) == 0;
+    let a_zero = ea == 0;
+    let b_zero = eb == 0;
+    let zero = ((a ^ b) >> (exp_bits + f) & 1) << (exp_bits + f);
+    let inf = zero | (emax << f);
+    let nan = (emax << f) | (1 << (f - 1));
+    let mut r = sel(a_zero || b_zero, zero, normal);
+    r = sel(a_inf || b_inf, inf, r);
+    r = sel((a_inf && b_zero) || (a_zero && b_inf), nan, r);
+    sel(a_nan || b_nan, nan, r)
+}
 
 /// Imprecise single precision multiplication (Table 1 `y = a × b`).
 ///

@@ -25,7 +25,10 @@
 //! assert!((y - 1.0 / 3.0).abs() * 3.0 < 0.0588 + 1e-6);
 //! ```
 
-use crate::format::{flush_subnormal, Format, RoundedClass};
+use crate::format::{
+    canon32, encode_scaled32, flush32, flush_subnormal, is_special32, sel, Format, RoundedClass,
+    EXP32, FRAC32, NAN32, SIGN32,
+};
 
 /// Linear coefficients for `1/x ≈ C0 − C1·x`, `x ∈ [0.5, 1)` (Table 1).
 pub const RCP_C0: f64 = 2.823;
@@ -244,12 +247,130 @@ pub fn imprecise_div_bits(fmt: Format, a: u64, b: u64) -> u64 {
     }
 }
 
+/// The significand `m = 1 + frac/2^23 ∈ [1, 2)` of a single-precision
+/// word as an `f64`, assembled from its bits (exact).
+#[inline(always)]
+fn significand32(x: u32) -> f64 {
+    f64::from_bits(0x3ff0_0000_0000_0000 | u64::from(x & FRAC32) << 29)
+}
+
+/// Unbiased exponent of a normal single-precision word.
+#[inline(always)]
+fn exp32(x: u32) -> i32 {
+    ((x >> 23) & 0xff) as i32 - 127
+}
+
+/// `1/x` on a single-precision word: [`imprecise_rcp_bits`]'s `f64`
+/// expression and truncating encode, with no branch, then the
+/// special-operand stage (the IEEE `1/x` of the flushed operand).
+// ihw-lint: allow(float-arith) reason=Table 1 linear approximation C0 - C1*r on the reduced-range significand, truncated into single precision; the special-operand stage is the host 1/x of a zero, infinite or NaN operand, which is exact
+#[inline(always)]
+fn rcp_word32(x: u32) -> u32 {
+    let lin = RCP_C0 - RCP_C1 * (significand32(x) * 0.5);
+    let normal = encode_scaled32(x & SIGN32, lin, -exp32(x) - 1);
+    let host = 1.0 / f32::from_bits(flush32(x));
+    sel(is_special32(x), canon32(host), normal)
+}
+
+/// `1/√x` on a single-precision word ([`imprecise_rsqrt_bits`]'s
+/// expression, branch-free). Negative inputs join the special-operand
+/// stage, whose IEEE `1/√x` of the flushed operand gives their NaN.
+// ihw-lint: allow(float-arith) reason=Table 1 linear approximation for 1/sqrt(x) on the reduced range, odd exponents absorbing 1/sqrt(2), truncated into single precision; the special-operand stage is the host 1/sqrt(x) of a zero, negative, infinite or NaN operand, which is exact
+#[inline(always)]
+fn rsqrt_word32(x: u32) -> u32 {
+    // x = r·2^E' with r = m/2 ∈ [0.5,1), E' = E+1:
+    // 1/√x = (C0 − C1·r)·2^(−E'/2), odd E' absorbs 1/√2.
+    let lin = RSQRT_C0 - RSQRT_C1 * (significand32(x) * 0.5);
+    let e1 = exp32(x) + 1;
+    let odd = e1 & 1;
+    let lin = sel(odd == 1, lin * ONE_OVER_SQRT2, lin);
+    let normal = encode_scaled32(0, lin, -(e1 - odd) / 2);
+    let host = 1.0 / f32::from_bits(flush32(x)).sqrt();
+    sel(is_special32(x) | (x & SIGN32 != 0), canon32(host), normal)
+}
+
+/// `√x` on a single-precision word ([`imprecise_sqrt_bits`]'s expression,
+/// branch-free). Negative inputs join the special-operand stage, whose
+/// IEEE `√x` of the flushed operand gives their NaN.
+// ihw-lint: allow(float-arith) reason=Table 1 linear approximation r*(C0 - C1*r) on the even-exponent reduced range, truncated into single precision; the special-operand stage is the host sqrt of a zero, negative, infinite or NaN operand, which is exact
+#[inline(always)]
+fn sqrt_word32(x: u32) -> u32 {
+    // An even exponent S puts r = x/2^S in [0.25, 1):
+    // √x = r·(C0 − C1·r) · 2^(S/2).
+    let e = exp32(x);
+    let odd = e & 1;
+    let r = significand32(x) * sel(odd == 1, 0.5, 0.25);
+    let lin = r * (RSQRT_C0 - RSQRT_C1 * r);
+    let normal = encode_scaled32(0, lin, (e + 2 - odd) / 2);
+    let host = f32::from_bits(flush32(x)).sqrt();
+    sel(is_special32(x) | (x & SIGN32 != 0), canon32(host), normal)
+}
+
+/// `log₂ x` on a single-precision word ([`imprecise_log2_bits`]'s
+/// expression, branch-free). The special values come from constant
+/// selects: `-inf` for a zero or subnormal, `+inf` for `+inf`, and NaN
+/// for a NaN or any other negative input.
+// ihw-lint: allow(float-arith) reason=Table 1 linear approximation E + C0*m - C1; every term is exact in f64 before the truncating encode
+#[inline(always)]
+fn log2_word32(x: u32) -> u32 {
+    // log₂(m·2^E) ≈ E + C0·m − C1 with m ∈ [1,2).
+    let y = f64::from(exp32(x)) + (LOG2_C0 * significand32(x) - LOG2_C1);
+    let neg = y.to_bits() >> 63 == 1;
+    let mag = f64::from_bits(y.to_bits() & !(1 << 63));
+    let normal = sel(y == 0.0, 0, encode_scaled32(sel(neg, SIGN32, 0), mag, 0));
+    let special = sel(
+        x & EXP32 == 0,
+        SIGN32 | EXP32,
+        sel(x == EXP32, EXP32, NAN32),
+    );
+    sel(is_special32(x) | (x & SIGN32 != 0), special, normal)
+}
+
+/// `2^x` on a single-precision word ([`imprecise_exp2_bits`]'s
+/// expression, branch-free). The special values come from constant
+/// selects: `1` for a zero or subnormal, `+0` for `-inf`, `+inf` for
+/// `+inf`, NaN for a NaN.
+// ihw-lint: allow(float-arith) reason=iexp2 extension unit: integer/fraction split then the linear segment C0 + f; f64 carries the single-precision input exactly
+#[inline(always)]
+fn exp2_word32(x: u32) -> u32 {
+    let v = f64::from(f32::from_bits(x));
+    // Saturate before the split; the clamp keeps the off-path exponent
+    // in range (its result is deselected).
+    let over = v >= 255.0;
+    let under = v < -127.0;
+    let n = sel(over | under, 0.0, v).floor();
+    let lin = EXP2_C0 + (v - n); // ≈ 2^f ∈ [0.957, 1.957)
+    let normal = sel(
+        over,
+        EXP32,
+        sel(under, 0, encode_scaled32(0, lin, n as i32)),
+    );
+    let special = sel(
+        x & EXP32 == 0,
+        1.0f32.to_bits(),
+        sel(x == EXP32, EXP32, sel(x == SIGN32 | EXP32, 0, NAN32)),
+    );
+    sel(is_special32(x), special, normal)
+}
+
+/// `a / b` on single-precision words ([`imprecise_div_bits`]'s expression,
+/// branch-free), then the special-operand stage (the IEEE quotient of
+/// the flushed operands).
+// ihw-lint: allow(float-arith) reason=Table 1 division a*(C0 - C1*b), truncated into single precision; the special-operand stage is the host quotient of flushed operands one of which is zero, infinite or NaN, which is exact
+#[inline(always)]
+fn div_word32(a: u32, b: u32) -> u32 {
+    let lin = significand32(a) * (RCP_C0 - RCP_C1 * (significand32(b) * 0.5));
+    let normal = encode_scaled32((a ^ b) & SIGN32, lin, exp32(a) - exp32(b) - 1);
+    let host = f32::from_bits(flush32(a)) / f32::from_bits(flush32(b));
+    sel(is_special32(a) | is_special32(b), canon32(host), normal)
+}
+
 macro_rules! sfu_wrappers {
-    ($($(#[$doc:meta])* $name32:ident, $name64:ident => $core:ident (unary);)*) => {$(
+    ($($(#[$doc:meta])* $name32:ident => $word32:ident, $name64:ident => $core:ident;)*) => {$(
         $(#[$doc])*
         #[inline]
         pub fn $name32(x: f32) -> f32 {
-            f32::from_bits($core(Format::SINGLE, x.to_bits() as u64) as u32)
+            f32::from_bits($word32(x.to_bits()))
         }
         $(#[$doc])*
         #[inline]
@@ -266,21 +387,21 @@ sfu_wrappers! {
     /// use ihw_core::sfu::ircp32;
     /// assert_eq!(ircp32(f32::INFINITY), 0.0);
     /// ```
-    ircp32, ircp64 => imprecise_rcp_bits (unary);
+    ircp32 => rcp_word32, ircp64 => imprecise_rcp_bits;
     /// Imprecise inverse square root `1/√x` (Table 1, ε_max = 11.11%).
     ///
     /// Returns NaN for negative inputs and `+∞` at zero.
-    irsqrt32, irsqrt64 => imprecise_rsqrt_bits (unary);
+    irsqrt32 => rsqrt_word32, irsqrt64 => imprecise_rsqrt_bits;
     /// Imprecise square root `√x` (Table 1, ε_max = 11.11%).
     ///
     /// Returns NaN for negative inputs.
-    isqrt32, isqrt64 => imprecise_sqrt_bits (unary);
+    isqrt32 => sqrt_word32, isqrt64 => imprecise_sqrt_bits;
     /// Imprecise base-2 logarithm (Table 1; unbounded relative error near
     /// `x = 1` but small absolute error everywhere).
-    ilog2_32, ilog2_64 => imprecise_log2_bits (unary);
+    ilog2_32 => log2_word32, ilog2_64 => imprecise_log2_bits;
     /// Imprecise base-2 exponential (`iexp2` extension unit,
     /// ε_max ≈ 4.5%).
-    iexp2_32, iexp2_64 => imprecise_exp2_bits (unary);
+    iexp2_32 => exp2_word32, iexp2_64 => imprecise_exp2_bits;
 }
 
 /// Imprecise single precision division `a/b` (Table 1, ε_max = 5.88%).
@@ -292,9 +413,7 @@ sfu_wrappers! {
 /// ```
 #[inline]
 pub fn idiv32(a: f32, b: f32) -> f32 {
-    f32::from_bits(
-        imprecise_div_bits(Format::SINGLE, a.to_bits() as u64, b.to_bits() as u64) as u32,
-    )
+    f32::from_bits(div_word32(a.to_bits(), b.to_bits()))
 }
 
 /// Imprecise double precision division `a/b`.

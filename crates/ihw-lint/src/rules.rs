@@ -508,8 +508,7 @@ fn check_float_arith(ctx: &mut FileCtx<'_>) {
         if !prev_valuelike {
             continue;
         }
-        let prev_float = matches!(toks[i - 1].tok, Tok::FloatLit)
-            || matches!(&toks[i - 1].tok, Tok::Ident(s) if s == "f32" || s == "f64");
+        let prev_float = is_float_evidence(&toks[i - 1].tok);
         // Skip a compound-assignment `=` and a unary minus on the RHS.
         let mut k = i + 1;
         if ctx.lexed.is_punct(k, '=') {
@@ -518,7 +517,7 @@ fn check_float_arith(ctx: &mut FileCtx<'_>) {
         if ctx.lexed.is_punct(k, '-') {
             k += 1;
         }
-        let next_float = matches!(toks.get(k).map(|t| &t.tok), Some(Tok::FloatLit));
+        let next_float = toks.get(k).is_some_and(|t| is_float_evidence(&t.tok));
         if prev_float || next_float {
             ctx.report(
                 Rule::FloatArith,
@@ -526,6 +525,18 @@ fn check_float_arith(ctx: &mut FileCtx<'_>) {
                 format!("native float arithmetic `{op}` in a bit-exact datapath module"),
             );
         }
+    }
+}
+
+/// A float literal, or the `f32`/`f64` type name: as the operand before
+/// an operator (`x as f64 + ..`) or the path that starts the operand
+/// after it (`.. + f64::from(y)`, `.. * f32::from_bits(b)`), it marks
+/// the operator as float arithmetic.
+fn is_float_evidence(tok: &Tok) -> bool {
+    match tok {
+        Tok::FloatLit => true,
+        Tok::Ident(s) => s == "f32" || s == "f64",
+        _ => false,
     }
 }
 
@@ -728,6 +739,44 @@ mod tests {
         assert!(codes(DATAPATH, "fn f(x: u64) -> u64 { (x >> 3) + 1 }").is_empty());
         // Comparisons against float literals are not arithmetic.
         assert!(codes(DATAPATH, "fn f(x: f64) -> bool { x > 0.5 }").is_empty());
+    }
+
+    #[test]
+    fn l001_flags_float_paths_after_operators() {
+        // An `f32`/`f64` path right after the operator, also behind a
+        // unary minus, is float evidence.
+        assert_eq!(
+            codes(
+                DATAPATH,
+                "fn f(a: u32, b: u32) -> f64 { f64::from(a) + f64::from(b) }"
+            ),
+            vec!["L001"]
+        );
+        assert_eq!(
+            codes(
+                DATAPATH,
+                "fn f(a: u32, b: u32) -> f32 { g(a) * f32::from_bits(b) }"
+            ),
+            vec!["L001"]
+        );
+        assert_eq!(
+            codes(
+                DATAPATH,
+                "fn f(a: u32, b: u32) -> f32 { g(a) * -f32::from_bits(b) }"
+            ),
+            vec!["L001"]
+        );
+        assert_eq!(
+            codes(
+                DATAPATH,
+                "fn f(mut x: f32, b: u32) -> f32 { x -= f32::from_bits(b); x }"
+            ),
+            vec!["L001"]
+        );
+        // A float-typed path that is not an operand of an operator is not
+        // arithmetic, nor is an integer path after one.
+        assert!(codes(DATAPATH, "fn f(a: u32) -> f32 { f32::from_bits(a) }").is_empty());
+        assert!(codes(DATAPATH, "fn f(a: u32) -> u32 { g(a) + u32::from(a) }").is_empty());
     }
 
     #[test]

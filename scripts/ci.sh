@@ -15,6 +15,15 @@ echo "== tier-1: build + tests =="
 cargo build --release
 cargo test -q
 
+echo "== exhaustive single-precision SFU sweeps (release) =="
+# The #[ignore]d sweeps of tests/sfu_word_differential.rs: every one of
+# the 2^32 inputs of ircp32, irsqrt32, isqrt32, ilog2_32 and iexp2_32
+# (for ilog2_32 this includes its 2^31 - 2^24 positive normals, whose
+# results depend on the exponent too) against the Format-generic
+# bodies, bit for bit. The tier-1 tests sweep 2^24 cases per unit; only
+# this step proves the branch-free bodies on every input.
+cargo test --release --test sfu_word_differential -- --ignored
+
 echo "== ihw-lint: workspace invariant audit (deny new findings) =="
 # Exits non-zero on findings not in lint-baseline.txt; the JSON
 # diagnostics (schema ihw-lint/1) are kept as a CI artifact.

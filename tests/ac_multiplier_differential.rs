@@ -235,6 +235,37 @@ fn exhaustive_kept_fractions_headline_truncation() {
     }
 }
 
+/// Every exponent field pair `(ea, eb)` in 0..=255² on both paths at
+/// every truncation 0..=24 (24 clamps to 23), fractions {0, 1, all ones,
+/// seeded} on the first operand against a rotation of the set on the
+/// second, in both operand orders and with seeded signs. Covers every
+/// overflow and underflow edge of both paths' exponent increments and
+/// every pair that touches a subnormal, zero, infinity or NaN field.
+#[test]
+fn mul32_every_exponent_pair_every_truncation() {
+    let sign = 1u32 << 31;
+    let mut st = 0x5EED_0003;
+    for t in 0..=24u32 {
+        for path in PATHS {
+            let cfg = AcMulConfig::new(path, t);
+            for ea in 0..=255u32 {
+                for eb in 0..=255u32 {
+                    let seeded = splitmix(&mut st);
+                    let fracs = [0, 1, (1 << 23) - 1, seeded as u32 >> 9];
+                    for (i, &fa) in fracs.iter().enumerate() {
+                        let fb = fracs[(i + eb as usize) % 4];
+                        let signs = seeded >> (32 + 2 * i);
+                        let a = (ea << 23) | fa | (sign * (signs & 1) as u32);
+                        let b = (eb << 23) | fb | (sign * ((signs >> 1) & 1) as u32);
+                        check32(cfg, a, b);
+                        check32(cfg, b, a);
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// Every special encoding against every other, on both paths at several
 /// truncations.
 #[test]

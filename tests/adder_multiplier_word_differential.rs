@@ -431,6 +431,37 @@ fn multiplier_specials_against_specials() {
     }
 }
 
+/// Every exponent field pair `(ea, eb)` in 0..=255², fractions
+/// {0, 1, all ones, seeded} on the first operand against a rotation of
+/// the set on the second (the rotation steps with `eb`, so every exponent
+/// pair class meets all 16 fraction pairs), in both operand orders and
+/// with seeded signs. Covers every overflow and underflow edge, with and
+/// without the `Ma + Mb ≥ 1` carry, and every pair that touches a
+/// subnormal, zero, infinity or NaN field.
+#[test]
+fn multiplier32_every_exponent_pair() {
+    let fmt = Format::SINGLE;
+    let sign = sign_bit(fmt) as u32;
+    let mut st = 0x5EED_B003;
+    for ea in 0..=255u32 {
+        for eb in 0..=255u32 {
+            let seeded = splitmix(&mut st);
+            let fracs = [0, 1, fmt.frac_mask() as u32, seeded as u32 >> 9];
+            for (i, &fa) in fracs.iter().enumerate() {
+                let fb = fracs[(i + eb as usize) % 4];
+                let signs = seeded >> (32 + 2 * i);
+                let a = (ea << 23) | fa | (sign * (signs & 1) as u32);
+                let b = (eb << 23) | fb | (sign * ((signs >> 1) & 1) as u32);
+                for (x, y) in [(a, b), (b, a)] {
+                    let want = oracle_mul(fmt, x.into(), y.into());
+                    let got = imul32(f32::from_bits(x), f32::from_bits(y)).to_bits();
+                    assert_eq!(u64::from(got), want, "imul32 a={x:#010x} b={y:#010x}");
+                }
+            }
+        }
+    }
+}
+
 /// Exponent pairs that stay normal, overflow, underflow, or cross either
 /// edge on the `Ma + Mb ≥ 1` carry, with seeded fractions.
 #[test]
