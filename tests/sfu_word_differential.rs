@@ -68,9 +68,10 @@ fn unary_every_fraction_and_parity(unit: Unary) {
     }
 }
 
-/// Every exponent field, edges and specials included, with 2^12
+/// Every exponent field, edges and specials included, with 3·2^12
 /// fractions each (every value of the top 12 fraction bits over seeded
-/// low bits, plus zero, one and all ones), in both signs.
+/// low bits, the 2^12 smallest fractions and the 2^12 largest), in both
+/// signs.
 fn unary_every_exponent_field(unit: Unary) {
     let mut st = 0x5EED_5F00;
     for e in 0..=255u32 {
