@@ -12,7 +12,6 @@
 //! cargo run --release -p ihw-bench --bin repro -- racecheck
 //! cargo run --release -p ihw-bench --bin repro -- racecheck --bench --threads 16384
 //! cargo run --release -p ihw-bench --bin repro -- autotune --target 1e-3 --json
-//! cargo run --release -p ihw-bench --bin repro -- serve --tenants 8
 //! ```
 //!
 //! Without `--paper`, experiments run at `Scale::Quick` (seconds each);
@@ -301,12 +300,6 @@ fn main() {
     // (Pareto front + A008 over-provisioned-precision gate).
     if args.first().map(String::as_str) == Some("autotune") {
         std::process::exit(ihw_analyze::autotune::run(&args[1..]));
-    }
-    // `repro serve ...` — the batched multi-tenant launch service
-    // benchmark: replays a deterministic multi-tenant request mix and
-    // records `BENCH_serve.json`.
-    if args.first().map(String::as_str) == Some("serve") {
-        std::process::exit(ihw_bench::serve::run_cli(&args[1..]));
     }
     // `repro converge ...` — static contraction certificates for the
     // iterative solver kernels (A010 gate); `--bench` pairs them with

@@ -11,11 +11,9 @@ pub mod ext;
 pub mod system;
 pub mod units;
 
-use serde::{Deserialize, Serialize};
-
 /// Experiment scale: `Quick` finishes each experiment in seconds for CI
 /// and criterion; `Paper` uses the publication-scale parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
     /// Reduced input sizes / sample counts.
     Quick,

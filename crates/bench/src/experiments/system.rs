@@ -14,11 +14,10 @@ use ihw_quality::GrayImage;
 use ihw_workloads::{
     art, backprop, cfd, cp, hotspot, hotspot3d, jpeg, kmeans, md, raytrace, sphinx, srad,
 };
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// The GPU benchmarks of Figure 2 / Table 5.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GpuBenchmark {
     /// Rodinia HotSpot.
     Hotspot,
@@ -343,7 +342,7 @@ pub fn fig2(scale: Scale) -> Table {
 
 /// One Table 5 row: holistic and arithmetic power savings for a
 /// benchmark under a configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SavingsRow {
     /// Row label (e.g. `"RAY(rcp,add,sqrt)"`).
     pub label: String,

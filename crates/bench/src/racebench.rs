@@ -23,6 +23,7 @@ use crate::runner::report::Stopwatch;
 use gpu_sim::deps::footprints;
 use gpu_sim::isa::{ExecEngine, Program, WarpInterpreter};
 use ihw_core::config::IhwConfig;
+use ihw_lint::json::{obj, Json};
 
 /// Default output filename (workspace root, committed as a perf record).
 pub const BENCH_FILE: &str = "BENCH_kernel_throughput.json";
@@ -300,50 +301,37 @@ impl ThroughputReport {
         out
     }
 
-    /// Stable JSON document (hand-rolled; the workspace `serde` shim is
-    /// marker-only).
+    /// The `ihw-racebench/4` JSON record.
     pub fn to_json(&self) -> String {
-        let f = |x: f64| {
-            if x.is_finite() {
-                format!("{x:.6}")
-            } else {
-                "0.0".to_owned()
-            }
-        };
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&format!("  \"schema\": \"{SCHEMA}\",\n"));
-        out.push_str(&format!("  \"engine\": \"{}\",\n", self.engine));
-        out.push_str(&format!("  \"threads\": {},\n", self.threads));
-        out.push_str(&format!("  \"repeats\": {},\n", self.repeats));
-        out.push_str(&format!(
-            "  \"host_parallelism\": {},\n",
-            self.host_parallelism
-        ));
-        out.push_str(&format!(
-            "  \"geomean_speedup_vs_interp\": {},\n",
-            f(self.geomean_speedup_vs_interp())
-        ));
-        out.push_str("  \"rows\": [\n");
-        for (i, r) in self.rows.iter().enumerate() {
-            let comma = if i + 1 < self.rows.len() { "," } else { "" };
-            out.push_str(&format!(
-                "    {{ \"kernel\": \"{}\", \"config\": \"{}\", \"engine\": \"{}\", \
-                 \"compile_seconds\": {}, \"interp_seconds\": {}, \
-                 \"sequential_seconds\": {}, \"speedup_vs_interp\": {}, \
-                 \"bit_identical\": {} }}{comma}\n",
-                r.kernel,
-                r.config,
-                r.engine,
-                f(r.compile_seconds),
-                f(r.interp_seconds),
-                f(r.sequential_seconds),
-                f(r.speedup_vs_interp),
-                r.bit_identical,
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
+        let rows = self
+            .rows
+            .iter()
+            .map(|r| {
+                obj([
+                    ("kernel", r.kernel.as_str().into()),
+                    ("config", r.config.as_str().into()),
+                    ("engine", r.engine.as_str().into()),
+                    ("compile_seconds", r.compile_seconds.into()),
+                    ("interp_seconds", r.interp_seconds.into()),
+                    ("sequential_seconds", r.sequential_seconds.into()),
+                    ("speedup_vs_interp", r.speedup_vs_interp.into()),
+                    ("bit_identical", r.bit_identical.into()),
+                ])
+            })
+            .collect();
+        obj([
+            ("schema", SCHEMA.into()),
+            ("engine", self.engine.as_str().into()),
+            ("threads", self.threads.into()),
+            ("repeats", self.repeats.into()),
+            ("host_parallelism", self.host_parallelism.into()),
+            (
+                "geomean_speedup_vs_interp",
+                self.geomean_speedup_vs_interp().into(),
+            ),
+            ("rows", Json::Arr(rows)),
+        ])
+        .render()
     }
 }
 

@@ -8,6 +8,8 @@
 //! (`"schema": "ihw-bench-timings/1"`) so perf trajectories can be
 //! tracked across commits without screen-scraping.
 
+use ihw_lint::json::{obj, Json};
+
 /// Wall-clock for one experiment job.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentTiming {
@@ -88,66 +90,34 @@ impl TimingReport {
         out
     }
 
-    /// Serializes the report as a stable JSON document.
-    ///
-    /// Hand-rolled because the workspace's offline `serde` shim is
-    /// marker-only; the format is pinned by `schema`.
+    /// The report as the `ihw-bench-timings/1` JSON document.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str("  \"schema\": \"ihw-bench-timings/1\",\n");
-        out.push_str(&format!("  \"jobs\": {},\n", self.jobs));
-        out.push_str(&format!(
-            "  \"total_seconds\": {},\n",
-            json_f64(self.total_seconds)
-        ));
-        out.push_str(&format!(
-            "  \"cache\": {{ \"hits\": {}, \"misses\": {}, \"entries\": {} }},\n",
-            self.cache_hits, self.cache_misses, self.cache_entries
-        ));
-        out.push_str("  \"experiments\": [\n");
-        for (i, e) in self.experiments.iter().enumerate() {
-            let comma = if i + 1 < self.experiments.len() {
-                ","
-            } else {
-                ""
-            };
-            out.push_str(&format!(
-                "    {{ \"name\": \"{}\", \"seconds\": {} }}{comma}\n",
-                json_escape(&e.name),
-                json_f64(e.seconds)
-            ));
-        }
-        out.push_str("  ]\n");
-        out.push_str("}\n");
-        out
+        let experiments = self
+            .experiments
+            .iter()
+            .map(|e| {
+                obj([
+                    ("name", e.name.as_str().into()),
+                    ("seconds", e.seconds.into()),
+                ])
+            })
+            .collect();
+        obj([
+            ("schema", "ihw-bench-timings/1".into()),
+            ("jobs", self.jobs.into()),
+            ("total_seconds", self.total_seconds.into()),
+            (
+                "cache",
+                obj([
+                    ("hits", self.cache_hits.into()),
+                    ("misses", self.cache_misses.into()),
+                    ("entries", self.cache_entries.into()),
+                ]),
+            ),
+            ("experiments", Json::Arr(experiments)),
+        ])
+        .render()
     }
-}
-
-/// Formats a float as a JSON number (JSON has no NaN/inf — clamp to 0).
-fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.6}")
-    } else {
-        "0.0".to_owned()
-    }
-}
-
-/// Escapes a string for embedding in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -189,16 +159,9 @@ mod tests {
         assert!(json.contains("\"schema\": \"ihw-bench-timings/1\""));
         assert!(json.contains("\"jobs\": 4"));
         assert!(json.contains("\"hits\": 3"));
-        assert!(json.contains("\"name\": \"table5\", \"seconds\": 0.500000"));
+        assert!(json.contains("\"name\": \"table5\", \"seconds\": 0.5 }"));
         // Balanced braces/brackets as a cheap well-formedness check.
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
-    }
-
-    #[test]
-    fn escaping_and_nonfinite_handled() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_f64(f64::NAN), "0.0");
-        assert_eq!(json_f64(f64::INFINITY), "0.0");
     }
 }

@@ -1,6 +1,4 @@
-//! `repro serve` — a batched multi-tenant launch service over the
-//! simulator stack, plus its throughput/latency benchmark
-//! (`BENCH_serve.json`, schema `ihw-serve/2`).
+//! A batched multi-tenant launch service over the simulator stack.
 //!
 //! The [`LaunchService`] is the multi-tenant front door: tenants submit
 //! [`LaunchRequest`]s (program + [`IhwConfig`] + input buffers) from
@@ -29,20 +27,13 @@
 //!   tenants and subsequent requests are untouched (the shared
 //!   interpreter's panic containment makes this hold end to end).
 //!
-//! The benchmark ([`run_serve`]) replays a deterministic multi-tenant
-//! request mix against a fresh service and records requests/sec,
-//! p50/p99 latency, dedup hits and plan-cache counters — with two
-//! honesty gates: every concurrent response must be byte-identical to
-//! a one-tenant-at-a-time replay of the same mix, and a multi-tenant
-//! mix must actually coalesce.
-//!
-//! Timing goes through [`Stopwatch`] — the workspace's single
-//! sanctioned wall-clock read (`ihw-lint` rule L003) — so this module
-//! must live in `ihw-bench` next to the timing report.
+//! The service is measured by perfbench's `serve_shared` and
+//! `serve_unique` workloads; `tests/serve_concurrency.rs` checks that
+//! concurrent replies are bit-identical to a sequential replay and that
+//! a multi-tenant mix coalesces.
 
-use crate::racebench::{host_parallelism, seed_buffers};
+use crate::racebench::seed_buffers;
 use crate::runner::cache::RunCache;
-use crate::runner::report::Stopwatch;
 use gpu_sim::concurrent::SharedInterpreter;
 use gpu_sim::isa::Program;
 use gpu_sim::plan::{fingerprint, PlanCacheStats};
@@ -50,21 +41,6 @@ use ihw_analyze::{analyze_program, AnalysisSettings, KernelAnalysis};
 use ihw_core::config::IhwConfig;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Default output filename (workspace root, committed as a perf record).
-pub const BENCH_FILE: &str = "BENCH_serve.json";
-
-/// Schema tag of the benchmark JSON document.
-pub const SCHEMA: &str = "ihw-serve/2";
-
-/// Default concurrent tenants in the benchmark mix.
-pub const DEFAULT_TENANTS: usize = 4;
-
-/// Default requests per tenant in the benchmark mix.
-pub const DEFAULT_REQUESTS: usize = 24;
-
-/// Default threads per launch in the benchmark mix.
-pub const DEFAULT_THREADS: u32 = 4096;
 
 /// Default admission budget in estimated ops (instructions × threads)
 /// per request.
@@ -312,7 +288,7 @@ impl LaunchService {
 /// fifth request carries a tenant-private payload (one input element
 /// depends on the tenant index) and therefore cannot coalesce; the rest
 /// are identical across tenants and *should* — that ratio is what the
-/// dedup-hit honesty gate checks.
+/// dedup-hit check of `tests/serve_concurrency.rs` relies on.
 pub fn stock_requests(tenants: usize, requests: usize, threads: u32) -> Vec<Vec<LaunchRequest>> {
     let kernels = ihw_analyze::stock_kernels();
     let configs = ihw_analyze::stock_configs();
@@ -339,325 +315,6 @@ pub fn stock_requests(tenants: usize, requests: usize, threads: u32) -> Vec<Vec<
                 .collect()
         })
         .collect()
-}
-
-/// The benchmark result: one pass of the mix against a fresh service.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServeReport {
-    /// Threads per launch.
-    pub threads: u32,
-    /// Concurrent tenants.
-    pub tenants: usize,
-    /// Requests per tenant.
-    pub requests_per_tenant: usize,
-    /// Admission budget in estimated ops.
-    pub max_ops: u64,
-    /// `std::thread::available_parallelism()` of the measuring host.
-    pub host_parallelism: usize,
-    /// Requests submitted across all tenants.
-    pub submitted: u64,
-    /// Requests that executed a launch.
-    pub executed: u64,
-    /// Requests coalesced onto an identical one.
-    pub dedup_hits: u64,
-    /// Requests refused by admission control.
-    pub rejected: u64,
-    /// Executed requests that faulted.
-    pub faulted: u64,
-    /// Wall-clock seconds for the whole mix.
-    pub seconds: f64,
-    /// Served requests per second.
-    pub rps: f64,
-    /// Median per-request latency in milliseconds.
-    pub p50_ms: f64,
-    /// 99th-percentile per-request latency in milliseconds.
-    pub p99_ms: f64,
-    /// Plan-cache hits of the service's interpreter.
-    pub plan_hits: u64,
-    /// Plan-cache misses (compiles) of the service's interpreter.
-    pub plan_misses: u64,
-    /// Plan-cache LRU evictions of the service's interpreter.
-    pub plan_evictions: u64,
-    /// Whether every concurrent response matched the one-tenant-at-a-
-    /// time replay bit-for-bit.
-    pub bit_identical: bool,
-}
-
-/// Bit patterns of one reply's written buffers (`None` = rejected):
-/// what the concurrent-vs-sequential identity gate compares.
-type ResponseBits = Option<Vec<Vec<u32>>>;
-
-/// The [`ResponseBits`] of `reply`.
-fn response_bits(reply: &ServeReply) -> ResponseBits {
-    match reply {
-        ServeReply::Rejected { .. } => None,
-        ServeReply::Served { outcome, .. } => Some(
-            outcome
-                .buffers
-                .iter()
-                .map(|b| b.iter().map(|x| x.to_bits()).collect())
-                .collect(),
-        ),
-    }
-}
-
-/// Latency percentile over a sorted sample, in milliseconds.
-fn percentile_ms(sorted_seconds: &[f64], q: f64) -> f64 {
-    if sorted_seconds.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted_seconds.len() - 1) as f64 * q).round() as usize;
-    sorted_seconds[idx] * 1e3
-}
-
-/// Replays the deterministic mix against a fresh [`LaunchService`],
-/// with `tenants` submitter threads running their request streams
-/// concurrently, then checks every response bit-for-bit against an
-/// untimed one-tenant-at-a-time replay on another fresh service.
-pub fn run_serve(threads: u32, tenants: usize, requests: usize, max_ops: u64) -> ServeReport {
-    let tenants = tenants.max(1);
-    let requests = requests.max(1);
-    let mix = stock_requests(tenants, requests, threads);
-    let service = LaunchService::new(1, max_ops);
-    let sw = Stopwatch::start();
-    let per_tenant: Vec<Vec<(f64, ResponseBits)>> = std::thread::scope(|s| {
-        let handles: Vec<_> = mix
-            .iter()
-            .map(|reqs| {
-                let service = &service;
-                s.spawn(move || {
-                    reqs.iter()
-                        .map(|req| {
-                            let sw = Stopwatch::start();
-                            let reply = service.submit(req);
-                            (sw.elapsed_seconds(), response_bits(&reply))
-                        })
-                        .collect()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("tenant thread"))
-            .collect()
-    });
-    let seconds = sw.elapsed_seconds();
-
-    let replay = LaunchService::new(1, max_ops);
-    let bit_identical = mix.iter().zip(&per_tenant).all(|(reqs, got)| {
-        reqs.iter()
-            .zip(got)
-            .all(|(req, (_, bits))| response_bits(&replay.submit(req)) == *bits)
-    });
-
-    let mut latencies: Vec<f64> = per_tenant.iter().flatten().map(|(l, _)| *l).collect();
-    latencies.sort_by(f64::total_cmp);
-    let stats = service.stats();
-    let plan = service.plan_cache_stats();
-    ServeReport {
-        threads,
-        tenants,
-        requests_per_tenant: requests,
-        max_ops,
-        host_parallelism: host_parallelism(),
-        submitted: stats.submitted,
-        executed: stats.executed,
-        dedup_hits: stats.dedup_hits,
-        rejected: stats.rejected,
-        faulted: stats.faulted,
-        seconds,
-        rps: stats.submitted as f64 / seconds.max(1e-9),
-        p50_ms: percentile_ms(&latencies, 0.50),
-        p99_ms: percentile_ms(&latencies, 0.99),
-        plan_hits: plan.hits,
-        plan_misses: plan.misses,
-        plan_evictions: plan.evictions,
-        bit_identical,
-    }
-}
-
-impl ServeReport {
-    /// Aligned human-readable table.
-    pub fn render(&self) -> String {
-        let mut out = format!(
-            "== serve: {} tenants × {} requests, {} threads/launch, max-ops {}, \
-             host parallelism {} ==\n",
-            self.tenants,
-            self.requests_per_tenant,
-            self.threads,
-            self.max_ops,
-            self.host_parallelism,
-        );
-        out.push_str(&format!(
-            "{:>9} {:>9} {:>9} {:>8} {:>7} {:>10} {:>10} {:>9} {:>9} {:>9}\n",
-            "submitted",
-            "executed",
-            "dedup",
-            "rejected",
-            "faults",
-            "seconds",
-            "req/s",
-            "p50 (ms)",
-            "p99 (ms)",
-            "bitexact"
-        ));
-        out.push_str(&format!(
-            "{:>9} {:>9} {:>9} {:>8} {:>7} {:>10.4} {:>10.1} {:>9.3} {:>9.3} {:>9}\n",
-            self.submitted,
-            self.executed,
-            self.dedup_hits,
-            self.rejected,
-            self.faulted,
-            self.seconds,
-            self.rps,
-            self.p50_ms,
-            self.p99_ms,
-            if self.bit_identical { "yes" } else { "NO" },
-        ));
-        out
-    }
-
-    /// Stable JSON document (hand-rolled; the workspace `serde` shim is
-    /// marker-only).
-    pub fn to_json(&self) -> String {
-        let f = |x: f64| {
-            if x.is_finite() {
-                format!("{x:.6}")
-            } else {
-                "0.0".to_owned()
-            }
-        };
-        format!(
-            "{{\n  \"schema\": \"{SCHEMA}\",\n  \"threads\": {},\n  \"tenants\": {},\n  \
-             \"requests_per_tenant\": {},\n  \"max_ops\": {},\n  \"host_parallelism\": {},\n  \
-             \"submitted\": {},\n  \"executed\": {},\n  \"dedup_hits\": {},\n  \
-             \"rejected\": {},\n  \"faulted\": {},\n  \"seconds\": {},\n  \"rps\": {},\n  \
-             \"p50_ms\": {},\n  \"p99_ms\": {},\n  \"plan_hits\": {},\n  \
-             \"plan_misses\": {},\n  \"plan_evictions\": {},\n  \"bit_identical\": {}\n}}\n",
-            self.threads,
-            self.tenants,
-            self.requests_per_tenant,
-            self.max_ops,
-            self.host_parallelism,
-            self.submitted,
-            self.executed,
-            self.dedup_hits,
-            self.rejected,
-            self.faulted,
-            f(self.seconds),
-            f(self.rps),
-            f(self.p50_ms),
-            f(self.p99_ms),
-            self.plan_hits,
-            self.plan_misses,
-            self.plan_evictions,
-            self.bit_identical,
-        )
-    }
-}
-
-/// CLI for `repro serve`: runs the benchmark mix, prints the table and
-/// writes the JSON record. Returns the process exit code — non-zero
-/// when any concurrent response differs from the sequential replay, or
-/// when a multi-tenant mix recorded no dedup hits (the coalescing layer
-/// regressed).
-pub fn run_cli(args: &[String]) -> i32 {
-    let mut threads: u32 = DEFAULT_THREADS;
-    let mut tenants: usize = DEFAULT_TENANTS;
-    let mut requests: usize = DEFAULT_REQUESTS;
-    let mut max_ops: u64 = DEFAULT_MAX_OPS;
-    let mut out_path = std::path::PathBuf::from(BENCH_FILE);
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--threads" | "--tenants" | "--requests" | "--max-ops" | "--out" => {
-                let Some(value) = it.next() else {
-                    eprintln!("{arg} expects a value");
-                    return 2;
-                };
-                // Every count is rejected at 0 with a diagnostic —
-                // never silently clamped.
-                let ok = match arg.as_str() {
-                    "--threads" => match value.parse::<u32>() {
-                        Ok(v) if v >= 1 => {
-                            threads = v;
-                            true
-                        }
-                        _ => false,
-                    },
-                    "--tenants" => match value.parse::<usize>() {
-                        Ok(v) if v >= 1 => {
-                            tenants = v;
-                            true
-                        }
-                        _ => false,
-                    },
-                    "--requests" => match value.parse::<usize>() {
-                        Ok(v) if v >= 1 => {
-                            requests = v;
-                            true
-                        }
-                        _ => false,
-                    },
-                    "--max-ops" => match value.parse::<u64>() {
-                        Ok(v) if v >= 1 => {
-                            max_ops = v;
-                            true
-                        }
-                        _ => false,
-                    },
-                    _ => {
-                        out_path = std::path::PathBuf::from(value);
-                        true
-                    }
-                };
-                if !ok {
-                    eprintln!("{arg} expects a positive integer, got '{value}'");
-                    return 2;
-                }
-            }
-            "--help" | "-h" => {
-                println!(
-                    "usage: repro serve [--tenants N] [--requests N] [--threads N] \
-                     [--max-ops N] [--out FILE]\n\
-                     \n\
-                     Replays a deterministic multi-tenant request mix against the\n\
-                     launch service, recording req/s, p50/p99 latency, dedup hits\n\
-                     and plan-cache counters ({BENCH_FILE}, schema {SCHEMA}).\n\
-                     All counts must be positive — 0 is rejected, not clamped.\n\
-                     Exits non-zero when any concurrent response differs from a\n\
-                     one-tenant-at-a-time replay, or when a multi-tenant mix\n\
-                     coalesced nothing."
-                );
-                return 0;
-            }
-            other => {
-                eprintln!("unknown argument {other}");
-                return 2;
-            }
-        }
-    }
-    let report = run_serve(threads, tenants, requests, max_ops);
-    print!("{}", report.render());
-    if let Err(e) = std::fs::write(&out_path, report.to_json()) {
-        eprintln!("cannot write {}: {e}", out_path.display());
-        return 2;
-    }
-    println!("serve record written to {}", out_path.display());
-    if !report.bit_identical {
-        eprintln!(
-            "serve-smoke: concurrent responses diverged from the sequential replay — see table above"
-        );
-        return 1;
-    }
-    if tenants >= 2 && report.dedup_hits == 0 {
-        eprintln!(
-            "serve-smoke: a {tenants}-tenant mix recorded zero dedup hits — \
-             request coalescing has regressed"
-        );
-        return 1;
-    }
-    0
 }
 
 #[cfg(test)]
@@ -766,23 +423,6 @@ mod tests {
         };
         assert!(outcome.error.is_none());
         assert_eq!(service.stats().faulted, 1);
-    }
-
-    #[test]
-    fn serve_report_matches_the_sequential_replay_and_coalesces() {
-        let report = run_serve(128, 2, 6, u64::MAX);
-        assert!(report.bit_identical);
-        assert_eq!(report.submitted, 2 * 6);
-        assert_eq!(report.rejected, 0);
-        assert!(report.dedup_hits > 0, "two tenants must coalesce");
-        assert_eq!(report.executed + report.dedup_hits, report.submitted);
-        let json = report.to_json();
-        assert!(json.contains("\"schema\": \"ihw-serve/2\""));
-        assert!(json.contains("\"dedup_hits\""));
-        assert!(json.contains("\"p99_ms\""));
-        assert!(json.contains("\"plan_evictions\""));
-        assert!(!json.contains("\"workers"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 
     #[test]

@@ -19,6 +19,7 @@
 use ihw_analyze::contraction::{converge_configs, DEFAULT_TOL};
 use ihw_analyze::interp::AnalysisSettings;
 use ihw_analyze::{certify, ConvergeVerdict};
+use ihw_lint::json::{obj, Json};
 use ihw_workloads::solvers::{problem_for, SolverParams, SolverRun};
 
 /// Schema tag of the solver benchmark record.
@@ -94,57 +95,45 @@ pub fn sweep(interior: usize, max_iters: usize) -> Vec<SolverBenchRow> {
     rows
 }
 
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_owned()
-    }
-}
-
 /// Renders the sweep as the `ihw-solverbench/1` JSON record.
 pub fn to_json(rows: &[SolverBenchRow], interior: usize) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"schema\": \"{SCHEMA}\",\n"));
-    out.push_str(&format!("  \"interior\": {interior},\n"));
-    out.push_str(&format!("  \"tol\": {},\n", json_num(DEFAULT_TOL)));
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        let stat = match &r.verdict {
-            ConvergeVerdict::Certified(c) => format!(
-                "\"certified\": true, \"rho\": {}, \"floor\": {}, \"tol_eff\": {}, \
-                 \"n_iters\": {}, \"energy_pj\": {}, \"energy_per_iter_pj\": {}",
-                json_num(c.rho),
-                json_num(c.floor),
-                json_num(c.tol_eff),
-                c.n_iters,
-                json_num(c.energy_pj),
-                json_num(c.energy_per_iter_pj),
-            ),
-            ConvergeVerdict::DivergenceRisk { rho, .. } => {
-                format!("\"certified\": false, \"rho\": {}", json_num(*rho))
+    let rows = rows
+        .iter()
+        .map(|r| {
+            let mut fields: Vec<(&str, Json)> = vec![
+                ("kernel", r.kernel.as_str().into()),
+                ("config", r.config.as_str().into()),
+            ];
+            match &r.verdict {
+                ConvergeVerdict::Certified(c) => fields.extend([
+                    ("certified", true.into()),
+                    ("rho", c.rho.into()),
+                    ("floor", c.floor.into()),
+                    ("tol_eff", c.tol_eff.into()),
+                    ("n_iters", c.n_iters.into()),
+                    ("energy_pj", c.energy_pj.into()),
+                    ("energy_per_iter_pj", c.energy_per_iter_pj.into()),
+                ]),
+                ConvergeVerdict::DivergenceRisk { rho, .. } => {
+                    fields.extend([("certified", false.into()), ("rho", (*rho).into())])
+                }
             }
-        };
-        let iters = r
-            .run
-            .iterations_to_tol
-            .map(|n| n.to_string())
-            .unwrap_or_else(|| "null".to_owned());
-        out.push_str(&format!(
-            "    {{ \"kernel\": \"{}\", \"config\": \"{}\", {stat}, \
-             \"measured_tol\": {}, \"measured_iters\": {iters}, \
-             \"measured_final_err\": {}, \"measured_rmse\": {} }}{comma}\n",
-            r.kernel,
-            r.config,
-            json_num(r.measured_tol),
-            json_num(r.run.final_err),
-            json_num(r.run.rmse),
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+            fields.extend([
+                ("measured_tol", r.measured_tol.into()),
+                ("measured_iters", r.run.iterations_to_tol.into()),
+                ("measured_final_err", r.run.final_err.into()),
+                ("measured_rmse", r.run.rmse.into()),
+            ]);
+            obj(fields)
+        })
+        .collect();
+    obj([
+        ("schema", SCHEMA.into()),
+        ("interior", interior.into()),
+        ("tol", DEFAULT_TOL.into()),
+        ("rows", Json::Arr(rows)),
+    ])
+    .render()
 }
 
 /// CLI for `repro converge --bench`: runs the sweep, prints the table,

@@ -1,8 +1,7 @@
-//! Golden schema gate: every hand-rolled `ihw-*` JSON emitter must
-//! produce a document that (a) parses as strict JSON and (b) carries
-//! its exact schema tag at the top level. The workspace's offline
-//! `serde` shim is marker-only, so each emitter concatenates strings by
-//! hand — this test is the one place that catches a missing comma, an
+//! Golden schema gate: every `ihw-*` JSON document must (a) parse as
+//! strict JSON and (b) carry its exact schema tag at the top level.
+//! Every emitter renders through the one writer in `ihw_lint::json`;
+//! this test is the one place that catches a missing comma, an
 //! unescaped quote, or a `NaN`/`inf` literal before a consumer does.
 //!
 //! Covered emitters and tags:
@@ -16,14 +15,14 @@
 //! | `ihw_analyze::contraction::to_json`  | `ihw-converge/1`  |
 //! | `ihw_bench::racebench` report        | `ihw-racebench/4` |
 //! | `ihw_bench::solverbench::to_json`    | `ihw-solverbench/1` |
-//! | `ihw_bench::serve` report            | `ihw-serve/2`     |
+//! | `ihw_bench::runner::report` timings  | `ihw-bench-timings/1` |
 
 use ihw_analyze::diag::{Finding, Rule};
 use ihw_analyze::interp::AnalysisSettings;
 
 // ---------------------------------------------------------------------
-// Minimal strict JSON validator (no serde_json in the offline
-// workspace). Returns the top-level object's string fields so tests can
+// Minimal strict JSON validator (the workspace has no JSON parser
+// dependency). Returns the top-level object's string fields so tests can
 // assert on the schema tag after a full parse, not via substring search
 // alone.
 // ---------------------------------------------------------------------
@@ -283,7 +282,7 @@ fn assert_golden(doc: &str, tag: &str) {
 
 /// A finding whose text exercises the escaper: quotes, backslashes,
 /// newlines and a control byte must all round-trip through
-/// `finding_json_object` without corrupting the document.
+/// the findings array without corrupting the document.
 fn hostile_finding() -> Finding {
     Finding {
         rule: Rule::ImprecisionDivergenceRisk,
@@ -321,8 +320,9 @@ fn racecheck_document_parses_with_its_schema_tag() {
 #[test]
 fn autotune_document_parses_with_its_schema_tag() {
     let settings = ihw_analyze::AutotuneSettings::default();
-    let results = ihw_analyze::autotune::autotune_stock(&settings, &["saxpy".to_string()]);
+    let mut results = ihw_analyze::autotune::autotune_stock(&settings, &["saxpy".to_string()]);
     assert!(!results.is_empty(), "saxpy must autotune");
+    results[0].kernel = HOSTILE_NAME.to_string();
     let doc = ihw_analyze::autotune::to_json(&results, &[hostile_finding()], &settings);
     assert_golden(&doc, "ihw-autotune/1");
 }
@@ -342,29 +342,56 @@ fn converge_document_parses_with_its_schema_tag() {
     assert_golden(&doc, "ihw-converge/1");
 }
 
-#[test]
-fn racebench_document_parses_with_its_schema_tag() {
-    let report = ihw_bench::racebench::run_stock(32, 1, gpu_sim::isa::ExecEngine::Compiled);
-    assert_golden(&report.to_json(), "ihw-racebench/4");
-}
+/// A kernel or config name that needs every escape the writer has.
+const HOSTILE_NAME: &str = "k\"quoted\"\\back\nline";
 
 #[test]
-fn serve_document_parses_with_its_schema_tag() {
-    let report = ihw_bench::serve::run_serve(64, 2, 5, u64::MAX);
-    assert!(
-        report.bit_identical,
-        "concurrent responses must match the sequential replay"
-    );
-    assert_golden(&report.to_json(), "ihw-serve/2");
+fn racebench_document_parses_with_its_schema_tag() {
+    let mut report = ihw_bench::racebench::run_stock(32, 1, gpu_sim::isa::ExecEngine::Compiled);
+    report.rows[0].kernel = HOSTILE_NAME.to_string();
+    report.rows[0].config = HOSTILE_NAME.to_string();
+    let doc = report.to_json();
+    assert_golden(&doc, "ihw-racebench/4");
+    assert!(doc.contains("k\\\"quoted\\\"\\\\back\\nline"));
 }
 
 #[test]
 fn solverbench_document_parses_with_its_schema_tag() {
-    let rows = ihw_bench::solverbench::sweep(16, 500);
+    let mut rows = ihw_bench::solverbench::sweep(16, 500);
+    rows[0].kernel = HOSTILE_NAME.to_string();
+    rows[0].config = HOSTILE_NAME.to_string();
     assert_golden(
         &ihw_bench::solverbench::to_json(&rows, 16),
         "ihw-solverbench/1",
     );
+}
+
+#[test]
+fn timings_document_parses_with_its_schema_tag() {
+    use ihw_bench::runner::report::{ExperimentTiming, TimingReport};
+    let report = TimingReport {
+        jobs: 2,
+        total_seconds: f64::NAN,
+        experiments: vec![
+            ExperimentTiming {
+                name: HOSTILE_NAME.to_string(),
+                seconds: 0.25,
+            },
+            ExperimentTiming {
+                name: "fig14".to_string(),
+                seconds: f64::INFINITY,
+            },
+        ],
+        cache_hits: 3,
+        cache_misses: 9,
+        cache_entries: 9,
+    };
+    assert_golden(&report.to_json(), "ihw-bench-timings/1");
+    let empty = TimingReport {
+        experiments: vec![],
+        ..report
+    };
+    assert_golden(&empty.to_json(), "ihw-bench-timings/1");
 }
 
 #[test]

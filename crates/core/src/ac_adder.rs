@@ -26,7 +26,6 @@
 
 use crate::adder::{imprecise_add_bits, imprecise_sub_bits, TH_RANGE};
 use crate::format::Format;
-use serde::{Deserialize, Serialize};
 
 /// Error returned for invalid adder configurations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,7 +42,7 @@ impl std::fmt::Display for ConfigureAdderError {
 impl std::error::Error for ConfigureAdderError {}
 
 /// A threshold adder with operand truncation (`TH`, `truncation`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AcAdder {
     th: u32,
     truncation: u32,

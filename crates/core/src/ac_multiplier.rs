@@ -29,10 +29,9 @@
 
 use crate::format::{sel, Format};
 use crate::multiplier::{mul_specials32, mul_specials64};
-use serde::{Deserialize, Serialize};
 
 /// Which datapath of Figure 7 the multiplier is configured to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum MulPath {
     /// MA on the whole mantissa multiplication (11.11% max error, lowest power).
     Log,
@@ -42,7 +41,7 @@ pub enum MulPath {
 }
 
 /// A complete accuracy configuration: datapath plus operand truncation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct AcMulConfig {
     /// Selected datapath.
     pub path: MulPath,

@@ -24,13 +24,12 @@ use crate::sfu::{
     idiv32, idiv64, ilog2_32, ilog2_64, ircp32, ircp64, irsqrt32, irsqrt64, isqrt32, isqrt64,
 };
 use crate::truncated::TruncatedMul;
-use serde::{Deserialize, Serialize};
 
 /// Classes of floating point operations the paper instruments (Table 2).
 ///
 /// These are the keys of the synthesis-library matrix and of the
 /// performance counters collected by the GPU simulator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum FpOp {
     /// Floating point addition / subtraction (`ifpadd`).
     Add,
@@ -99,7 +98,7 @@ impl std::fmt::Display for FpOp {
 }
 
 /// Adder implementation selector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum AddUnit {
     /// IEEE-754 host addition.
     Precise,
@@ -111,7 +110,7 @@ pub enum AddUnit {
 }
 
 /// Multiplier implementation selector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum MulUnit {
     /// IEEE-754 host multiplication.
     Precise,
@@ -124,7 +123,7 @@ pub enum MulUnit {
 }
 
 /// Selector for units that are either fully precise or fully imprecise.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum UnitMode {
     /// IEEE-754 / libm host implementation.
     Precise,
@@ -149,7 +148,7 @@ impl UnitMode {
 /// integer-backed enum) lets a configuration serve directly as a typed
 /// map key, e.g. in the kernel plan cache of `gpu-sim`, instead of
 /// being folded through a stringly label.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct IhwConfig {
     /// Adder/subtractor implementation.
     pub add: AddUnit,

@@ -21,10 +21,9 @@
 //! ```
 
 use crate::ac_multiplier::AcMulConfig;
-use serde::{Deserialize, Serialize};
 
 /// Per-operation mode of a dual-mode multiplier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MulMode {
     /// IEEE-754 datapath.
     Precise,
@@ -33,7 +32,7 @@ pub enum MulMode {
 }
 
 /// A multiplier with both datapaths integrated, selectable per call.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DualModeMul {
     /// Configuration of the imprecise datapath.
     pub imprecise: AcMulConfig,

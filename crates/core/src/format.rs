@@ -18,14 +18,12 @@
 //! assert_eq!(Format::SINGLE.classify(&parts), RoundedClass::Normal);
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 /// Description of an IEEE-754 binary interchange format.
 ///
 /// Only the two formats used by the paper are provided: [`Format::SINGLE`]
 /// (binary32) and [`Format::DOUBLE`] (binary64). Bit patterns are always
 /// carried in a `u64`; single precision patterns occupy the low 32 bits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Format {
     /// Number of exponent field bits (8 for single, 11 for double).
     pub exp_bits: u32,
@@ -51,7 +49,7 @@ pub struct Parts {
 /// Subnormal numbers never reach the imprecise datapaths: the paper states
 /// "subnormal numbers are set to zero by default", so the classifier folds
 /// them into [`RoundedClass::Zero`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RoundedClass {
     /// Zero, or a subnormal flushed to zero.
     Zero,

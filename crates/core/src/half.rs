@@ -19,7 +19,6 @@ use crate::adder::{imprecise_add_bits, imprecise_sub_bits};
 use crate::format::Format;
 use crate::multiplier::imprecise_mul_bits;
 use crate::sfu::{imprecise_rcp_bits, imprecise_rsqrt_bits, imprecise_sqrt_bits};
-use serde::{Deserialize, Serialize};
 
 impl Format {
     /// IEEE-754 binary16 (half precision): 5 exponent bits, 10 fraction
@@ -31,7 +30,7 @@ impl Format {
 }
 
 /// A half precision value stored as its raw bit pattern.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct F16(pub u16);
 
 impl F16 {

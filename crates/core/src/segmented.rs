@@ -25,14 +25,12 @@
 //! assert!((approx - 999_000.0).abs() / 999_000.0 < 0.03);
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 /// Fixed point fraction width used internally.
 const FRAC_BITS: u32 = 61;
 
 /// A Mitchell multiplier with piecewise-constant curve corrections on
 /// both the binary→log and log→binary conversions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SegmentedMitchell {
     segment_bits: u32,
     /// Per-segment mean of `log₂(1+x) − x` (positive), [`FRAC_BITS`]

@@ -23,10 +23,9 @@
 //! ```
 
 use crate::format::{flush_subnormal, Format, RoundedClass};
-use serde::{Deserialize, Serialize};
 
 /// A bit-width-reduced "precise" multiplier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TruncatedMul {
     /// Number of least significant fraction bits removed from each operand.
     pub truncation: u32,

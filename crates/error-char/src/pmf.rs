@@ -5,7 +5,6 @@
 //! `x = ⌈log₂ |ERR%|⌉` — the paper's Figure 8 axis — so a bar at `x = −2`
 //! is the probability that the error percentage lies in `(2⁻³%, 2⁻²%]`.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -27,7 +26,7 @@ const WINDOW_LEN: usize = 128;
 /// fallback map: the saturation bin `i32::MAX` (an infinite relative
 /// error, e.g. against a zero reference) and far-out finite bins. Which
 /// store holds a bin depends only on the bin, so equality is semantic.
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq)]
 pub struct ErrorPmf {
     window: [u64; WINDOW_LEN],
     outliers: BTreeMap<i32, u64>,

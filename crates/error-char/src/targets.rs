@@ -8,10 +8,9 @@ use ihw_core::fma::ifma32;
 use ihw_core::multiplier::imul32;
 use ihw_core::sfu::{idiv32, ilog2_32, ircp32, irsqrt32, isqrt32};
 use ihw_core::truncated::TruncatedMul;
-use serde::{Deserialize, Serialize};
 
 /// A characterizable imprecise unit (the rows of Figures 8 and 9).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CharTarget {
     /// 32-bit imprecise adder with threshold `th` (effective additions and
     /// subtractions mixed, as in Figure 8's `fpadd`).

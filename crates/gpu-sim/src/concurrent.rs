@@ -3,7 +3,7 @@
 //!
 //! The [`crate::isa::WarpInterpreter`] is deliberately `&mut self` —
 //! one launch at a time owns the counters, the plan cache and the
-//! datapath config. A multi-tenant front door (`repro serve`) needs
+//! datapath config. A multi-tenant front door (`ihw_bench::serve`) needs
 //! the *opposite* shape: many request threads, one long-lived
 //! interpreter whose plan cache stays warm across requests with
 //! *different* configs. `SharedInterpreter` provides that by

@@ -22,10 +22,8 @@
 //! assert!((low.dynamic_power_factor() - 0.50575).abs() < 1e-9);
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 /// An operating point: voltage and frequency relative to nominal.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DvfsPoint {
     /// Supply voltage relative to nominal (1.0 = nominal).
     pub voltage: f64,

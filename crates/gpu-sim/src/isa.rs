@@ -37,14 +37,13 @@ use crate::dispatch::FpCtx;
 use crate::plan::PlanCache;
 use crate::simt::{InstrMix, KernelLaunch};
 use ihw_core::config::IhwConfig;
-use serde::{Deserialize, Serialize};
 
 /// A register index (per-thread f32 register file).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Reg(pub u8);
 
 /// Global-memory addressing mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AddrMode {
     /// Element `tid`.
     Tid,
@@ -55,7 +54,7 @@ pub enum AddrMode {
 }
 
 /// One IR instruction. `rd` is always the destination.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Instr {
     /// `rd ← imm`
     Movi(Reg, f32),
@@ -212,7 +211,7 @@ impl std::error::Error for ExecError {}
 /// [`Program::with_allow`] or by a trailing
 /// `# ihw-racecheck: allow(RULE) reason=...` comment in assembly
 /// source.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AllowMarker {
     /// Instruction index the marker applies to.
     pub instr: usize,
@@ -229,7 +228,7 @@ pub struct AllowMarker {
 /// drivers (ping-pong step) and by `ihw-analyze`'s contraction pass,
 /// which seeds buffer `to` with input-noise symbols and extracts the
 /// per-launch contraction factor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FeedbackBinding {
     /// Buffer index written by the kernel and fed back.
     pub from: usize,
@@ -238,7 +237,7 @@ pub struct FeedbackBinding {
 }
 
 /// A validated straight-line kernel.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Program {
     name: String,
     regs: u8,

@@ -7,10 +7,8 @@
 //! the machine-wide DRAM bandwidth ceiling that binds memory-streaming
 //! kernels.
 
-use serde::{Deserialize, Serialize};
-
 /// A two-level cache + DRAM hierarchy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemoryHierarchy {
     /// Fraction of accesses hitting L1.
     pub l1_hit_rate: f64,

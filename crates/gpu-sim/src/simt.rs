@@ -19,10 +19,9 @@
 use crate::memory::MemoryHierarchy;
 use ihw_core::config::FpOp;
 use ihw_power::system::OpCounts;
-use serde::{Deserialize, Serialize};
 
 /// Machine description (GTX480-like defaults).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpuConfig {
     /// Number of streaming multiprocessors.
     pub num_sms: u32,
@@ -72,7 +71,7 @@ impl Default for GpuConfig {
 
 /// Execution-unit classes of the SM issue ports, plus the machine-wide
 /// DRAM interface (a possible bottleneck but not an issue port).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum UnitClass {
     /// FP32 pipeline (add/mul/fma).
     Fpu,
@@ -106,7 +105,7 @@ impl UnitClass {
 }
 
 /// Total dynamic scalar operation mix of one kernel (all threads).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct InstrMix {
     /// Floating point operations by class.
     pub fp: OpCounts,
@@ -134,7 +133,7 @@ impl InstrMix {
 }
 
 /// A kernel launch: grid geometry plus its dynamic instruction mix.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KernelLaunch {
     /// Kernel name (for reports).
     pub name: String,
@@ -148,16 +147,7 @@ pub struct KernelLaunch {
     /// branch divergence). Divergent kernels issue the same useful work
     /// over more warp-instructions. Use [`KernelLaunch::with_warp_efficiency`]
     /// to override the default of 1.0.
-    #[serde(default = "default_warp_efficiency")]
     pub warp_efficiency: f64,
-}
-
-// Referenced from the `#[serde(default)]` attribute, which the offline
-// serde shim expands to nothing — keep it alive for when the real
-// dependency returns.
-#[allow(dead_code)]
-fn default_warp_efficiency() -> f64 {
-    1.0
 }
 
 impl KernelLaunch {
@@ -198,7 +188,7 @@ impl KernelLaunch {
 }
 
 /// Result of a timing simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimStats {
     /// Kernel cycles (per-SM critical path).
     pub cycles: u64,

@@ -10,10 +10,8 @@
 //! each against a fidelity constraint and returning the first acceptable
 //! one together with the full evaluation history.
 
-use serde::{Deserialize, Serialize};
-
 /// An application-specific fidelity constraint on a scalar quality metric.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum QualityConstraint {
     /// Quality metric must be at least this value (SSIM, Pratt FOM,
     /// vigilance, recognition accuracy — higher is better).
@@ -39,7 +37,7 @@ impl QualityConstraint {
 }
 
 /// One evaluated candidate in the tuning loop.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TuningStep<C> {
     /// The candidate configuration.
     pub config: C,
@@ -50,7 +48,7 @@ pub struct TuningStep<C> {
 }
 
 /// Outcome of a tuning run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TuningOutcome<C> {
     /// The accepted configuration, if any candidate satisfied the
     /// constraint.
@@ -116,7 +114,7 @@ pub fn tune<C: Clone>(
 }
 
 /// Result of a per-site tuning run (see [`tune_sites`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SiteTuningOutcome {
     /// Final site mask: `true` = that multiplication site runs imprecise.
     pub enabled: Vec<bool>,

@@ -9,12 +9,11 @@
 
 use crate::simt::{InstrMix, SimStats};
 use ihw_core::config::FpOp;
-use serde::{Deserialize, Serialize};
 
 /// Per-access energies (picojoules) and background power (watts) of a
 /// GTX480-like GPU. The per-access values include the unit's share of
 /// pipeline registers and control, as GPUWattch attributes them.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WattchModel {
     /// FPU energy per scalar add/sub, pJ.
     pub e_fp_add_pj: f64,
@@ -64,7 +63,7 @@ impl Default for WattchModel {
 }
 
 /// GPU power decomposed by component for one kernel execution.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerBreakdown {
     /// FPU power, W.
     pub fpu_w: f64,

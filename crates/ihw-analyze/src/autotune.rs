@@ -38,7 +38,8 @@ use gpu_sim::isa::{Instr, Program};
 use gpu_sim::tuner::{tune, QualityConstraint};
 use ihw_core::config::{FpOp, IhwConfig};
 use ihw_lint::baseline::Baseline;
-use ihw_lint::diag::{finding_json_object, Finding};
+use ihw_lint::diag::{findings_fields, Finding};
+use ihw_lint::json::{obj, Json};
 use ihw_power::system::{OpCounts, SystemPowerModel};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -457,57 +458,47 @@ pub fn autotune_stock(settings: &AutotuneSettings, filter: &[String]) -> Vec<Ker
 }
 
 /// Renders the combined autotune document: the per-kernel Pareto fronts
-/// plus the A008 findings, under the `ihw-autotune/1` schema. Floats are
-/// formatted with `{:e}` (deterministic, valid JSON), findings reuse the
-/// exact per-finding object shape of every other `ihw-*` document.
+/// plus the A008 findings, under the `ihw-autotune/1` schema, through
+/// the workspace's one JSON writer.
 pub fn to_json(
     results: &[KernelAutotune],
     findings: &[Finding],
     settings: &AutotuneSettings,
 ) -> String {
-    let new = findings.iter().filter(|f| f.new).count();
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"schema\": \"{SCHEMA}\",\n"));
-    out.push_str(&format!("  \"target\": {:e},\n", settings.target));
-    out.push_str(&format!("  \"threads\": {},\n", settings.analysis.threads));
-    out.push_str("  \"kernels\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        let comma = if i + 1 < results.len() { "," } else { "" };
-        out.push_str("    {\n");
-        out.push_str(&format!("      \"kernel\": \"{}\",\n", r.kernel));
-        out.push_str(&format!("      \"explored\": {},\n", r.explored));
-        out.push_str(&format!("      \"pruned\": {},\n", r.pruned));
-        out.push_str(&format!("      \"measured\": {},\n", r.measured));
-        out.push_str("      \"pareto\": [\n");
-        for (j, p) in r.pareto.iter().enumerate() {
-            let pcomma = if j + 1 < r.pareto.len() { "," } else { "" };
-            out.push_str(&format!(
-                "        {{ \"config\": \"{}\", \"bound\": {:e}, \"evidence\": \"{}\", \
-                 \"top_static_bound\": {}, \"energy_pj\": {:e}, \"edp\": {:e}, \
-                 \"savings\": {:e} }}{pcomma}\n",
-                p.render,
-                p.bound,
-                p.evidence.label(),
-                p.top_static_bound,
-                p.energy_pj,
-                p.edp,
-                p.savings,
-            ));
-        }
-        out.push_str("      ]\n");
-        out.push_str(&format!("    }}{comma}\n"));
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!("  \"total\": {},\n", findings.len()));
-    out.push_str(&format!("  \"new\": {new},\n"));
-    out.push_str("  \"findings\": [\n");
-    for (i, f) in findings.iter().enumerate() {
-        let comma = if i + 1 < findings.len() { "," } else { "" };
-        out.push_str(&format!("    {}{comma}\n", finding_json_object(f)));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let kernels = results
+        .iter()
+        .map(|r| {
+            let pareto = r
+                .pareto
+                .iter()
+                .map(|p| {
+                    obj([
+                        ("config", p.render.as_str().into()),
+                        ("bound", p.bound.into()),
+                        ("evidence", p.evidence.label().into()),
+                        ("top_static_bound", p.top_static_bound.into()),
+                        ("energy_pj", p.energy_pj.into()),
+                        ("edp", p.edp.into()),
+                        ("savings", p.savings.into()),
+                    ])
+                })
+                .collect();
+            obj([
+                ("kernel", r.kernel.as_str().into()),
+                ("explored", r.explored.into()),
+                ("pruned", r.pruned.into()),
+                ("measured", r.measured.into()),
+                ("pareto", Json::Arr(pareto)),
+            ])
+        })
+        .collect();
+    let head = [
+        ("schema", SCHEMA.into()),
+        ("target", settings.target.into()),
+        ("threads", settings.analysis.threads.into()),
+        ("kernels", Json::Arr(kernels)),
+    ];
+    obj(head.into_iter().chain(findings_fields(findings))).render()
 }
 
 fn fmt_bound(b: f64) -> String {
@@ -782,7 +773,7 @@ mod tests {
             sensitivity::collect_findings(settings.target, &settings.analysis, &s(&["saxpy"]));
         let json = to_json(&results, &findings, &settings);
         assert!(json.contains("\"schema\": \"ihw-autotune/1\""));
-        assert!(json.contains("\"target\": 1e-3"));
+        assert!(json.contains("\"target\": 0.001"));
         assert!(json.contains("\"kernel\": \"saxpy\""));
         assert!(json.contains("\"evidence\": \"static\""));
         assert_eq!(json.matches('{').count(), json.matches('}').count());

@@ -57,7 +57,8 @@ use crate::interp::AnalysisSettings;
 use gpu_sim::isa::{Instr, Program};
 use ihw_core::config::{AddUnit, IhwConfig};
 use ihw_lint::baseline::Baseline;
-use ihw_lint::diag::{finding_json_object, Finding, Rule};
+use ihw_lint::diag::{findings_fields, Finding, Rule};
+use ihw_lint::json::{obj, Json};
 use ihw_power::system::SystemPowerModel;
 use std::path::PathBuf;
 
@@ -510,90 +511,53 @@ fn fmt_val(v: f64) -> String {
     }
 }
 
-/// A JSON number literal: non-finite values become `null`.
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_owned()
-    }
-}
-
-/// Escapes a string for a JSON string literal (local copy of the
-/// `ihw-lint` helper, which is private there).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// Renders the full `ihw-converge/1` document: schema tag, the
 /// requested tolerance, one object per sweep row, and the A010 findings
-/// in the shared [`finding_json_object`] element shape.
+/// in the shared [`findings_fields`] shape.
 pub fn to_json(rows: &[KernelConvergence], findings: &[Finding], tol: f64) -> String {
-    let new = findings.iter().filter(|f| f.new).count();
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"schema\": {},\n", json_str(SCHEMA)));
-    out.push_str(&format!("  \"tol\": {},\n", json_num(tol)));
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        let body = match &r.verdict {
-            Verdict::Certified(cert) => format!(
-                "\"certified\": true, \"rho\": {}, \"c\": {}, \"floor\": {}, \
-                 \"e0\": {}, \"tol_eff\": {}, \"n_iters\": {}, \
-                 \"n_iters_paper_form\": {}, \"energy_per_iter_pj\": {}, \
-                 \"energy_pj\": {}, \"delay_ns\": {}, \"reason\": null",
-                json_num(cert.rho),
-                json_num(cert.c),
-                json_num(cert.floor),
-                json_num(cert.e0),
-                json_num(cert.tol_eff),
-                cert.n_iters,
-                cert.n_iters_paper,
-                json_num(cert.energy_per_iter_pj),
-                json_num(cert.energy_pj),
-                json_num(cert.delay_ns),
-            ),
-            Verdict::DivergenceRisk { rho, c, reason } => format!(
-                "\"certified\": false, \"rho\": {}, \"c\": {}, \
-                 \"expected\": {}, \"reason\": {}",
-                json_num(*rho),
-                json_num(*c),
-                is_expected_divergent(&r.kernel, &r.config),
-                json_str(reason),
-            ),
-        };
-        out.push_str(&format!(
-            "    {{ \"kernel\": {}, \"config\": {}, \"buffer\": {}, {body} }}{comma}\n",
-            json_str(&r.kernel),
-            json_str(&r.config),
-            r.buffer,
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!("  \"total\": {},\n", findings.len()));
-    out.push_str(&format!("  \"new\": {new},\n"));
-    out.push_str("  \"findings\": [\n");
-    for (i, f) in findings.iter().enumerate() {
-        let comma = if i + 1 < findings.len() { "," } else { "" };
-        out.push_str(&format!("    {}{comma}\n", finding_json_object(f)));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let rows = rows
+        .iter()
+        .map(|r| {
+            let mut fields: Vec<(&str, Json)> = vec![
+                ("kernel", r.kernel.as_str().into()),
+                ("config", r.config.as_str().into()),
+                ("buffer", r.buffer.into()),
+            ];
+            match &r.verdict {
+                Verdict::Certified(cert) => fields.extend([
+                    ("certified", true.into()),
+                    ("rho", cert.rho.into()),
+                    ("c", cert.c.into()),
+                    ("floor", cert.floor.into()),
+                    ("e0", cert.e0.into()),
+                    ("tol_eff", cert.tol_eff.into()),
+                    ("n_iters", cert.n_iters.into()),
+                    ("n_iters_paper_form", cert.n_iters_paper.into()),
+                    ("energy_per_iter_pj", cert.energy_per_iter_pj.into()),
+                    ("energy_pj", cert.energy_pj.into()),
+                    ("delay_ns", cert.delay_ns.into()),
+                    ("reason", Json::Null),
+                ]),
+                Verdict::DivergenceRisk { rho, c, reason } => fields.extend([
+                    ("certified", false.into()),
+                    ("rho", (*rho).into()),
+                    ("c", (*c).into()),
+                    (
+                        "expected",
+                        is_expected_divergent(&r.kernel, &r.config).into(),
+                    ),
+                    ("reason", reason.as_str().into()),
+                ]),
+            }
+            obj(fields)
+        })
+        .collect();
+    let head = [
+        ("schema", SCHEMA.into()),
+        ("tol", tol.into()),
+        ("rows", Json::Arr(rows)),
+    ];
+    obj(head.into_iter().chain(findings_fields(findings))).render()
 }
 
 /// Names of the kernels `repro converge` accepts.

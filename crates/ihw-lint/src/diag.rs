@@ -1,10 +1,9 @@
 //! Findings and their human/JSON renderings.
 //!
 //! The JSON document is schema-pinned (`"schema": "ihw-lint/1"` for the
-//! lint auditor, `"ihw-analyze/1"` for the static error-bound analyzer,
-//! see [`to_json_with_schema`]) and hand-rolled (the workspace's offline
-//! `serde` shim is marker-only), the same approach as `ihw-bench`'s
-//! timing report.
+//! lint auditor, `"ihw-analyze/2"` for the static error-bound analyzer,
+//! see [`to_json_with_schema`]) and rendered by the workspace's one JSON
+//! writer, [`crate::json`].
 //!
 //! The rule catalog carries four families with one shared diagnostic
 //! pipeline: `L00x` source-level determinism rules emitted by this
@@ -15,6 +14,8 @@
 //! precision-sensitivity rule emitted by its autotune pass
 //! (`"ihw-autotune/1"` JSON schema), and the `A010` convergence rule
 //! emitted by its contraction pass (`"ihw-converge/1"` JSON schema).
+
+use crate::json::{obj, Json};
 
 /// The catalog of rules, with stable codes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -249,62 +250,38 @@ pub fn to_json(findings: &[Finding]) -> String {
 
 /// Renders the finding set as a schema-pinned JSON document. The lint
 /// auditor passes `"ihw-lint/1"`; `ihw-analyze` reuses the exact same
-/// document shape under `"ihw-analyze/1"`.
+/// document shape under `"ihw-analyze/2"` and `"ihw-racecheck/1"`.
 pub fn to_json_with_schema(findings: &[Finding], schema: &str) -> String {
+    obj(std::iter::once(("schema", schema.into())).chain(findings_fields(findings))).render()
+}
+
+/// The `total`, `new` and `findings` fields that close every
+/// schema-pinned document, so documents embedding findings next to
+/// their own fields keep one shape.
+pub fn findings_fields(findings: &[Finding]) -> [(&'static str, Json); 3] {
     let new = findings.iter().filter(|f| f.new).count();
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"schema\": \"{}\",\n", json_escape(schema)));
-    out.push_str(&format!("  \"total\": {},\n", findings.len()));
-    out.push_str(&format!("  \"new\": {new},\n"));
-    out.push_str("  \"findings\": [\n");
-    for (i, f) in findings.iter().enumerate() {
-        let comma = if i + 1 < findings.len() { "," } else { "" };
-        out.push_str(&format!("    {}{comma}\n", finding_json_object(f)));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    [
+        ("total", findings.len().into()),
+        ("new", new.into()),
+        (
+            "findings",
+            Json::Arr(findings.iter().map(finding_json_object).collect()),
+        ),
+    ]
 }
 
-/// Renders one finding as a single-line JSON object — the element shape
-/// used inside the `"findings"` array of every schema-pinned document
-/// (`ihw-lint/1`, `ihw-analyze/1`, `ihw-racecheck/1`, `ihw-autotune/1`),
-/// so downstream emitters embedding findings in larger documents stay
-/// byte-compatible with [`to_json_with_schema`].
-pub fn finding_json_object(f: &Finding) -> String {
-    let function = f
-        .function
-        .as_deref()
-        .map(|s| format!("\"{}\"", json_escape(s)))
-        .unwrap_or_else(|| "null".to_owned());
-    format!(
-        "{{ \"code\": \"{}\", \"rule\": \"{}\", \"path\": \"{}\", \"line\": {}, \
-         \"function\": {}, \"new\": {}, \"message\": \"{}\" }}",
-        f.rule.code(),
-        f.rule.marker(),
-        json_escape(&f.path),
-        f.line,
-        function,
-        f.new,
-        json_escape(&f.message),
-    )
-}
-
-/// Escapes a string for embedding in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
+/// One finding as a JSON object — the element shape of the
+/// `"findings"` array of every schema-pinned document.
+fn finding_json_object(f: &Finding) -> Json {
+    obj([
+        ("code", f.rule.code().into()),
+        ("rule", f.rule.marker().into()),
+        ("path", f.path.as_str().into()),
+        ("line", f.line.into()),
+        ("function", f.function.as_deref().into()),
+        ("new", f.new.into()),
+        ("message", f.message.as_str().into()),
+    ])
 }
 
 #[cfg(test)]

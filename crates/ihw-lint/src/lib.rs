@@ -22,7 +22,8 @@
 //!   `#![forbid(unsafe_code)]`.
 //!
 //! Run it as `cargo run -p ihw-lint` (or `just lint`); `--json` emits a
-//! stable machine-readable document (schema `ihw-lint/1`). A checked-in
+//! stable machine-readable document (schema `ihw-lint/1`), rendered by
+//! [`json`], the one JSON writer every `ihw-*` document uses. A checked-in
 //! baseline (`lint-baseline.txt`) grandfathers findings so CI fails only
 //! on *new* violations; after the initial triage the baseline is empty.
 //! See `DESIGN.md` §7 ("Invariants & the lint catalog") for the
@@ -38,6 +39,7 @@
 
 pub mod baseline;
 pub mod diag;
+pub mod json;
 pub mod lexer;
 pub mod rules;
 

@@ -508,7 +508,8 @@ fn check_float_arith(ctx: &mut FileCtx<'_>) {
         if !prev_valuelike {
             continue;
         }
-        let prev_float = is_float_evidence(&toks[i - 1].tok);
+        let prev_float =
+            is_float_evidence(&toks[i - 1].tok) || float_path_call_ends_at(ctx.lexed, i - 1);
         // Skip a compound-assignment `=` and a unary minus on the RHS.
         let mut k = i + 1;
         if ctx.lexed.is_punct(k, '=') {
@@ -526,6 +527,36 @@ fn check_float_arith(ctx: &mut FileCtx<'_>) {
             );
         }
     }
+}
+
+/// Whether the `)` at `close` ends a call through an `f32`/`f64` path
+/// (`f64::from(g(x))`, `f32::from_bits(b)`): walks back to the matching
+/// `(` and reads the `f32 :: name` tokens before it.
+fn float_path_call_ends_at(lexed: &Lexed, close: usize) -> bool {
+    if !lexed.is_punct(close, ')') {
+        return false;
+    }
+    let mut depth = 0usize;
+    let mut open = close;
+    loop {
+        if lexed.is_punct(open, ')') {
+            depth += 1;
+        } else if lexed.is_punct(open, '(') {
+            depth -= 1;
+            if depth == 0 {
+                break;
+            }
+        }
+        if open == 0 {
+            return false;
+        }
+        open -= 1;
+    }
+    open >= 4
+        && lexed.ident(open - 1).is_some()
+        && lexed.is_punct(open - 2, ':')
+        && lexed.is_punct(open - 3, ':')
+        && is_float_evidence(&lexed.tokens[open - 4].tok)
 }
 
 /// A float literal, or the `f32`/`f64` type name: as the operand before
@@ -777,6 +808,23 @@ mod tests {
         // arithmetic, nor is an integer path after one.
         assert!(codes(DATAPATH, "fn f(a: u32) -> f32 { f32::from_bits(a) }").is_empty());
         assert!(codes(DATAPATH, "fn f(a: u32) -> u32 { g(a) + u32::from(a) }").is_empty());
+    }
+
+    #[test]
+    fn l001_flags_float_path_calls_before_operators() {
+        // The token before the operator is `)`: the call it closes is
+        // float evidence when its path starts with `f32`/`f64`.
+        assert_eq!(
+            codes(DATAPATH, "fn f(x: u32) -> f64 { f64::from(g(x)) + (h(x)) }"),
+            vec!["L001"]
+        );
+        assert_eq!(
+            codes(DATAPATH, "fn f(b: u32) -> f32 { f32::from_bits(b) * g(b) }"),
+            vec!["L001"]
+        );
+        assert!(codes(DATAPATH, "fn f(x: u32) -> u32 { u32::from(g(x)) + 1 }").is_empty());
+        assert!(codes(DATAPATH, "fn f(x: u32) -> u32 { (g(x)) + 1 }").is_empty());
+        assert!(codes(DATAPATH, "fn f(x: u32) -> u32 { x) + 1 }").is_empty());
     }
 
     #[test]

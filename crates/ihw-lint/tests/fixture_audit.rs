@@ -37,6 +37,21 @@ fn l001_fires_on_seeded_float_arith() {
 }
 
 #[test]
+fn l001_fires_on_a_float_path_call_before_the_operator() {
+    let findings = lint_file(&default_root(), &fixture("l001_path_call_operand.rs")).unwrap();
+    let fns: Vec<&str> = findings
+        .iter()
+        .filter(|f| f.rule == Rule::FloatArith)
+        .filter_map(|f| f.function.as_deref())
+        .collect();
+    assert_eq!(
+        fns,
+        vec!["widened_sum"],
+        "the f64:: path call is float evidence, the u32:: one is not: {findings:?}"
+    );
+}
+
+#[test]
 fn l002_fires_on_seeded_hash_iteration() {
     let codes = fixture_codes("l002_hash_iter.rs");
     assert_eq!(codes, vec!["L002"], "one finding, lookup not flagged");

@@ -12,10 +12,9 @@
 
 use crate::metrics::{NormalizedMetrics, UnitMetrics};
 use ihw_core::config::FpOp;
-use serde::{Deserialize, Serialize};
 
 /// Precision of a synthesized unit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Precision {
     /// 32-bit (single precision) units.
     Single,
@@ -42,7 +41,7 @@ const TABLE2_NORMALIZED: [(FpOp, f64, f64, f64); 9] = [
 
 /// The complete synthesis-result matrix ("`init_syn_res`" in the Figure 12
 /// pseudo-code): absolute DWIP and IHW metrics for every operation class.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SynthesisLibrary {
     single: Vec<(FpOp, UnitMetrics, UnitMetrics)>, // (op, dwip, ihw)
 }

@@ -1,10 +1,8 @@
 //! Non-functional metric records for synthesized arithmetic units.
 
-use serde::{Deserialize, Serialize};
-
 /// Post-layout non-functional metrics of one synthesized unit (45 nm
 /// FreePDK, as measured by the paper's HSIM flow — Figure 11).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UnitMetrics {
     /// Average switching power at full activity, in milliwatts.
     pub power_mw: f64,
@@ -49,7 +47,7 @@ impl UnitMetrics {
 
 /// Metrics of an IHW unit normalized against its DWIP baseline (the rows
 /// of Table 2 / bars of Figure 13).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NormalizedMetrics {
     /// Power ratio.
     pub power: f64,

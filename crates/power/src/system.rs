@@ -16,7 +16,6 @@
 use crate::library::{Precision, SynthesisLibrary};
 use crate::mul_power::mul_power_mw;
 use ihw_core::config::{FpOp, IhwConfig, MulUnit};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Core clock of the execution pipeline used by GPUWattch and this model.
@@ -30,7 +29,7 @@ pub const CORE_CLOCK_GHZ: f64 = 0.7;
 /// a single add. An op class that was never counted and one counted
 /// zero times are the same state, so equality and `Debug` depend only
 /// on the non-zero counts.
-#[derive(Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Default, PartialEq, Eq)]
 pub struct OpCounts {
     counts: [u64; FpOp::ALL.len()],
 }
@@ -128,7 +127,7 @@ impl FromIterator<(FpOp, u64)> for OpCounts {
 
 /// A benchmark's FPU and SFU shares of *total* GPU power (the Figure 2
 /// breakdown produced by the GPUWattch-style model).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerShares {
     /// Fraction of total GPU power consumed by the FPUs.
     pub fpu: f64,
@@ -156,7 +155,7 @@ impl PowerShares {
 }
 
 /// Result of one Figure 12 evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SystemPowerEstimate {
     /// `avg_fpu_pwr_impr`: relative FPU power reduction.
     pub fpu_improvement: f64,
@@ -171,7 +170,7 @@ pub struct SystemPowerEstimate {
 /// Absolute energy/delay/EDP of one kernel launch under one config —
 /// the scoring quantity used by `ihw-analyze`'s autotuner to rank
 /// statically-admissible configurations.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyEstimate {
     /// Total arithmetic energy in pJ (mW × ns summed over op classes).
     pub energy_pj: f64,

@@ -1,8 +1,6 @@
 //! A minimal grayscale image container shared by the SSIM and Pratt
 //! metrics and by the image-producing workloads (SRAD, RayTracing).
 
-use serde::{Deserialize, Serialize};
-
 /// A row-major grayscale image with `f64` samples.
 ///
 /// ```
@@ -11,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// let img = GrayImage::from_fn(4, 4, |x, y| (x + y) as f64);
 /// assert_eq!(img.get(3, 3), 6.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GrayImage {
     width: usize,
     height: usize,

@@ -5,10 +5,8 @@
 //! seeds, with mean, standard deviation and a normal-approximation 95%
 //! confidence interval.
 
-use serde::{Deserialize, Serialize};
-
 /// Mean / spread summary of a sample of measurements.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     /// Number of measurements.
     pub n: usize,

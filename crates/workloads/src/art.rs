@@ -19,13 +19,12 @@ use gpu_sim::simt::{InstrMix, KernelLaunch};
 use ihw_core::config::IhwConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Template side length (object windows are `PATCH × PATCH`).
 pub const PATCH: usize = 10;
 
 /// ART workload parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ArtParams {
     /// Thermal image side length.
     pub image_size: usize,
@@ -49,7 +48,7 @@ impl Default for ArtParams {
 }
 
 /// Recognition result.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ArtOutput {
     /// Winning category (0 or 1).
     pub category: usize,

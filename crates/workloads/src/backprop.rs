@@ -15,7 +15,6 @@ use gpu_sim::simt::{InstrMix, KernelLaunch};
 use ihw_core::config::IhwConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Input dimensionality.
 pub const INPUTS: usize = 8;
@@ -23,7 +22,7 @@ pub const INPUTS: usize = 8;
 pub const HIDDEN: usize = 12;
 
 /// Backprop workload parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BackpropParams {
     /// Training examples.
     pub train: usize,
@@ -50,7 +49,7 @@ impl Default for BackpropParams {
 }
 
 /// Training outcome.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BackpropOutput {
     /// Classification accuracy on the held-out set, in `[0, 1]`.
     pub accuracy: f64,

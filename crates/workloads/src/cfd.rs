@@ -15,7 +15,6 @@
 use gpu_sim::dispatch::FpCtx;
 use gpu_sim::simt::{InstrMix, KernelLaunch};
 use ihw_core::config::IhwConfig;
-use serde::{Deserialize, Serialize};
 
 /// D2Q9 lattice directions.
 const E: [(i32, i32); 9] = [
@@ -45,7 +44,7 @@ const W: [f32; 9] = [
 const OPP: [usize; 9] = [0, 3, 4, 1, 2, 7, 8, 5, 6];
 
 /// CFD workload parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CfdParams {
     /// Cavity side length in lattice cells.
     pub size: usize,
@@ -80,7 +79,7 @@ impl CfdParams {
 }
 
 /// Solver output: the velocity field.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CfdOutput {
     /// Cavity side length.
     pub size: usize,

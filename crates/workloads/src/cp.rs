@@ -17,10 +17,9 @@ use gpu_sim::simt::{InstrMix, KernelLaunch};
 use ihw_core::config::IhwConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// CP workload parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CpParams {
     /// Lattice side length (grid is `size × size`).
     pub size: usize,
@@ -53,7 +52,7 @@ impl CpParams {
 }
 
 /// An atom: position and charge.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Atom {
     /// Position in Å.
     pub pos: [f32; 3],
@@ -62,7 +61,7 @@ pub struct Atom {
 }
 
 /// Result: the potential at every lattice point, row-major.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CpOutput {
     /// Lattice side length.
     pub size: usize,

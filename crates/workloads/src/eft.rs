@@ -18,10 +18,9 @@ use gpu_sim::simt::{InstrMix, KernelLaunch};
 use ihw_core::config::IhwConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// EFT workload parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EftParams {
     /// Vector length of the dot product.
     pub n: usize,
@@ -40,7 +39,7 @@ impl Default for EftParams {
 }
 
 /// Result of one EFT dot-product run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EftOutput {
     /// Naive FMA accumulation of the same products.
     pub naive: f32,

@@ -29,10 +29,9 @@ use gpu_sim::simt::{InstrMix, KernelLaunch, UnitClass};
 use ihw_core::config::IhwConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// HotSpot workload parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HotspotParams {
     /// Grid rows (paper: 512).
     pub rows: usize,
@@ -70,7 +69,7 @@ impl HotspotParams {
 }
 
 /// Result of a HotSpot run: the final temperature field.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HotspotOutput {
     /// Rows of the temperature grid.
     pub rows: usize,

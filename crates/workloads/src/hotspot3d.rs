@@ -12,10 +12,9 @@ use gpu_sim::simt::{InstrMix, KernelLaunch};
 use ihw_core::config::IhwConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// HotSpot3D workload parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Hotspot3dParams {
     /// Grid rows.
     pub rows: usize,
@@ -56,7 +55,7 @@ impl Hotspot3dParams {
 }
 
 /// Result: the final 3-D temperature field.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Hotspot3dOutput {
     /// Grid rows.
     pub rows: usize,

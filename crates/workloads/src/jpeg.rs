@@ -18,13 +18,12 @@ use ihw_core::config::IhwConfig;
 use ihw_quality::GrayImage;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Block size of the JPEG transform.
 pub const BLOCK: usize = 8;
 
 /// JPEG workload parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JpegParams {
     /// Image side length (multiple of 8).
     pub size: usize,
@@ -60,7 +59,7 @@ pub const LUMA_QUANT: [u16; 64] = [
 
 /// A "compressed" image: quantised DCT coefficients per block,
 /// row-major blocks of row-major coefficients.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompressedImage {
     /// Image side length in pixels.
     pub size: usize,

@@ -13,13 +13,12 @@ use gpu_sim::simt::{InstrMix, KernelLaunch};
 use ihw_core::config::IhwConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Feature dimensionality.
 pub const DIMS: usize = 4;
 
 /// KMeans workload parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KmeansParams {
     /// Number of points.
     pub points: usize,
@@ -55,7 +54,7 @@ impl KmeansParams {
 }
 
 /// Clustering result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KmeansOutput {
     /// Cluster index per point.
     pub assignments: Vec<usize>,

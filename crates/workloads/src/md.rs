@@ -16,10 +16,9 @@ use gpu_sim::simt::{InstrMix, KernelLaunch};
 use ihw_core::config::IhwConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// MD workload parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MdParams {
     /// Number of particles.
     pub particles: usize,
@@ -58,7 +57,7 @@ impl MdParams {
 }
 
 /// Observables reported by the benchmark.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MdOutput {
     /// Time-averaged potential energy per particle.
     pub avg_potential: f64,

@@ -15,10 +15,9 @@ use gpu_sim::dispatch::FpCtx;
 use gpu_sim::simt::{InstrMix, KernelLaunch};
 use ihw_core::config::IhwConfig;
 use ihw_quality::GrayImage;
-use serde::{Deserialize, Serialize};
 
 /// Ray tracer parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RayParams {
     /// Output image side length (square).
     pub size: usize,
@@ -47,7 +46,7 @@ impl RayParams {
 }
 
 /// A sphere: centre, radius, diffuse albedo, reflectivity.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Sphere {
     /// Centre position.
     pub center: [f32; 3],

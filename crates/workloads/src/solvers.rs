@@ -33,10 +33,9 @@ use gpu_sim::programs;
 use ihw_core::config::IhwConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Solver workload parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SolverParams {
     /// Number of interior (solved) grid points — one kernel thread each.
     pub interior: usize,
@@ -75,7 +74,7 @@ pub struct SolverProblem {
 }
 
 /// One measured solver trajectory.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SolverRun {
     /// ∞-norm error against the reference after each sweep;
     /// `history[0]` is the initial-guess error (before any launch).

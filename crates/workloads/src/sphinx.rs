@@ -18,13 +18,12 @@ use gpu_sim::simt::{InstrMix, KernelLaunch};
 use ihw_core::config::IhwConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Feature dimensionality (cepstral coefficients per frame).
 pub const FEATURE_DIM: usize = 12;
 
 /// Sphinx workload parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SphinxParams {
     /// Vocabulary size = number of test words (paper: 25).
     pub words: usize,
@@ -64,7 +63,7 @@ impl SphinxParams {
 pub type Features = Vec<[f64; FEATURE_DIM]>;
 
 /// Recognition result.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SphinxOutput {
     /// Predicted word index per test utterance.
     pub predictions: Vec<usize>,

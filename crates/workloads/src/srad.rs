@@ -19,10 +19,9 @@ use ihw_core::config::IhwConfig;
 use ihw_quality::{pratt_fom, GrayImage};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// SRAD workload parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SradParams {
     /// Image side length (square image).
     pub size: usize,

@@ -61,15 +61,6 @@ autotune *ARGS:
 converge *ARGS:
     cargo run --release -p ihw-bench --bin repro -- converge {{ARGS}}
 
-# Batched multi-tenant launch service benchmark (see DESIGN.md §14):
-# replays a deterministic request mix and records req/s, p50/p99
-# latency, dedup hits and plan-cache counters (BENCH_serve.json,
-# schema ihw-serve/2). Exits non-zero if any concurrent response
-# diverges from a one-tenant-at-a-time replay or a multi-tenant mix
-# coalesces nothing.
-serve *ARGS:
-    cargo run --release -p ihw-bench --bin repro -- serve {{ARGS}}
-
 # Compiled-engine perf gate: fails if the geomean compiled-sequential
 # speedup over the interpreted-sequential reference drops below the
 # recorded 5.0x floor (see BENCH_kernel_throughput.json), or if any
@@ -81,8 +72,9 @@ bench-compiled:
 
 # Repository benchmark smoke gate: perfbench unit tests, a 5-second
 # `launch` run that fails unless every launch is bit-identical to its
-# sequential reference, and a 1-second `paper` run that fails unless the
-# pass renders the `repro all` tables byte for byte (see
+# sequential reference, a 1-second `serve_shared` run that fails unless
+# every reply matches its oracle, and a 1-second `paper` run that fails
+# unless the pass renders the `repro all` tables byte for byte (see
 # perfbench/README.md).
 perfbench-smoke:
     bash scripts/perfbench-smoke.sh

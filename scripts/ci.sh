@@ -66,12 +66,6 @@ echo "== racebench: interpreted vs compiled (bit-identity + throughput) =="
 # record (schema ihw-racebench/4).
 cargo run --release -p ihw-bench --bin repro -- racecheck --bench
 
-echo "== serve-smoke: multi-tenant launch service (coalescing + bit-identity) =="
-# Fails (exit 1) if any concurrent response is not bit-identical to a
-# one-tenant-at-a-time replay of the same mix, or the multi-tenant mix
-# recorded zero dedup hits; refreshes the committed BENCH_serve.json.
-cargo run --release -p ihw-bench --bin repro -- serve
-
 echo "== bench-compiled: compiled engine must beat the interpreter =="
 # Fails (exit 1) if the geomean compiled-sequential speedup over the
 # interpreted-sequential reference drops below the recorded floor
@@ -85,11 +79,12 @@ cargo run --release -p ihw-bench --bin repro -- racecheck --bench \
     --engine compiled --threads 16384 --repeats 2 --min-compiled-speedup 5.0 \
     --out target/bench-compiled.json
 
-echo "== perfbench: unit tests + launch and paper smoke =="
+echo "== perfbench: unit tests + launch, serve_shared and paper smoke =="
 # The repository benchmark (perfbench/, its own Cargo workspace). The
 # smoke runs fail unless every launch is bit-identical to its
-# sequential reference and the paper pass renders the `repro all`
-# tables byte for byte (`correct` true, `failed` 0).
+# sequential reference, every served reply matches its oracle buffers
+# and static bounds, and the paper pass renders the `repro all` tables
+# byte for byte (`correct` true, `failed` 0).
 bash scripts/perfbench-smoke.sh
 
 echo "== smoke: repro --timings table5 fig14 =="

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
-# Repository benchmark smoke gate: perfbench's own unit tests, then two
-# short untraced runs that fail unless every output check passed
+# Repository benchmark smoke gate: perfbench's own unit tests, then
+# three short untraced runs that fail unless every output check passed
 # (`correct` true and `failed` 0 in the result line): 5 seconds of
-# `launch`, and 1 second of `paper`, whose cold pass must render the
+# `launch`; 1 second of `serve_shared`, whose passes check every reply
+# of the 2-tenant mix against its oracle buffers and static bounds; and
+# 1 second of `paper`, whose cold pass must render the
 # `repro --jobs 1 all` tables byte for byte (its digest check). Run from
 # anywhere; `just perfbench-smoke` and scripts/ci.sh delegate here.
 set -euo pipefail
@@ -24,4 +26,5 @@ sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)
 }
 
 smoke launch 5
+smoke serve_shared 1
 smoke paper 1

@@ -1,5 +1,5 @@
 //! Helpers shared by the launch parity suites
-//! (`compiled_engine_parity.rs`, `parallel_launch_differential.rs`).
+//! (`compiled_engine_parity.rs`, `shared_launch_parity.rs`).
 
 use imprecise_gpgpu::core::config::IhwConfig;
 use imprecise_gpgpu::sim::deps::footprints;

@@ -12,7 +12,7 @@
 //! Besides the stock kernels (lane blocks), the suite drives a plan the
 //! compiled engine must run one lane at a time: a carried
 //! prefix-propagation kernel. The write-after-read in-place shift, the
-//! other one-lane case, is in `parallel_launch_differential.rs`.
+//! other one-lane case, is in `shared_launch_parity.rs`.
 
 mod common;
 

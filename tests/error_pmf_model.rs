@@ -1,7 +1,7 @@
 //! Model-based test of the windowed `ErrorPmf`.
 //!
 //! The reference is the map-backed implementation it replaced, kept here
-//! verbatim apart from dropping the serde derives. Both record the same
+//! verbatim apart from its derive list. Both record the same
 //! seeded `(approx, exact)` streams — exact matches, zero references
 //! (the `i32::MAX` bin), NaNs (bin 0), the smallest representable
 //! relative errors, typical unit errors, and finite bins on both sides of

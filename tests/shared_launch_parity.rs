@@ -8,7 +8,7 @@
 //! launch's partial state.
 //!
 //! A write-after-read kernel (each thread reads another thread's store
-//! slot; the "journal" shape in the test names) is proven independent
+//! slot; the "forward shift" in the test names) is proven independent
 //! but not own-slot, so the compiled engine runs it one lane at a time;
 //! `WarpInterpreter::launch` must match the sequential loop on it, with
 //! and without a fault.
@@ -131,7 +131,7 @@ fn shift_input(len: u32) -> Vec<Vec<f32>> {
 }
 
 #[test]
-fn journal_shape_kernel_is_bit_identical() {
+fn forward_shift_kernel_is_bit_identical() {
     // Every read belongs to a *different* thread's store slot, so the
     // kernel is proven independent but not own-slot: the store-shape
     // proof does not cover it, and the compiled engine runs it one lane
@@ -166,7 +166,7 @@ fn journal_shape_kernel_is_bit_identical() {
 }
 
 #[test]
-fn journal_error_path_partial_state_is_identical() {
+fn forward_shift_error_path_partial_state_is_identical() {
     // The forward shift over exactly `threads` elements: the last
     // thread's read faults, after every earlier thread stored.
     let prog = assemble("fwd_shift_oob", FWD_SHIFT).expect("assembles");
