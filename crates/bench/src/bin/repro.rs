@@ -393,19 +393,11 @@ fn main() {
     // Every experiment is one sweep job; results come back in request
     // order, so printing below is deterministic at any jobs level.
     let wall = Stopwatch::start();
-    // Sweep jobs run on the persistent pool and must own their inputs
-    // (`'static`), so hand each job its experiment name by value.
-    let results = runner::sweep(
-        selected.iter().map(|s| s.to_string()).collect::<Vec<_>>(),
-        {
-            let csv_dir = csv_dir.clone();
-            move |name: String| {
-                let start = Stopwatch::start();
-                let buf = run_experiment(&name, scale, &csv_dir);
-                (buf, start.elapsed_seconds())
-            }
-        },
-    );
+    let results = runner::sweep(selected.clone(), |name| {
+        let start = Stopwatch::start();
+        let buf = run_experiment(name, scale, &csv_dir);
+        (buf, start.elapsed_seconds())
+    });
     let total_seconds = wall.elapsed_seconds();
     for (buf, _) in &results {
         print!("{buf}");

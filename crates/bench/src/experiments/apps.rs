@@ -155,27 +155,24 @@ pub fn fig19(scale: Scale) -> (Table, String) {
     ];
     let mut t = Table::new(["config", "MAE (K)", "WED (K)", "power reduction"]);
     let mut worst_map = String::new();
-    let rows = runner::sweep(configs.to_vec(), {
-        let reference = reference.clone();
-        move |c| {
-            let run = hotspot_cached(&params, c.config());
-            let out = &run.0;
-            let e = mae(&reference.0.temps, &out.temps);
-            let w = wed(&reference.0.temps, &out.temps);
-            let cells = [
-                c.label(),
-                format!("{:.3}", e),
-                format!("{:.3}", w),
-                format!("{:.1}x", c.power_reduction(Precision::Single)),
-            ];
-            let map = (c == MulConfig::Lp(19)).then(|| {
-                format!(
-                    "lp_tr19 (26x) heat map:\n{}",
-                    ascii_heatmap(&out.temps, out.cols)
-                )
-            });
-            (cells, map)
-        }
+    let rows = runner::sweep(configs.to_vec(), |c| {
+        let run = hotspot_cached(&params, c.config());
+        let out = &run.0;
+        let e = mae(&reference.0.temps, &out.temps);
+        let w = wed(&reference.0.temps, &out.temps);
+        let cells = [
+            c.label(),
+            format!("{:.3}", e),
+            format!("{:.3}", w),
+            format!("{:.1}x", c.power_reduction(Precision::Single)),
+        ];
+        let map = (c == MulConfig::Lp(19)).then(|| {
+            format!(
+                "lp_tr19 (26x) heat map:\n{}",
+                ascii_heatmap(&out.temps, out.cols)
+            )
+        });
+        (cells, map)
     });
     for (cells, map) in rows {
         t.row(cells);
@@ -208,16 +205,13 @@ pub fn fig20(scale: Scale) -> Table {
         MulConfig::Bt(21),
     ];
     let mut t = Table::new(["config", "MAE", "power reduction"]);
-    let rows = runner::sweep(configs.to_vec(), {
-        let reference = reference.clone();
-        move |c| {
-            let run = cp_cached(&params, c.config());
-            [
-                c.label(),
-                format!("{:.5}", mae(&reference.0.potential, &run.0.potential)),
-                format!("{:.1}x", c.power_reduction(Precision::Single)),
-            ]
-        }
+    let rows = runner::sweep(configs.to_vec(), |c| {
+        let run = cp_cached(&params, c.config());
+        [
+            c.label(),
+            format!("{:.5}", mae(&reference.0.potential, &run.0.potential)),
+            format!("{:.1}x", c.power_reduction(Precision::Single)),
+        ]
     });
     for row in rows {
         t.row(row);
@@ -258,21 +252,18 @@ pub fn fig21_art(scale: Scale) -> Table {
         "yes".into(),
         "1.0x".into(),
     ]);
-    let rows = runner::sweep(configs.to_vec(), {
-        let reference = reference.clone();
-        move |c| {
-            let run = art_cached(&params, c.config());
-            [
-                c.label(),
-                format!("{:.4}", run.0.vigilance),
-                if run.0.category == reference.0.category {
-                    "yes".into()
-                } else {
-                    "NO".to_string()
-                },
-                format!("{:.1}x", c.power_reduction(Precision::Double)),
-            ]
-        }
+    let rows = runner::sweep(configs.to_vec(), |c| {
+        let run = art_cached(&params, c.config());
+        [
+            c.label(),
+            format!("{:.4}", run.0.vigilance),
+            if run.0.category == reference.0.category {
+                "yes".into()
+            } else {
+                "NO".to_string()
+            },
+            format!("{:.1}x", c.power_reduction(Precision::Double)),
+        ]
     });
     for row in rows {
         t.row(row);
@@ -299,22 +290,19 @@ pub fn fig21_gromacs(scale: Scale) -> Table {
         MulConfig::Bt(48),
     ];
     let mut t = Table::new(["config", "err %", "within 1.25%", "power reduction (64b)"]);
-    let rows = runner::sweep(configs.to_vec(), {
-        let reference = reference.clone();
-        move |c| {
-            let run = md_cached(&params, c.config());
-            let e = run.0.error_pct_vs(&reference.0);
-            [
-                c.label(),
-                format!("{:.3}", e),
-                if e <= md::SPEC_TOLERANCE_PCT {
-                    "yes".into()
-                } else {
-                    "no".to_string()
-                },
-                format!("{:.1}x", c.power_reduction(Precision::Double)),
-            ]
-        }
+    let rows = runner::sweep(configs.to_vec(), |c| {
+        let run = md_cached(&params, c.config());
+        let e = run.0.error_pct_vs(&reference.0);
+        [
+            c.label(),
+            format!("{:.3}", e),
+            if e <= md::SPEC_TOLERANCE_PCT {
+                "yes".into()
+            } else {
+                "no".to_string()
+            },
+            format!("{:.1}x", c.power_reduction(Precision::Double)),
+        ]
     });
     for row in rows {
         t.row(row);

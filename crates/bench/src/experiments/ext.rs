@@ -34,23 +34,20 @@ pub fn fig5() -> Table {
         "PSNR vs scene (dB)",
         "adder EDP saving",
     ]);
-    let rows = runner::sweep(configs.to_vec(), {
-        let reference_run = reference_run.clone();
-        move |(name, cfg)| {
-            let run = jpeg_cached(&params, cfg);
-            let edp = if cfg.is_op_imprecise(ihw_core::config::FpOp::Add) {
-                format!("{:.0}%", adder_edp_saving * 100.0)
-            } else {
-                "-".to_string()
-            };
-            let (reference, scene) = (&reference_run.0, &reference_run.1);
-            [
-                name.to_string(),
-                format!("{:.1}", jpeg::psnr_8bit(reference, &run.0)),
-                format!("{:.1}", jpeg::psnr_8bit(scene, &run.0)),
-                edp,
-            ]
-        }
+    let rows = runner::sweep(configs.to_vec(), |(name, cfg)| {
+        let run = jpeg_cached(&params, cfg);
+        let edp = if cfg.is_op_imprecise(ihw_core::config::FpOp::Add) {
+            format!("{:.0}%", adder_edp_saving * 100.0)
+        } else {
+            "-".to_string()
+        };
+        let (reference, scene) = (&reference_run.0, &reference_run.1);
+        [
+            name.to_string(),
+            format!("{:.1}", jpeg::psnr_8bit(reference, &run.0)),
+            format!("{:.1}", jpeg::psnr_8bit(scene, &run.0)),
+            edp,
+        ]
     });
     for row in rows {
         t.row(row);

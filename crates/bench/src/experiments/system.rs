@@ -506,19 +506,16 @@ pub fn fig17_18(scale: Scale) -> Table {
         ),
     ];
     let mut t = Table::new(["configuration", "SSIM", "holistic savings", "arith savings"]);
-    let rows = runner::sweep(configs, {
-        let reference = reference.clone();
-        move |(label, cfg)| {
-            let run = ray_cached(&params, cfg);
-            let s = ssim(&reference.0, &run.0, 1.0);
-            let row = estimate_savings(GpuBenchmark::Ray, scale, cfg, label);
-            [
-                label.to_string(),
-                format!("{:.3}", s),
-                format!("{:.2}%", row.holistic * 100.0),
-                format!("{:.2}%", row.arithmetic * 100.0),
-            ]
-        }
+    let rows = runner::sweep(configs, |(label, cfg)| {
+        let run = ray_cached(&params, cfg);
+        let s = ssim(&reference.0, &run.0, 1.0);
+        let row = estimate_savings(GpuBenchmark::Ray, scale, cfg, label);
+        [
+            label.to_string(),
+            format!("{:.3}", s),
+            format!("{:.2}%", row.holistic * 100.0),
+            format!("{:.2}%", row.arithmetic * 100.0),
+        ]
     });
     for row in rows {
         t.row(row);

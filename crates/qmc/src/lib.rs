@@ -390,7 +390,7 @@ mod tests {
     #[test]
     fn qmc_beats_lcg_discrepancy() {
         // A crude LCG as a pseudo-random stand-in; the Halton sequence must
-        // cover [0,1) measurably more uniformly.
+        // cover [0,1) at least ten times more uniformly.
         let n = 4096;
         let halton: Vec<f64> = Halton::<1>::new().take(n).map(|p| p[0]).collect();
         let mut state = 0x243F_6A88_85A3_08D3u64;
@@ -404,7 +404,12 @@ mod tests {
             .collect();
         let dq = star_discrepancy_1d(&halton);
         let dr = star_discrepancy_1d(&lcg);
-        assert!(dq < dr, "halton D*={dq} should beat pseudo-random D*={dr}");
+        // The ablation's claim: at least 10x lower (measured: 1/4096
+        // against 0.0135, about 55x).
+        assert!(
+            dr >= 10.0 * dq,
+            "halton D*={dq} should be 10x below pseudo-random D*={dr}"
+        );
         assert!(dq < 0.01, "halton discrepancy should be tiny, got {dq}");
     }
 

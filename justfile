@@ -1,7 +1,9 @@
 # Developer entry points. `just` is optional — every recipe is a thin
 # wrapper over scripts/ or cargo, so the commands also work directly.
 
-# Format check, clippy -D warnings, tier-1 build+tests, repro smoke run.
+# Format check, clippy -D warnings, tier-1 build+tests, workspace tests,
+# the analysis gates, the lane-loop vectorization gate, perfbench smoke
+# and a repro smoke run.
 ci:
     bash scripts/ci.sh
 

@@ -15,6 +15,12 @@ echo "== tier-1: build + tests =="
 cargo build --release
 cargo test -q
 
+echo "== workspace tests =="
+# Tier-1 `cargo test` runs only the root package; this adds every
+# crate's unit tests and ihw-bench's integration tests (runner
+# determinism, serve concurrency and hostile payloads, schema goldens).
+cargo test --workspace -q
+
 echo "== exhaustive single-precision SFU sweeps (release) =="
 # The #[ignore]d sweeps of tests/sfu_word_differential.rs: every one of
 # the 2^32 inputs of ircp32, irsqrt32, isqrt32, ilog2_32 and iexp2_32
@@ -78,6 +84,13 @@ echo "== bench-compiled: compiled engine must beat the interpreter =="
 cargo run --release -p ihw-bench --bin repro -- racecheck --bench \
     --engine compiled --threads 16384 --repeats 2 --min-compiled-speedup 5.0 \
     --out target/bench-compiled.json
+
+echo "== vectorize: compiled lane loops keep their vector code =="
+# Fails when more gpu_sim::compile::map* instances in the release repro
+# binary lack ymm/zmm code than vectorize-baseline.txt lists, when no
+# instance is found, or when objdump is missing.
+cargo build --release -p ihw-bench
+bash scripts/vectorize-gate.sh
 
 echo "== perfbench: unit tests + launch, serve_shared and paper smoke =="
 # The repository benchmark (perfbench/, its own Cargo workspace). The
