@@ -36,7 +36,7 @@ use crate::racebench::seed_buffers;
 use crate::runner::cache::RunCache;
 use gpu_sim::concurrent::SharedInterpreter;
 use gpu_sim::isa::Program;
-use gpu_sim::plan::{fingerprint, PlanCacheStats};
+use gpu_sim::plan::PlanCacheStats;
 use ihw_analyze::{analyze_program, AnalysisSettings, KernelAnalysis};
 use ihw_core::config::IhwConfig;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -92,7 +92,7 @@ pub fn request_key(req: &LaunchRequest) -> String {
     }
     format!(
         "serve|{:016x}|{:?}|{}|{h:016x}",
-        fingerprint(&req.program),
+        req.program.fingerprint(),
         req.config,
         req.threads
     )
@@ -246,7 +246,7 @@ impl LaunchService {
     /// `(program, config)`, memoized independently of the payload — a
     /// thousand requests with different buffers share one analysis.
     fn bounds_for(&self, req: &LaunchRequest) -> Vec<BoundMeta> {
-        let key = format!("bounds|{:016x}|{:?}", fingerprint(&req.program), req.config);
+        let key = format!("bounds|{:016x}|{:?}", req.program.fingerprint(), req.config);
         let analysis: Arc<KernelAnalysis> = self.cache.get_or_compute(&key, || {
             analyze_program(
                 &req.program,

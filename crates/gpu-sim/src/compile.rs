@@ -26,7 +26,6 @@ use ihw_core::config::{AddUnit, IhwConfig, MulUnit, UnitMode};
 use ihw_core::multiplier::imul32;
 use ihw_core::sfu::{idiv32, ilog2_32, ircp32, irsqrt32, isqrt32};
 use ihw_core::truncated::TruncatedMul;
-use std::cell::RefCell;
 
 /// Lane-block width: threads executed per instruction sweep. This is
 /// the engine's block width, not a warp: one block pays the per-op
@@ -259,12 +258,22 @@ pub(crate) fn lower(prog: &crate::isa::Program, cfg: &IhwConfig) -> Vec<Compiled
 /// lives at `rows[r][i]`. A scratch row plus `mem::swap` gives the lane
 /// loops non-aliasing source and destination slices without `unsafe`,
 /// even when an op's destination register is also a source.
-#[derive(Debug)]
+///
+/// A [`crate::isa::WarpInterpreter`] owns one file for all its
+/// launches and [`RegFile::fit`]s it to each plan, so a warm launch
+/// allocates no rows, and each row keeps its address from launch to
+/// launch: with rows freshly allocated per launch, where they landed
+/// depended on unrelated allocations, and moving those shifted
+/// compiled-launch throughput by about 10%.
+#[derive(Debug, Default)]
 pub(crate) struct RegFile {
     /// The register rows, then the scratch row. Boxed so that the swap
     /// exchanges two pointers instead of copying a row per op.
     #[allow(clippy::vec_box)]
     rows: Vec<Box<Row>>,
+    /// Rows not in use by the current kernel, kept for a larger one.
+    #[allow(clippy::vec_box)]
+    spare: Vec<Box<Row>>,
 }
 
 /// One register's [`LANES`] lane values, aligned to a cache line so the
@@ -286,28 +295,28 @@ impl std::ops::DerefMut for Row {
     }
 }
 
-thread_local! {
-    /// Rows of dropped register files, reused by the next file built on
-    /// the same thread. A warm launch then allocates no rows, and each
-    /// row keeps its address from launch to launch: with rows freshly
-    /// allocated per launch, where they landed depended on unrelated
-    /// allocations, and moving those shifted compiled-launch throughput
-    /// by about 10%. Holds no more rows than the thread's files held at
-    /// once (a file has at most 256).
-    #[allow(clippy::vec_box)]
-    static SPARE_ROWS: RefCell<Vec<Box<Row>>> = const { RefCell::new(Vec::new()) };
-}
-
 impl RegFile {
-    /// A file of `regs` rows, every row [`LANES`] wide. Rows start with
+    /// A file fitted to a `regs`-register kernel.
+    #[cfg(test)]
+    fn new(regs: u8) -> Self {
+        let mut rf = RegFile::default();
+        rf.fit(regs);
+        rf
+    }
+
+    /// Fits the file to a `regs`-register kernel: every row goes back
+    /// to the spares, and the file takes `regs + 1` from there, last
+    /// returned first, allocating only when it runs out. Rows hold
     /// arbitrary values; [`exec_block`] zeroes the lanes it runs.
-    pub(crate) fn new(regs: u8) -> Self {
-        let rows = SPARE_ROWS.with_borrow_mut(|spare| {
-            (0..=regs)
-                .map(|_| spare.pop().unwrap_or_else(|| Box::new(Row([0.0; LANES]))))
-                .collect()
-        });
-        RegFile { rows }
+    pub(crate) fn fit(&mut self, regs: u8) {
+        self.spare.append(&mut self.rows);
+        for _ in 0..=regs {
+            let row = self
+                .spare
+                .pop()
+                .unwrap_or_else(|| Box::new(Row([0.0; LANES])));
+            self.rows.push(row);
+        }
     }
 
     /// The register rows and the scratch row, borrowed apart.
@@ -325,12 +334,6 @@ impl RegFile {
         for row in self.split().0 {
             row[..n].fill(0.0);
         }
-    }
-}
-
-impl Drop for RegFile {
-    fn drop(&mut self) {
-        SPARE_ROWS.with_borrow_mut(|spare| spare.append(&mut self.rows));
     }
 }
 
@@ -648,14 +651,28 @@ mod tests {
     }
 
     #[test]
-    fn dropped_rows_are_reused() {
-        let spare = || SPARE_ROWS.with_borrow(Vec::len);
-        drop(RegFile::new(3));
-        assert_eq!(spare(), 4, "three registers plus the scratch row");
-        let rf = RegFile::new(5);
-        assert_eq!(spare(), 0, "the four spares were taken first");
-        drop(rf);
-        assert_eq!(spare(), 6);
+    fn refitting_reuses_rows() {
+        let addrs = |rf: &RegFile| -> Vec<usize> {
+            let mut a: Vec<usize> = rf
+                .rows
+                .iter()
+                .chain(&rf.spare)
+                .map(|r| r.as_ptr() as usize)
+                .collect();
+            a.sort_unstable();
+            a
+        };
+        let mut rf = RegFile::new(5);
+        assert_eq!(rf.rows.len(), 6, "five registers plus the scratch row");
+        let before = addrs(&rf);
+        rf.fit(3);
+        assert_eq!((rf.rows.len(), rf.spare.len()), (4, 2));
+        map2(&mut rf, LANES, 0, 1, 2, |x, y| x + y);
+        rf.fit(5);
+        assert_eq!(rf.spare.len(), 0);
+        assert_eq!(addrs(&rf), before, "no row was added or moved");
+        rf.fit(7);
+        assert_eq!(rf.rows.len(), 8);
     }
 
     #[test]

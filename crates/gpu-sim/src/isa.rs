@@ -250,6 +250,9 @@ pub struct Program {
     allows: Vec<AllowMarker>,
     /// Iterative feedback declaration, when the kernel is a solver sweep.
     feedback: Option<FeedbackBinding>,
+    /// [`Program::fingerprint`], folded once by [`Program::new`] so
+    /// that no launch re-walks the program.
+    fingerprint: u64,
 }
 
 impl Program {
@@ -280,6 +283,7 @@ impl Program {
             }
         }
         let lines = vec![0; instrs.len()];
+        let fingerprint = structural_fingerprint(regs, &instrs);
         Ok(Program {
             name: name.into(),
             regs,
@@ -287,6 +291,7 @@ impl Program {
             lines,
             allows: Vec::new(),
             feedback: None,
+            fingerprint,
         })
     }
 
@@ -303,6 +308,20 @@ impl Program {
     /// Register-file size.
     pub fn regs(&self) -> u8 {
         self.regs
+    }
+
+    /// Structural FNV-1a fingerprint of the program: register-file size
+    /// plus every instruction's discriminant and operands (f32
+    /// immediates by bit pattern). The name, source lines, allow markers
+    /// and feedback binding do not enter it. Two programs with the same
+    /// fingerprint are the same kernel for planning purposes; the plan
+    /// cache still compares the instruction streams before it serves a
+    /// hit, so a collision costs a recompile, never a wrong plan.
+    ///
+    /// Computed once by [`Program::new`] (which [`Program::unroll`]
+    /// rebuilds through), so reading it costs nothing per launch.
+    pub fn fingerprint(&self) -> u64 {
+        self.fingerprint
     }
 
     /// Attaches 1-based source line numbers (one per instruction, 0 for
@@ -387,6 +406,79 @@ impl Program {
             p
         })
     }
+}
+
+/// An FNV-1a 64-bit fold over a byte stream. Folding a stream in
+/// pieces gives the same value as folding it whole.
+struct Fnv(u64);
+
+impl Fnv {
+    const BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+
+    fn fold(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(Self::PRIME);
+        }
+    }
+
+    fn mode(&mut self, mode: AddrMode) {
+        match mode {
+            AddrMode::Tid => self.fold(&[0]),
+            AddrMode::TidPlus(o) => {
+                self.fold(&[1]);
+                self.fold(&o.to_le_bytes());
+            }
+            AddrMode::Abs(e) => {
+                self.fold(&[2]);
+                self.fold(&(e as u64).to_le_bytes());
+            }
+        }
+    }
+}
+
+/// The fold behind [`Program::fingerprint`]: `regs`, the instruction
+/// count as a little-endian `u64`, then per instruction a discriminant
+/// byte, its register operands, immediates by bit pattern, buffer ids
+/// and element indices as little-endian `u64`s, and the addressing mode
+/// (tag byte, then its offset or index).
+fn structural_fingerprint(regs: u8, instrs: &[Instr]) -> u64 {
+    let mut h = Fnv(Fnv::BASIS);
+    h.fold(&[regs]);
+    h.fold(&(instrs.len() as u64).to_le_bytes());
+    for instr in instrs {
+        match *instr {
+            Instr::Movi(d, imm) => {
+                h.fold(&[0, d.0]);
+                h.fold(&imm.to_bits().to_le_bytes());
+            }
+            Instr::Tid(d) => h.fold(&[1, d.0]),
+            Instr::Fadd(d, a, b) => h.fold(&[2, d.0, a.0, b.0]),
+            Instr::Fsub(d, a, b) => h.fold(&[3, d.0, a.0, b.0]),
+            Instr::Fmul(d, a, b) => h.fold(&[4, d.0, a.0, b.0]),
+            Instr::Fdiv(d, a, b) => h.fold(&[5, d.0, a.0, b.0]),
+            Instr::Ffma(d, a, b, c) => h.fold(&[6, d.0, a.0, b.0, c.0]),
+            Instr::Rcp(d, a) => h.fold(&[7, d.0, a.0]),
+            Instr::Rsqrt(d, a) => h.fold(&[8, d.0, a.0]),
+            Instr::Sqrt(d, a) => h.fold(&[9, d.0, a.0]),
+            Instr::Log2(d, a) => h.fold(&[10, d.0, a.0]),
+            Instr::Fmax(d, a, b) => h.fold(&[11, d.0, a.0, b.0]),
+            Instr::Sel(d, c, a, b) => h.fold(&[12, d.0, c.0, a.0, b.0]),
+            Instr::Ld(d, buf, mode) => {
+                h.fold(&[13, d.0]);
+                h.fold(&(buf as u64).to_le_bytes());
+                h.mode(mode);
+            }
+            Instr::St(buf, mode, s) => {
+                h.fold(&[14]);
+                h.fold(&(buf as u64).to_le_bytes());
+                h.mode(mode);
+                h.fold(&[s.0]);
+            }
+        }
+    }
+    h.0
 }
 
 /// Resolves an addressing mode to a concrete element index for `tid`
@@ -517,6 +609,10 @@ pub struct WarpInterpreter {
     ctx: FpCtx,
     engine: ExecEngine,
     plans: PlanCache,
+    /// The compiled engine's register file, kept from launch to launch
+    /// so that a warm launch allocates nothing and runs on the same
+    /// rows every time.
+    rf: RegFile,
 }
 
 impl WarpInterpreter {
@@ -527,6 +623,7 @@ impl WarpInterpreter {
             ctx: FpCtx::new(cfg),
             engine: ExecEngine::default(),
             plans: PlanCache::default(),
+            rf: RegFile::default(),
         }
     }
 
@@ -641,10 +738,11 @@ impl WarpInterpreter {
         let plan = self.plans.get_or_compile(prog, self.ctx.config());
         let fault = plan.first_fault(buffers, threads);
         let complete = fault.as_ref().map_or(threads, |f| f.tid);
-        let mut rf = RegFile::new(plan.regs());
-        plan.run_range(&mut rf, buffers, 0, complete);
+        let rf = &mut self.rf;
+        rf.fit(plan.regs());
+        plan.run_range(rf, buffers, 0, complete);
         if let Some(f) = &fault {
-            plan.run_prefix(&mut rf, buffers, f.tid, f.instr);
+            plan.run_prefix(rf, buffers, f.tid, f.instr);
         }
         plan.absorb_into(&mut self.ctx, complete, fault.as_ref().map(|f| f.instr));
         fault.map_or(Ok(()), |f| Err(f.err))

@@ -20,17 +20,22 @@
 //!   access sites, which both engines' fault semantics reduce to.
 //!
 //! Plans are cached per interpreter in a [`PlanCache`] keyed on
-//! [`PlanKey`] — a structural program fingerprint plus the typed
+//! [`PlanKey`] — the program's structural fingerprint plus the typed
 //! [`IhwConfig`] itself (the same discipline as the bench runner's
-//! `RunCache`: typed keys, no stringly config labels). Fingerprint
-//! collisions are caught by comparing the stored instruction stream
-//! before a hit is served, so a stale or colliding entry recompiles
-//! instead of running the wrong kernel.
+//! `RunCache`: typed keys, no stringly config labels). The fingerprint
+//! is [`Program::fingerprint`], folded once when the program is built,
+//! so a lookup reads a stored `u64` instead of re-walking the program.
+//! Fingerprint collisions are caught by comparing the stored
+//! instruction stream, immediates by bit pattern, before a hit is
+//! served, so a stale or colliding entry recompiles instead of running
+//! the wrong kernel. A warm launch therefore neither hashes the
+//! program nor allocates: the hit is a map lookup plus that compare,
+//! and the interpreter's register file is reused.
 
 use crate::compile::{exec_block, lower, CompiledOp, RegFile, LANES};
 use crate::deps::{racecheck, store_shape, AffineIndex, StoreShape};
 use crate::dispatch::FpCtx;
-use crate::isa::{AddrMode, ExecError, Instr, Program};
+use crate::isa::{ExecError, Instr, Program};
 use crate::simt::UnitClass;
 use ihw_core::config::{FpOp, IhwConfig};
 use ihw_power::system::OpCounts;
@@ -314,75 +319,17 @@ impl CompiledKernel {
     }
 }
 
-/// Structural FNV-1a fingerprint of a program: register-file size plus
-/// every instruction's discriminant and operands (f32 immediates by
-/// bit pattern). Two programs with the same fingerprint are the same
-/// kernel for planning purposes — and the cache double-checks the
-/// stored instruction stream before serving a hit, so a collision
-/// costs a recompile, never a wrong plan.
-pub fn fingerprint(prog: &Program) -> u64 {
-    const BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = BASIS;
-    let mut fold = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(PRIME);
-        }
-    };
-    fold(&[prog.regs()]);
-    fold(&(prog.instrs().len() as u64).to_le_bytes());
-    let mode_bytes = |mode: AddrMode| -> Vec<u8> {
-        match mode {
-            AddrMode::Tid => vec![0],
-            AddrMode::TidPlus(o) => {
-                let mut v = vec![1];
-                v.extend_from_slice(&o.to_le_bytes());
-                v
-            }
-            AddrMode::Abs(e) => {
-                let mut v = vec![2];
-                v.extend_from_slice(&(e as u64).to_le_bytes());
-                v
-            }
-        }
-    };
-    for instr in prog.instrs() {
-        let enc: Vec<u8> = match *instr {
-            Instr::Movi(d, imm) => {
-                let mut v = vec![0, d.0];
-                v.extend_from_slice(&imm.to_bits().to_le_bytes());
-                v
-            }
-            Instr::Tid(d) => vec![1, d.0],
-            Instr::Fadd(d, a, b) => vec![2, d.0, a.0, b.0],
-            Instr::Fsub(d, a, b) => vec![3, d.0, a.0, b.0],
-            Instr::Fmul(d, a, b) => vec![4, d.0, a.0, b.0],
-            Instr::Fdiv(d, a, b) => vec![5, d.0, a.0, b.0],
-            Instr::Ffma(d, a, b, c) => vec![6, d.0, a.0, b.0, c.0],
-            Instr::Rcp(d, a) => vec![7, d.0, a.0],
-            Instr::Rsqrt(d, a) => vec![8, d.0, a.0],
-            Instr::Sqrt(d, a) => vec![9, d.0, a.0],
-            Instr::Log2(d, a) => vec![10, d.0, a.0],
-            Instr::Fmax(d, a, b) => vec![11, d.0, a.0, b.0],
-            Instr::Sel(d, c, a, b) => vec![12, d.0, c.0, a.0, b.0],
-            Instr::Ld(d, buf, mode) => {
-                let mut v = vec![13, d.0];
-                v.extend_from_slice(&(buf as u64).to_le_bytes());
-                v.extend_from_slice(&mode_bytes(mode));
-                v
-            }
-            Instr::St(buf, mode, s) => {
-                let mut v = vec![14];
-                v.extend_from_slice(&(buf as u64).to_le_bytes());
-                v.extend_from_slice(&mode_bytes(mode));
-                v.push(s.0);
-                v
-            }
-        };
-        fold(&enc);
-    }
-    h
+/// Whether two instruction streams are the same bit for bit: `movi`
+/// immediates compare by bit pattern, as [`Program::fingerprint`]
+/// encodes them, so a NaN immediate matches itself and `0.0` does not
+/// match `-0.0`. No other operand is a float, so the derived `==`
+/// decides the rest exactly.
+fn same_instrs(a: &[Instr], b: &[Instr]) -> bool {
+    a.len() == b.len()
+        && a.iter().zip(b).all(|(x, y)| match (x, y) {
+            (Instr::Movi(d, i), Instr::Movi(e, j)) => d == e && i.to_bits() == j.to_bits(),
+            _ => x == y,
+        })
 }
 
 /// Typed plan-cache key: the structural program fingerprint plus the
@@ -391,7 +338,7 @@ pub fn fingerprint(prog: &Program) -> u64 {
 /// discipline as the bench runner's TypeId-keyed `RunCache`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct PlanKey {
-    /// Structural fingerprint of the program ([`fingerprint`]).
+    /// Structural fingerprint of the program ([`Program::fingerprint`]).
     pub fingerprint: u64,
     /// The full typed configuration.
     pub config: IhwConfig,
@@ -472,13 +419,13 @@ impl PlanCache {
         cfg: &IhwConfig,
     ) -> Arc<CompiledKernel> {
         let key = PlanKey {
-            fingerprint: fingerprint(prog),
+            fingerprint: prog.fingerprint(),
             config: *cfg,
         };
         let stamp = self.tick;
         self.tick += 1;
         if let Some(e) = self.entries.get_mut(&key) {
-            if e.regs == prog.regs() && e.instrs == prog.instrs() {
+            if e.regs == prog.regs() && same_instrs(&e.instrs, prog.instrs()) {
                 e.stamp = stamp;
                 self.hits += 1;
                 return Arc::clone(&e.plan);
@@ -546,7 +493,7 @@ impl PlanCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::isa::Reg;
+    use crate::isa::{AddrMode, Reg};
     use crate::programs;
 
     #[test]
@@ -650,7 +597,7 @@ mod tests {
         assert_eq!(cache.len(), 2);
         // A different program (different immediate) fingerprints apart.
         let prog2 = programs::saxpy(3.0);
-        assert_ne!(fingerprint(&prog), fingerprint(&prog2));
+        assert_ne!(prog.fingerprint(), prog2.fingerprint());
         let d = cache.get_or_compile(&prog2, &IhwConfig::precise());
         assert!(!Arc::ptr_eq(&a, &d));
         assert_eq!(cache.len(), 3);
