@@ -1,19 +1,19 @@
-//! Kernel-throughput benchmark for the execution engines: the
-//! interpreted-sequential reference vs a launch on the measured engine
-//! for every stock kernel × stock config, with a bit-identity check
-//! folded into every measurement. Records
-//! `BENCH_kernel_throughput.json` (schema `ihw-racebench/4`).
+//! Kernel-throughput benchmark for the compiled engine: the
+//! interpreted-sequential reference vs a compiled launch for every
+//! stock kernel × stock config, with a bit-identity check folded into
+//! every measurement. Records `BENCH_kernel_throughput.json` (schema
+//! `ihw-racebench/4`).
 //!
 //! Each row records the `"engine"` that served the measured launches
-//! (`interpreted` or `compiled` — see [`gpu_sim::isa::ExecEngine`]),
-//! the one-time plan-lowering cost (`"compile_seconds"`), the
-//! interpreted reference time (`"interp_seconds"`), the engine's
-//! launch time (`"sequential_seconds"`) and the engine's speedup over
-//! the reference (`"speedup_vs_interp"`, gated in CI via
-//! `--min-compiled-speedup`, a geomean floor). Schema 4 drops schema
-//! 3's parallel columns (`parallel_seconds`, `speedup`,
-//! `parallel_used`, `path`) and its `workers`, `workers_clamped` and
-//! `overhead_ops` fields: a launch runs its threads sequentially.
+//! (always `compiled`), the one-time plan-lowering cost
+//! (`"compile_seconds"`), the interpreted reference time
+//! (`"interp_seconds"`), the compiled launch time
+//! (`"sequential_seconds"`) and the speedup over the reference
+//! (`"speedup_vs_interp"`, gated in CI via `--min-compiled-speedup`, a
+//! geomean floor). Schema 4 drops schema 3's parallel columns
+//! (`parallel_seconds`, `speedup`, `parallel_used`, `path`) and its
+//! `workers`, `workers_clamped` and `overhead_ops` fields: a launch
+//! runs its threads sequentially.
 //!
 //! Timing goes through [`Stopwatch`] — the workspace's single
 //! sanctioned wall-clock read (`ihw-lint` rule L003) — so this module
@@ -21,7 +21,7 @@
 
 use crate::runner::report::Stopwatch;
 use gpu_sim::deps::footprints;
-use gpu_sim::isa::{ExecEngine, Program, WarpInterpreter};
+use gpu_sim::isa::{Program, WarpInterpreter};
 use ihw_core::config::IhwConfig;
 use ihw_lint::json::{obj, Json};
 
@@ -34,6 +34,9 @@ pub const SCHEMA: &str = "ihw-racebench/4";
 /// Timed repetitions per measurement unless `--repeats` says otherwise.
 pub const DEFAULT_REPEATS: u32 = 21;
 
+/// The engine label every row and record carries.
+const ENGINE: &str = "compiled";
+
 /// One kernel × config measurement.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ThroughputRow {
@@ -41,22 +44,17 @@ pub struct ThroughputRow {
     pub kernel: String,
     /// Config label (as in `ihw_analyze::stock_configs`).
     pub config: String,
-    /// Engine label (`interpreted` / `compiled`) the measured launches
-    /// ran on.
-    pub engine: String,
-    /// One-time `(Program, IhwConfig)` plan-lowering seconds (0 for
-    /// the interpreted engine, which has no lowering step).
+    /// One-time `(Program, IhwConfig)` plan-lowering seconds.
     pub compile_seconds: f64,
     /// Median-of-N **interpreted**-sequential launch seconds — the
     /// engine-independent reference everything is compared against.
     pub interp_seconds: f64,
-    /// Median-of-N warm launch seconds on the row's engine.
+    /// Median-of-N warm compiled launch seconds.
     pub sequential_seconds: f64,
-    /// `interp_seconds / sequential_seconds` — what the engine buys
-    /// over per-thread re-interpretation (~1.0 on the interpreted
-    /// engine, the headline gain on the compiled one).
+    /// `interp_seconds / sequential_seconds` — what the compiled
+    /// engine buys over per-thread re-interpretation.
     pub speedup_vs_interp: f64,
-    /// Whether the reference and engine runs matched bit-for-bit in
+    /// Whether the reference and compiled runs matched bit-for-bit in
     /// buffers and count-for-count in op counters.
     pub bit_identical: bool,
 }
@@ -64,8 +62,6 @@ pub struct ThroughputRow {
 /// The full benchmark result.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ThroughputReport {
-    /// Engine label every row ran on.
-    pub engine: String,
     /// Threads per launch.
     pub threads: u32,
     /// Repetitions per measurement (the median is recorded).
@@ -84,8 +80,6 @@ pub struct MeasureOpts {
     pub threads: u32,
     /// Repetitions whose median is recorded.
     pub repeats: u32,
-    /// Engine serving the measured launches.
-    pub engine: ExecEngine,
 }
 
 impl Default for MeasureOpts {
@@ -93,7 +87,6 @@ impl Default for MeasureOpts {
         Self {
             threads: 1 << 15,
             repeats: DEFAULT_REPEATS,
-            engine: ExecEngine::Compiled,
         }
     }
 }
@@ -150,20 +143,16 @@ fn median(mut xs: Vec<f64>) -> f64 {
 }
 
 /// Measures one kernel under one config: the interpreted-sequential
-/// reference, then warm launches on the measured engine over the same
-/// inputs, asserting nothing — the bit-identity verdict is recorded in
-/// the row (the differential test suites are the enforcing gate; the
-/// benchmark only reports).
+/// reference, then warm compiled launches over the same inputs,
+/// asserting nothing — the bit-identity verdict is recorded in the row
+/// (the differential test suites are the enforcing gate; the benchmark
+/// only reports).
 pub fn measure(prog: &Program, cfg: &IhwConfig, label: &str, opts: MeasureOpts) -> ThroughputRow {
-    let MeasureOpts {
-        threads,
-        repeats,
-        engine,
-    } = opts;
+    let MeasureOpts { threads, repeats } = opts;
     let base = seed_buffers(prog, threads);
 
     // Interpreted-sequential reference (engine-independent semantics).
-    let mut ref_interp = WarpInterpreter::new(*cfg).with_engine(ExecEngine::Interpreted);
+    let mut ref_interp = WarpInterpreter::new(*cfg);
     let (interp_seconds, ref_bufs) = median_of(repeats, &base, |bufs| {
         ref_interp.reset_counters();
         ref_interp
@@ -173,30 +162,24 @@ pub fn measure(prog: &Program, cfg: &IhwConfig, label: &str, opts: MeasureOpts) 
 
     // One-time lowering cost (the plan cache amortizes this away; it
     // is timed separately so the record keeps it honest).
-    let compile_seconds = match engine {
-        ExecEngine::Interpreted => 0.0,
-        ExecEngine::Compiled => {
-            let sw = Stopwatch::start();
-            let plan = gpu_sim::plan::compile(prog, cfg);
-            let elapsed = sw.elapsed_seconds();
-            assert_eq!(plan.len(), prog.instrs().len());
-            elapsed
-        }
-    };
+    let sw = Stopwatch::start();
+    let plan = gpu_sim::plan::compile(prog, cfg);
+    let compile_seconds = sw.elapsed_seconds();
+    assert_eq!(plan.len(), prog.instrs().len());
 
-    // The measured engine. One warm-up launch populates the plan cache
+    // The compiled engine. One warm-up launch populates the plan cache
     // so the timed loop measures steady state.
-    let mut seq_interp = WarpInterpreter::new(*cfg).with_engine(engine);
+    let mut compiled = WarpInterpreter::new(*cfg);
     {
         let mut bufs = base.clone();
-        seq_interp
+        compiled
             .launch(prog, threads, &mut bufs)
             .expect("stock kernels run");
-        seq_interp.reset_counters();
+        compiled.reset_counters();
     }
     let (sequential_seconds, seq_bufs) = median_of(repeats, &base, |bufs| {
-        seq_interp.reset_counters();
-        seq_interp
+        compiled.reset_counters();
+        compiled
             .launch(prog, threads, bufs)
             .expect("stock kernels run");
     });
@@ -206,7 +189,7 @@ pub fn measure(prog: &Program, cfg: &IhwConfig, label: &str, opts: MeasureOpts) 
             .map(|b| b.iter().map(|x| x.to_bits()).collect())
             .collect()
     };
-    let (r, e) = (ref_interp.ctx(), seq_interp.ctx());
+    let (r, e) = (ref_interp.ctx(), compiled.ctx());
     let bit_identical = bits(&ref_bufs) == bits(&seq_bufs)
         && r.counts() == e.counts()
         && r.int_ops() == e.int_ops()
@@ -216,7 +199,6 @@ pub fn measure(prog: &Program, cfg: &IhwConfig, label: &str, opts: MeasureOpts) 
     ThroughputRow {
         kernel: prog.name().to_string(),
         config: label.to_string(),
-        engine: engine.label().to_string(),
         compile_seconds,
         interp_seconds,
         sequential_seconds,
@@ -226,7 +208,7 @@ pub fn measure(prog: &Program, cfg: &IhwConfig, label: &str, opts: MeasureOpts) 
 }
 
 /// Runs the benchmark over every stock kernel × stock config.
-pub fn run_stock(threads: u32, repeats: u32, engine: ExecEngine) -> ThroughputReport {
+pub fn run_stock(threads: u32, repeats: u32) -> ThroughputReport {
     let mut rows = Vec::new();
     for prog in ihw_analyze::stock_kernels() {
         for (label, cfg) in ihw_analyze::stock_configs() {
@@ -234,16 +216,11 @@ pub fn run_stock(threads: u32, repeats: u32, engine: ExecEngine) -> ThroughputRe
                 &prog,
                 &cfg,
                 label,
-                MeasureOpts {
-                    threads,
-                    repeats,
-                    engine,
-                },
+                MeasureOpts { threads, repeats },
             ));
         }
     }
     ThroughputReport {
-        engine: engine.label().to_string(),
         threads,
         repeats,
         host_parallelism: host_parallelism(),
@@ -258,7 +235,7 @@ pub fn host_parallelism() -> usize {
 
 impl ThroughputReport {
     /// Geometric mean of `speedup_vs_interp` across the rows — the
-    /// headline engine-vs-interpreter number the CI floor gates.
+    /// headline compiled-vs-interpreter number the CI floor gates.
     pub fn geomean_speedup_vs_interp(&self) -> f64 {
         if self.rows.is_empty() {
             return 1.0;
@@ -275,8 +252,8 @@ impl ThroughputReport {
     pub fn render(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
-            "== kernel throughput: {} engine, {} threads, median of {}, host parallelism {} ==\n",
-            self.engine, self.threads, self.repeats, self.host_parallelism,
+            "== kernel throughput: {ENGINE} engine, {} threads, median of {}, host parallelism {} ==\n",
+            self.threads, self.repeats, self.host_parallelism,
         ));
         out.push_str(&format!(
             "{:<12} {:<16} {:>12} {:>12} {:>9} {:>9}\n",
@@ -294,8 +271,7 @@ impl ThroughputReport {
             ));
         }
         out.push_str(&format!(
-            "geomean {} speedup vs interpreted-sequential: {:.2}x\n",
-            self.engine,
+            "geomean {ENGINE} speedup vs interpreted-sequential: {:.2}x\n",
             self.geomean_speedup_vs_interp()
         ));
         out
@@ -310,7 +286,7 @@ impl ThroughputReport {
                 obj([
                     ("kernel", r.kernel.as_str().into()),
                     ("config", r.config.as_str().into()),
-                    ("engine", r.engine.as_str().into()),
+                    ("engine", ENGINE.into()),
                     ("compile_seconds", r.compile_seconds.into()),
                     ("interp_seconds", r.interp_seconds.into()),
                     ("sequential_seconds", r.sequential_seconds.into()),
@@ -321,7 +297,7 @@ impl ThroughputReport {
             .collect();
         obj([
             ("schema", SCHEMA.into()),
-            ("engine", self.engine.as_str().into()),
+            ("engine", ENGINE.into()),
             ("threads", self.threads.into()),
             ("repeats", self.repeats.into()),
             ("host_parallelism", self.host_parallelism.into()),
@@ -338,19 +314,18 @@ impl ThroughputReport {
 /// CLI for `repro racecheck --bench`: runs the benchmark, prints the
 /// table and writes the JSON record. Returns the process exit code
 /// (non-zero when any row is not bit-identical; with
-/// `--min-compiled-speedup`, when the geomean engine-vs-interpreted
+/// `--min-compiled-speedup`, when the geomean compiled-vs-interpreted
 /// speedup falls below the recorded floor).
 pub fn run_cli(args: &[String]) -> i32 {
     let mut threads: u32 = 1 << 15;
     let mut repeats: u32 = DEFAULT_REPEATS;
     let mut min_compiled_speedup: Option<f64> = None;
-    let mut engine = ExecEngine::Compiled;
     let mut out_path = std::path::PathBuf::from(BENCH_FILE);
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--bench" => {}
-            "--threads" | "--repeats" | "--min-compiled-speedup" | "--engine" | "--out" => {
+            "--threads" | "--repeats" | "--min-compiled-speedup" | "--out" => {
                 let Some(value) = it.next() else {
                     eprintln!("{arg} expects a value");
                     return 2;
@@ -377,20 +352,6 @@ pub fn run_cli(args: &[String]) -> i32 {
                         .parse()
                         .map(|v: f64| min_compiled_speedup = Some(v.max(0.0)))
                         .is_ok(),
-                    "--engine" => match value.as_str() {
-                        "interpreted" => {
-                            engine = ExecEngine::Interpreted;
-                            true
-                        }
-                        "compiled" => {
-                            engine = ExecEngine::Compiled;
-                            true
-                        }
-                        _ => {
-                            eprintln!("--engine expects 'interpreted' or 'compiled'");
-                            return 2;
-                        }
-                    },
                     _ => {
                         out_path = std::path::PathBuf::from(value);
                         true
@@ -404,15 +365,13 @@ pub fn run_cli(args: &[String]) -> i32 {
             "--help" | "-h" => {
                 println!(
                     "usage: repro racecheck --bench [--threads N] [--repeats N] \
-                     [--engine interpreted|compiled] [--min-compiled-speedup X] [--out FILE]\n\
+                     [--min-compiled-speedup X] [--out FILE]\n\
                      \n\
                      All counts must be positive — 0 is rejected, not clamped.\n\
                      Each launch is timed --repeats times (default {DEFAULT_REPEATS}) and\n\
                      the median is recorded.\n\
-                     --engine selects the execution engine measured against the\n\
-                     interpreted-sequential reference (default: compiled).\n\
                      --min-compiled-speedup X fails the run (exit 1) when the geomean\n\
-                     engine-vs-interpreted sequential speedup falls below X."
+                     compiled-vs-interpreted sequential speedup falls below X."
                 );
                 return 0;
             }
@@ -422,7 +381,7 @@ pub fn run_cli(args: &[String]) -> i32 {
             }
         }
     }
-    let report = run_stock(threads, repeats, engine);
+    let report = run_stock(threads, repeats);
     print!("{}", report.render());
     if let Err(e) = std::fs::write(&out_path, report.to_json()) {
         eprintln!("cannot write {}: {e}", out_path.display());
@@ -430,17 +389,16 @@ pub fn run_cli(args: &[String]) -> i32 {
     }
     println!("throughput record written to {}", out_path.display());
     if !report.rows.iter().all(|r| r.bit_identical) {
-        eprintln!("engine run diverged from the interpreted reference — see table above");
+        eprintln!("compiled run diverged from the interpreted reference — see table above");
         return 1;
     }
     if let Some(min) = min_compiled_speedup {
         let geomean = report.geomean_speedup_vs_interp();
         if geomean < min {
             eprintln!(
-                "bench-compiled: geomean {} speedup vs interpreted-sequential is \
+                "racebench: geomean {ENGINE} speedup vs interpreted-sequential is \
                  {geomean:.2}x, below the recorded floor {min:.2}x — the \
-                 config-compiled execution path has regressed",
-                report.engine
+                 config-compiled execution path has regressed"
             );
             return 1;
         }
@@ -473,31 +431,11 @@ mod tests {
             MeasureOpts {
                 threads: 256,
                 repeats: 1,
-                engine: ExecEngine::Compiled,
             },
         );
         assert!(row.bit_identical, "reference and engine runs must match");
-        assert_eq!(row.engine, "compiled");
         assert!(row.compile_seconds >= 0.0);
         assert!(row.sequential_seconds >= 0.0);
-    }
-
-    #[test]
-    fn interpreted_engine_rows_have_no_compile_cost() {
-        let prog = programs::saxpy(2.0);
-        let row = measure(
-            &prog,
-            &IhwConfig::precise(),
-            "precise",
-            MeasureOpts {
-                threads: 128,
-                repeats: 1,
-                engine: ExecEngine::Interpreted,
-            },
-        );
-        assert_eq!(row.engine, "interpreted");
-        assert_eq!(row.compile_seconds, 0.0);
-        assert!(row.bit_identical);
     }
 
     #[test]
@@ -509,7 +447,7 @@ mod tests {
 
     #[test]
     fn json_record_shape() {
-        let report = run_stock(64, 1, ExecEngine::Compiled);
+        let report = run_stock(64, 1);
         assert_eq!(report.rows.len(), 4 * 5, "kernels × configs");
         assert!(report.rows.iter().all(|r| r.bit_identical));
         assert!(report.geomean_speedup_vs_interp() > 0.0);

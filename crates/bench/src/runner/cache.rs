@@ -4,38 +4,50 @@
 //! table5 and the sensitivity extension all run precise HotSpot at the
 //! same grid size; table5 and fig17/18 share ray-tracer runs; the
 //! multiplier study re-runs the precise reference per architecture.
-//! This cache keys each execution by a stable string derived from
-//! `(benchmark name, params Debug, IhwConfig Debug)` and computes it at
-//! most once per process, even when several sweep workers request the
-//! same key concurrently (in-flight requests block on a shared
-//! [`OnceLock`] cell rather than recomputing).
+//! The harness keys each execution by a stable string derived from
+//! `(benchmark name, params Debug, IhwConfig Debug)` ([`run_key`]); the
+//! serve front door keys by a typed value. Each key is computed at most
+//! once per cache, even when several sweep workers request the same key
+//! concurrently (in-flight requests block on a shared [`OnceLock`] cell
+//! rather than recomputing).
 //!
 //! Hit/miss counters feed the `--timings` report so the acceptance
 //! criterion "shared baselines compute exactly once" is observable.
 
 use std::any::{Any, TypeId};
 use std::collections::BTreeMap;
+use std::fmt::Debug;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 type CacheCell = Arc<OnceLock<Arc<dyn Any + Send + Sync>>>;
 
-/// A memoizing map from run key to type-erased result.
+/// A memoizing map from run key (a [`String`] unless `K` says
+/// otherwise) to type-erased result.
 ///
 /// The map key folds in the value's [`TypeId`], so two callers using
-/// the same string key for *different* result types get two distinct
-/// entries instead of a downcast panic — a string collision can cost a
+/// the same key for *different* result types get two distinct entries
+/// instead of a downcast panic — a key collision can cost a
 /// recomputation, never an abort.
-#[derive(Default)]
-pub struct RunCache {
+pub struct RunCache<K = String> {
     // BTreeMap: keyed access only, and the ordered map keeps any future
     // iteration (e.g. the `--timings` entry count) deterministic by key.
-    map: Mutex<BTreeMap<(String, TypeId), CacheCell>>,
+    map: Mutex<BTreeMap<(K, TypeId), CacheCell>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
-impl RunCache {
+impl<K: Ord> Default for RunCache<K> {
+    fn default() -> Self {
+        RunCache {
+            map: Mutex::new(BTreeMap::new()),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+        }
+    }
+}
+
+impl<K: Ord> RunCache<K> {
     /// Creates an empty cache (tests use private instances; the harness
     /// uses [`global`]).
     pub fn new() -> Self {
@@ -48,10 +60,11 @@ impl RunCache {
     /// once per (key, type) per cache lifetime.
     ///
     /// The entry is keyed by `(key, TypeId::of::<T>())`: requesting the
-    /// same string key at a different result type is a separate entry,
-    /// so the downcast below cannot fail.
-    pub fn get_or_compute<T, F>(&self, key: &str, f: F) -> Arc<T>
+    /// same key at a different result type is a separate entry, so the
+    /// downcast below cannot fail.
+    pub fn get_or_compute<Q, T, F>(&self, key: &Q, f: F) -> Arc<T>
     where
+        Q: ToOwned<Owned = K> + Debug + ?Sized,
         T: Send + Sync + 'static,
         F: FnOnce() -> T,
     {
@@ -63,8 +76,9 @@ impl RunCache {
     /// cached/in-flight one (`false`). The serve front door uses the
     /// flag to count request-dedup hits per launch — the cache-wide
     /// [`RunCache::hits`] counter can't attribute a hit to a caller.
-    pub fn get_or_compute_flagged<T, F>(&self, key: &str, f: F) -> (Arc<T>, bool)
+    pub fn get_or_compute_flagged<Q, T, F>(&self, key: &Q, f: F) -> (Arc<T>, bool)
     where
+        Q: ToOwned<Owned = K> + Debug + ?Sized,
         T: Send + Sync + 'static,
         F: FnOnce() -> T,
     {
@@ -84,18 +98,18 @@ impl RunCache {
         }
         debug_assert!(
             value.is::<T>(),
-            "run-cache entry for key `{key}` holds a foreign type despite TypeId keying"
+            "run-cache entry for key {key:?} holds a foreign type despite TypeId keying"
         );
         let value = Arc::clone(value)
             .downcast::<T>()
-            .unwrap_or_else(|_| panic!("run-cache type mismatch for key `{key}`"));
+            .unwrap_or_else(|_| panic!("run-cache type mismatch for key {key:?}"));
         (value, computed)
     }
 
     /// The key map. A panic while it was held left it consistent (each
     /// access is one insert, lookup or clear), so a poisoned lock is
     /// taken over rather than propagated.
-    fn lock_map(&self) -> MutexGuard<'_, BTreeMap<(String, TypeId), CacheCell>> {
+    fn lock_map(&self) -> MutexGuard<'_, BTreeMap<(K, TypeId), CacheCell>> {
         self.map.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
@@ -146,16 +160,6 @@ pub fn run_key(
     cfg: &impl std::fmt::Debug,
 ) -> String {
     format!("{benchmark}|{params:?}|{cfg:?}")
-}
-
-/// FNV-1a hash of a key, exposed for compact display in reports.
-pub fn stable_hash(key: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in key.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 #[cfg(test)]
@@ -241,6 +245,5 @@ mod tests {
                 assert_ne!(a, b);
             }
         }
-        assert_ne!(stable_hash(&k1), stable_hash(&k2));
     }
 }

@@ -11,17 +11,18 @@
 //!   (`instructions × threads`) *before* it runs; anything above the
 //!   service's `max_ops` budget is rejected with the estimate, not
 //!   executed.
-//! * **Request coalescing** — the run-cache key (program fingerprint ×
-//!   typed config × threads × input-buffer bits) routes identical
-//!   requests to one [`crate::runner::cache::RunCache`] cell; while one
+//! * **Request coalescing** — the run-cache key, a [`ServeKey`]
+//!   (program fingerprint × typed config × threads × input-buffer
+//!   bits), routes identical requests to one
+//!   [`crate::runner::cache::RunCache`] cell; while one
 //!   tenant's execution is in flight, coalesced tenants block on the
 //!   cell and then share the *same* `Arc`'d outcome (the reply says
 //!   whether it was coalesced, and the stats count dedup hits).
 //! * **Execution** — through [`gpu_sim::concurrent::SharedInterpreter`]
-//!   on the compiled engine: one long-lived interpreter whose
-//!   LRU-bounded plan cache stays warm across requests with different
-//!   configs. Each launch is one sequential call; tenants' launches
-//!   serialize on the interpreter.
+//!   on the compiled engine: one long-lived LRU-bounded plan cache that
+//!   stays warm across requests with different configs. Each launch is
+//!   one sequential run of its plan; the cache's lock is held only for
+//!   the plan lookup, so tenants' launches execute concurrently.
 //! * **Fault isolation** — a request that faults (memory error) or
 //!   panics fails alone: the error is stored in *its* outcome, sibling
 //!   tenants and subsequent requests are untouched (the shared
@@ -71,11 +72,36 @@ impl LaunchRequest {
     }
 }
 
+/// A key of the service's run cache, compared as a value (derived
+/// `Ord`), so no key is rendered to text.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum ServeKey {
+    /// One request's outcome; see [`request_key`].
+    Request {
+        /// [`Program::fingerprint`] of the kernel.
+        fingerprint: u64,
+        /// The typed datapath config.
+        config: IhwConfig,
+        /// Threads launched.
+        threads: u32,
+        /// FNV-1a fold of the input-buffer lengths and bit patterns.
+        payload_hash: u64,
+    },
+    /// The static bounds of a `(program, config)` pair, shared by every
+    /// payload.
+    Bounds {
+        /// [`Program::fingerprint`] of the kernel.
+        fingerprint: u64,
+        /// The typed datapath config.
+        config: IhwConfig,
+    },
+}
+
 /// The run-cache key of a request: program fingerprint, the typed
 /// config, the thread count and an FNV-1a fold of the input-buffer bit
 /// patterns. Two requests coalesce exactly when every one of those
 /// matches — same kernel, same hardware config, same payload.
-pub fn request_key(req: &LaunchRequest) -> String {
+pub fn request_key(req: &LaunchRequest) -> ServeKey {
     const PRIME: u64 = 0x0000_0100_0000_01b3;
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mut fold = |bytes: &[u8]| {
@@ -90,12 +116,12 @@ pub fn request_key(req: &LaunchRequest) -> String {
             fold(&x.to_bits().to_le_bytes());
         }
     }
-    format!(
-        "serve|{:016x}|{:?}|{}|{h:016x}",
-        req.program.fingerprint(),
-        req.config,
-        req.threads
-    )
+    ServeKey::Request {
+        fingerprint: req.program.fingerprint(),
+        config: req.config,
+        threads: req.threads,
+        payload_hash: h,
+    }
 }
 
 /// Static error-bound metadata for one output buffer of a served
@@ -164,7 +190,7 @@ pub struct ServeStats {
 /// [module docs](self) for the architecture.
 pub struct LaunchService {
     sim: SharedInterpreter,
-    cache: RunCache,
+    cache: RunCache<ServeKey>,
     max_ops: u64,
     submitted: AtomicU64,
     executed: AtomicU64,
@@ -246,7 +272,10 @@ impl LaunchService {
     /// `(program, config)`, memoized independently of the payload — a
     /// thousand requests with different buffers share one analysis.
     fn bounds_for(&self, req: &LaunchRequest) -> Vec<BoundMeta> {
-        let key = format!("bounds|{:016x}|{:?}", req.program.fingerprint(), req.config);
+        let key = ServeKey::Bounds {
+            fingerprint: req.program.fingerprint(),
+            config: req.config,
+        };
         let analysis: Arc<KernelAnalysis> = self.cache.get_or_compute(&key, || {
             analyze_program(
                 &req.program,

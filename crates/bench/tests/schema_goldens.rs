@@ -347,7 +347,7 @@ const HOSTILE_NAME: &str = "k\"quoted\"\\back\nline";
 
 #[test]
 fn racebench_document_parses_with_its_schema_tag() {
-    let mut report = ihw_bench::racebench::run_stock(32, 1, gpu_sim::isa::ExecEngine::Compiled);
+    let mut report = ihw_bench::racebench::run_stock(32, 1);
     report.rows[0].kernel = HOSTILE_NAME.to_string();
     report.rows[0].config = HOSTILE_NAME.to_string();
     let doc = report.to_json();

@@ -1,34 +1,38 @@
 //! Concurrent launch surface: a [`SharedInterpreter`] that many
 //! tenants (threads) can drive at once.
 //!
-//! The [`crate::isa::WarpInterpreter`] is deliberately `&mut self` —
-//! one launch at a time owns the counters, the plan cache and the
-//! datapath config. A multi-tenant front door (`ihw_bench::serve`) needs
-//! the *opposite* shape: many request threads, one long-lived
-//! interpreter whose plan cache stays warm across requests with
-//! *different* configs. `SharedInterpreter` provides that by
-//! serializing launches behind a mutex while keeping everything
-//! launch-scoped explicit:
+//! A compiled launch is one pure call on an immutable plan,
+//! [`crate::plan::CompiledKernel`]: it writes only the caller's buffers
+//! and a register file. So the one thing tenants share is the plan
+//! cache, which stays warm across requests with *different* configs.
+//! `SharedInterpreter` keeps that cache in a [`WarpInterpreter`] behind
+//! a mutex, and a launch holds the mutex only to look up its
+//! `(program, config)` plan (compiling it there on a miss):
 //!
 //! * the datapath config travels **with the request** — each launch
-//!   names its own [`IhwConfig`], and the interpreter is re-pointed via
-//!   [`crate::isa::WarpInterpreter::set_config`] only when it differs
-//!   from the previous launch's (the plan cache is keyed on
-//!   `(program, config)`, so config switches stay warm);
-//! * counters are reset per launch, so each launch's energy counters
-//!   describe exactly one request;
-//! * a panicking launch is contained: the panic is caught, the
-//!   interpreter is rebuilt to a consistent state, and the caller gets
-//!   [`LaunchError::Panicked`] — one faulting request never takes a
-//!   sibling tenant (or the process) down. Mutex poisoning from such a
-//!   panic is recovered for the same reason.
+//!   names its own [`IhwConfig`], and the plan cache is keyed on
+//!   `(program, config)`, so config switches stay warm;
+//! * the plan runs outside the lock, on a register file taken from a
+//!   spare list and returned afterwards, so tenants' launches execute
+//!   concurrently and a warm launch allocates nothing;
+//! * a shared launch credits no op counters — none of its callers read
+//!   them; [`WarpInterpreter::launch`] runs the same plan call and
+//!   credits them;
+//! * a panicking launch is contained: the panic is caught and the
+//!   caller gets [`LaunchError::Panicked`], so one faulting request
+//!   never takes a sibling tenant (or the process) down. It leaves
+//!   nothing shared half-updated: the plan cache is exception-safe, and
+//!   the launch's register file is dropped, not returned. A panic
+//!   during a compile poisons the plan lock, which is recovered for the
+//!   same reason.
 //!
-//! Determinism carries over unchanged: launches are serialized, each
-//! starts from a per-launch-reset context, and each launch is one
-//! sequential call on the engine — so any interleaving of requests
-//! produces byte-identical per-request outputs to running them
-//! sequentially (asserted by `ihw-bench`'s serve concurrency tests).
+//! Determinism carries over unchanged: each launch is one sequential
+//! run of an immutable plan over its own buffers and register file, so
+//! any interleaving of requests produces byte-identical per-request
+//! outputs to running them sequentially (asserted by `ihw-bench`'s
+//! serve concurrency tests).
 
+use crate::compile::RegFile;
 use crate::isa::{ExecError, Program, WarpInterpreter};
 use crate::plan::PlanCacheStats;
 use ihw_core::config::IhwConfig;
@@ -43,8 +47,8 @@ pub enum LaunchError {
     /// written, identically so on either engine.
     Exec(ExecError),
     /// The launch panicked inside the engine; the payload is rendered
-    /// to text. The interpreter was rebuilt afterwards, so subsequent
-    /// launches (and concurrent tenants) are unaffected.
+    /// to text. Subsequent launches (and concurrent tenants) are
+    /// unaffected.
     Panicked(String),
 }
 
@@ -67,22 +71,25 @@ pub struct LaunchOutcome {
     pub result: Result<(), LaunchError>,
 }
 
-/// A thread-safe, long-lived interpreter for multi-tenant launching.
+/// A thread-safe, long-lived plan cache for multi-tenant launching.
 ///
-/// See the [module docs](self) for the contract. Construction mirrors
-/// [`WarpInterpreter::new`]; the config given here is only the initial
-/// one — every [`SharedInterpreter::launch`] names its own.
+/// See the [module docs](self) for the contract. The config given to
+/// [`SharedInterpreter::new`] is only the wrapped interpreter's
+/// initial one — every [`SharedInterpreter::launch`] names its own.
 #[derive(Debug)]
 pub struct SharedInterpreter {
     inner: Mutex<WarpInterpreter>,
+    /// Register files of finished launches, kept for the next ones: at
+    /// most as many as launches ever ran at once.
+    spare: Mutex<Vec<RegFile>>,
 }
 
-/// A panicking launch cannot corrupt the interpreter (it is rebuilt
-/// before the lock is released), so recover the guard instead of
-/// propagating a stranger's panic to an unrelated tenant.
-fn recover<'a>(
-    r: Result<MutexGuard<'a, WarpInterpreter>, PoisonError<MutexGuard<'a, WarpInterpreter>>>,
-) -> MutexGuard<'a, WarpInterpreter> {
+/// Every critical section here leaves its data consistent even when it
+/// panics (a compile panics before it inserts), so recover the guard
+/// instead of propagating a stranger's panic to an unrelated tenant.
+fn recover<'a, T>(
+    r: Result<MutexGuard<'a, T>, PoisonError<MutexGuard<'a, T>>>,
+) -> MutexGuard<'a, T> {
     r.unwrap_or_else(PoisonError::into_inner)
 }
 
@@ -91,14 +98,14 @@ impl SharedInterpreter {
     pub fn new(cfg: IhwConfig) -> Self {
         SharedInterpreter {
             inner: Mutex::new(WarpInterpreter::new(cfg)),
+            spare: Mutex::new(Vec::new()),
         }
     }
 
-    /// Runs `f` with exclusive access to the underlying interpreter —
-    /// for configuration (engine, plan-cache capacity) and
-    /// diagnostics, not for launching (use
-    /// [`SharedInterpreter::launch`], which owns the per-request
-    /// reset/containment discipline).
+    /// Runs `f` with exclusive access to the wrapped interpreter, for
+    /// the plan cache's capacity and for diagnostics. Its engine,
+    /// config and counters play no part in
+    /// [`SharedInterpreter::launch`].
     pub fn with<R>(&self, f: impl FnOnce(&mut WarpInterpreter) -> R) -> R {
         f(&mut recover(self.inner.lock()))
     }
@@ -108,10 +115,11 @@ impl SharedInterpreter {
         recover(self.inner.lock()).plan_cache_stats()
     }
 
-    /// Runs `threads` threads of `prog` under `cfg` over `buffers`,
-    /// returning the written buffers and the per-request result. Safe to
-    /// call from any number of threads; launches serialize on the
-    /// interpreter, and each one observes a freshly reset context.
+    /// Runs `threads` threads of `prog` under `cfg` over `buffers` on
+    /// the compiled engine, returning the written buffers and the
+    /// per-request result. Safe to call from any number of threads: the
+    /// lock is held only for the plan lookup, and the plan runs
+    /// outside it.
     pub fn launch(
         &self,
         prog: &Program,
@@ -119,33 +127,25 @@ impl SharedInterpreter {
         threads: u32,
         mut buffers: Vec<Vec<f32>>,
     ) -> LaunchOutcome {
-        let mut sim = recover(self.inner.lock());
-        if sim.config() == cfg {
-            sim.reset_counters();
-        } else {
-            sim.set_config(*cfg);
-        }
-        let run = catch_unwind(AssertUnwindSafe(|| sim.launch(prog, threads, &mut buffers)));
-        match run {
-            Ok(result) => LaunchOutcome {
-                buffers,
-                result: result.map_err(LaunchError::Exec),
-            },
-            Err(payload) => {
-                let msg = payload
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            let plan = recover(self.inner.lock()).plan(prog, cfg);
+            let mut rf = recover(self.spare.lock()).pop().unwrap_or_default();
+            let fault = plan.run(&mut rf, &mut buffers, threads);
+            recover(self.spare.lock()).push(rf);
+            fault
+        }));
+        let result = match run {
+            Ok(None) => Ok(()),
+            Ok(Some(fault)) => Err(LaunchError::Exec(fault.err)),
+            Err(payload) => Err(LaunchError::Panicked(
+                payload
                     .downcast_ref::<&str>()
                     .map(|s| (*s).to_owned())
                     .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "<non-string panic payload>".to_owned());
-                // Rebuild the context so the next tenant starts clean;
-                // the plan cache is exception-safe and stays.
-                sim.set_config(*cfg);
-                LaunchOutcome {
-                    buffers,
-                    result: Err(LaunchError::Panicked(msg)),
-                }
-            }
-        }
+                    .unwrap_or_else(|| "<non-string panic payload>".to_owned()),
+            )),
+        };
+        LaunchOutcome { buffers, result }
     }
 }
 

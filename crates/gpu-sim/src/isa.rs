@@ -34,9 +34,10 @@
 
 use crate::compile::RegFile;
 use crate::dispatch::FpCtx;
-use crate::plan::PlanCache;
+use crate::plan::{CompiledKernel, PlanCache};
 use crate::simt::{InstrMix, KernelLaunch};
 use ihw_core::config::IhwConfig;
+use std::sync::Arc;
 
 /// A register index (per-thread f32 register file).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -587,16 +588,6 @@ pub enum ExecEngine {
     Compiled,
 }
 
-impl ExecEngine {
-    /// Stable lowercase label used by reports and JSON output.
-    pub fn label(self) -> &'static str {
-        match self {
-            ExecEngine::Interpreted => "interpreted",
-            ExecEngine::Compiled => "compiled",
-        }
-    }
-}
-
 /// Executes programs thread-by-thread through the IHW dispatch.
 ///
 /// A launch is one sequential call on the selected engine: the
@@ -667,9 +658,7 @@ impl WarpInterpreter {
     /// a config change) while preserving the tracing flag and the plan
     /// cache — plans are keyed on `(program, config)`, so previously
     /// compiled configs stay warm for when a later launch switches
-    /// back. This is what lets one long-lived interpreter serve
-    /// per-request config diversity instead of being rebuilt per
-    /// launch.
+    /// back.
     pub fn set_config(&mut self, cfg: IhwConfig) {
         let tracing = self.ctx.is_tracing();
         self.ctx = FpCtx::new(cfg);
@@ -725,10 +714,10 @@ impl WarpInterpreter {
     }
 
     /// [`WarpInterpreter::launch`] on the compiled engine: the plan
-    /// cache serves (or lowers) the `(program, config)` plan, the
-    /// static precheck finds the first fault, lane blocks run the clean
-    /// tid range, the faulting thread's instruction prefix is replayed,
-    /// and the counters are credited from the plan's static cost table.
+    /// cache serves (or lowers) the `(program, config)` plan,
+    /// [`CompiledKernel::run`] executes it on the interpreter's register
+    /// file, and the counters are credited from the plan's static cost
+    /// table.
     fn launch_compiled(
         &mut self,
         prog: &Program,
@@ -736,16 +725,16 @@ impl WarpInterpreter {
         buffers: &mut [Vec<f32>],
     ) -> Result<(), ExecError> {
         let plan = self.plans.get_or_compile(prog, self.ctx.config());
-        let fault = plan.first_fault(buffers, threads);
-        let complete = fault.as_ref().map_or(threads, |f| f.tid);
-        let rf = &mut self.rf;
-        rf.fit(plan.regs());
-        plan.run_range(rf, buffers, 0, complete);
-        if let Some(f) = &fault {
-            plan.run_prefix(rf, buffers, f.tid, f.instr);
-        }
-        plan.absorb_into(&mut self.ctx, complete, fault.as_ref().map(|f| f.instr));
+        let fault = plan.run(&mut self.rf, buffers, threads);
+        plan.absorb_into(&mut self.ctx, threads, fault.as_ref());
         fault.map_or(Ok(()), |f| Err(f.err))
+    }
+
+    /// The plan cache's `(prog, cfg)` plan, compiled on a miss; the
+    /// lookup [`crate::concurrent::SharedInterpreter`] holds its lock
+    /// for.
+    pub(crate) fn plan(&mut self, prog: &Program, cfg: &IhwConfig) -> Arc<CompiledKernel> {
+        self.plans.get_or_compile(prog, cfg)
     }
 
     /// Runs the launch on the interpreter's sequential tid loop (the

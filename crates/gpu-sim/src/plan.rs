@@ -30,7 +30,7 @@
 //! served, so a stale or colliding entry recompiles instead of running
 //! the wrong kernel. A warm launch therefore neither hashes the
 //! program nor allocates: the hit is a map lookup plus that compare,
-//! and the interpreter's register file is reused.
+//! and `CompiledKernel::run` reuses the caller's register file.
 
 use crate::compile::{exec_block, lower, CompiledOp, RegFile, LANES};
 use crate::deps::{racecheck, store_shape, AffineIndex, StoreShape};
@@ -262,44 +262,46 @@ impl CompiledKernel {
         best
     }
 
-    /// Executes tids `[lo, hi)` over `buffers`: lane blocks of
-    /// [`LANES`] when the `DirectWrite` proof licenses
-    /// instruction-major order, scalar (one-lane blocks, which *is*
-    /// the sequential order) otherwise. All accesses must be
-    /// pre-checked fault-free.
-    pub(crate) fn run_range(&self, rf: &mut RegFile, buffers: &mut [Vec<f32>], lo: u32, hi: u32) {
-        if self.block_safe {
-            let mut t = lo;
-            while t < hi {
-                let n = (hi - t).min(LANES as u32);
-                exec_block(&self.ops, rf, buffers, t, n as usize);
-                t += n;
-            }
-        } else {
-            for t in lo..hi {
-                exec_block(&self.ops, rf, buffers, t, 1);
-            }
-        }
-    }
-
-    /// Replays the faulting thread's clean instruction prefix
-    /// `ops[..upto]` (the partial state the interpreter leaves behind
-    /// before reporting the error at instruction `upto`).
-    pub(crate) fn run_prefix(
+    /// Runs a `threads`-thread launch over `buffers` on `rf` and
+    /// returns its first fault, if any: the closed-form precheck finds
+    /// the fault, lane blocks run the clean tid range before it, and
+    /// the faulting thread's clean instruction prefix is replayed (the
+    /// partial state the interpreter leaves behind before reporting the
+    /// error). Lane blocks are [`LANES`] wide when the `DirectWrite`
+    /// proof licenses instruction-major order, one lane (which *is* the
+    /// sequential order) otherwise. The call writes only `rf` and
+    /// `buffers`, so launches of one plan may run concurrently on
+    /// separate register files. `WarpInterpreter::launch` and
+    /// `SharedInterpreter::launch` both run their plans through it.
+    pub(crate) fn run(
         &self,
         rf: &mut RegFile,
         buffers: &mut [Vec<f32>],
-        tid: u32,
-        upto: usize,
-    ) {
-        exec_block(&self.ops[..upto], rf, buffers, tid, 1);
+        threads: u32,
+    ) -> Option<Fault> {
+        let fault = self.first_fault(buffers, threads);
+        let complete = fault.as_ref().map_or(threads, |f| f.tid);
+        let width = if self.block_safe { LANES as u32 } else { 1 };
+        rf.fit(self.regs);
+        let mut t = 0;
+        while t < complete {
+            let n = (complete - t).min(width);
+            exec_block(&self.ops, rf, buffers, t, n as usize);
+            t += n;
+        }
+        if let Some(f) = &fault {
+            exec_block(&self.ops[..f.instr], rf, buffers, f.tid, 1);
+        }
+        fault
     }
 
-    /// Credits `ctx` with the launch's counters: `complete` full
-    /// threads plus — when the launch faulted at `fault_instr` — the
-    /// faulting thread's inclusive prefix (the faulting access records
-    /// its counts before the port call, exactly like `exec_step`).
-    pub(crate) fn absorb_into(&self, ctx: &mut FpCtx, complete: u32, fault_instr: Option<usize>) {
+    /// Credits `ctx` with the counters of a `threads`-thread launch
+    /// that [`CompiledKernel::run`] ended at `fault`: the threads before
+    /// the faulting one in full, plus the faulting thread's inclusive
+    /// prefix (the faulting access records its counts before the port
+    /// call, exactly like `exec_step`).
+    pub(crate) fn absorb_into(&self, ctx: &mut FpCtx, threads: u32, fault: Option<&Fault>) {
+        let complete = fault.map_or(threads, |f| f.tid);
         let mut counts = OpCounts::new();
         for (op, c) in self.per_thread.counts.iter() {
             counts.record(op, c * u64::from(complete));
@@ -307,12 +309,12 @@ impl CompiledKernel {
         let mut int_ops = self.per_thread.int_ops * u64::from(complete);
         let mut mem_ops = self.per_thread.mem_ops * u64::from(complete);
         let mut prefix_trace = 0;
-        if let Some(i) = fault_instr {
-            let p = &self.prefix[i];
+        if let Some(f) = fault {
+            let p = &self.prefix[f.instr];
             counts.merge(&p.counts);
             int_ops += p.int_ops;
             mem_ops += p.mem_ops;
-            prefix_trace = self.trace_prefix_len[i];
+            prefix_trace = self.trace_prefix_len[f.instr];
         }
         ctx.record_static(&counts, int_ops, mem_ops);
         ctx.extend_trace_pattern(&self.trace_pattern, u64::from(complete), prefix_trace);

@@ -41,7 +41,8 @@ analyze *ARGS:
 # Memory-dependence / race analysis, whose store-shape proof licenses
 # the compiled engine's lane blocks (see DESIGN.md §9). Fails on
 # findings not in racecheck-baseline.txt. `just racecheck --bench`
-# records BENCH_kernel_throughput.json (interpreted vs compiled).
+# records BENCH_kernel_throughput.json (interpreted vs compiled);
+# add `--min-compiled-speedup 5.0` for the CI floor.
 racecheck *ARGS:
     cargo run --release -p ihw-bench --bin repro -- racecheck {{ARGS}}
 
@@ -62,15 +63,6 @@ autotune *ARGS:
 # certificate with a measured solver trajectory.
 converge *ARGS:
     cargo run --release -p ihw-bench --bin repro -- converge {{ARGS}}
-
-# Compiled-engine perf gate: fails if the geomean compiled-sequential
-# speedup over the interpreted-sequential reference drops below the
-# recorded 5.0x floor (see BENCH_kernel_throughput.json), or if any
-# row diverges bit-wise from the interpreter.
-bench-compiled:
-    cargo run --release -p ihw-bench --bin repro -- racecheck --bench \
-        --engine compiled --threads 16384 --repeats 2 --min-compiled-speedup 5.0 \
-        --out target/bench-compiled.json
 
 # Repository benchmark smoke gate: perfbench unit tests, a 5-second
 # `launch` run that fails unless every launch is bit-identical to its

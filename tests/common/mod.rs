@@ -2,23 +2,7 @@
 //! (`compiled_engine_parity.rs`, `shared_launch_parity.rs`).
 
 use imprecise_gpgpu::core::config::IhwConfig;
-use imprecise_gpgpu::sim::deps::footprints;
 use imprecise_gpgpu::sim::isa::{ExecEngine, ExecError, Program, WarpInterpreter};
-
-/// Deterministic well-conditioned inputs sized by the kernel's own
-/// footprint (mirrors `ihw_bench::racebench::seed_buffers`).
-pub fn seed_buffers(prog: &Program, threads: u32) -> Vec<Vec<f32>> {
-    let fps = footprints(prog);
-    let n_bufs = fps.keys().max().map_or(0, |b| b + 1);
-    (0..n_bufs)
-        .map(|b| {
-            let len = fps.get(&b).map_or(0, |fp| fp.required_len(threads));
-            (0..len)
-                .map(|i| 0.5 + ((i * 37 + b * 11) % 512) as f32 / 1024.0)
-                .collect()
-        })
-        .collect()
-}
 
 pub fn bits(bufs: &[Vec<f32>]) -> Vec<Vec<u32>> {
     bufs.iter()

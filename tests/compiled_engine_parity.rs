@@ -16,7 +16,8 @@
 
 mod common;
 
-use common::{assert_engines_agree, seed_buffers};
+use common::assert_engines_agree;
+use ihw_bench::racebench::seed_buffers;
 use imprecise_gpgpu::analyze::{stock_configs, stock_kernels};
 use imprecise_gpgpu::sim::asm::assemble;
 use imprecise_gpgpu::sim::deps::{racecheck, Verdict};

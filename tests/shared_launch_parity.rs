@@ -3,9 +3,10 @@
 //!
 //! `SharedInterpreter::launch` (the serve path) must reproduce the
 //! interpreter's sequential reference loop (`launch_sequential`) — the
-//! returned error, the written buffers, the per-unit op counts and the
-//! int/mem/precise-mul counters — on every stock pair and on a faulting
-//! launch's partial state.
+//! returned error and the written buffers — on every stock pair and on
+//! a faulting launch's partial state. A shared launch credits no
+//! counters; counter parity of the compiled run it shares with
+//! `WarpInterpreter::launch` is checked by `compiled_engine_parity.rs`.
 //!
 //! A write-after-read kernel (each thread reads another thread's store
 //! slot; the "forward shift" in the test names) is proven independent
@@ -15,7 +16,8 @@
 
 mod common;
 
-use common::{assert_engines_agree, bits, seed_buffers};
+use common::{assert_engines_agree, bits};
+use ihw_bench::racebench::seed_buffers;
 use imprecise_gpgpu::analyze::{stock_configs, stock_kernels};
 use imprecise_gpgpu::core::config::IhwConfig;
 use imprecise_gpgpu::sim::asm::assemble;
@@ -25,8 +27,8 @@ use imprecise_gpgpu::sim::isa::{ExecError, Program, WarpInterpreter};
 
 /// Runs `prog` over `base` on the sequential reference and on a
 /// `SharedInterpreter`, and asserts that the shared launch agrees on
-/// the result, the buffers and every counter. Returns the reference
-/// result and buffers.
+/// the result and the buffers. Returns the reference result and
+/// buffers.
 fn assert_shared_agrees(
     prog: &Program,
     cfg: &IhwConfig,
@@ -47,13 +49,6 @@ fn assert_shared_agrees(
     };
     assert_eq!(want_res, got_res, "{tag}: results diverge");
     assert_eq!(bits(&want), bits(&out.buffers), "{tag}: buffers diverge");
-    shared.with(|sim| {
-        let (r, s) = (reference.ctx(), sim.ctx());
-        assert_eq!(r.counts(), s.counts(), "{tag}: op counts diverge");
-        assert_eq!(r.int_ops(), s.int_ops(), "{tag}: int ops diverge");
-        assert_eq!(r.mem_ops(), s.mem_ops(), "{tag}: mem ops diverge");
-        assert_eq!(r.precise_mul_ops(), s.precise_mul_ops(), "{tag}");
-    });
     (want_res, want)
 }
 
