@@ -27,8 +27,8 @@
 //! assert!((y - 2.24f32).abs() / 2.24 < 0.0204 + 1e-6);
 //! ```
 
-use crate::format::{sel, Format};
-use crate::multiplier::{mul_specials32, mul_specials64};
+use crate::format::Format;
+use crate::multiplier::{mul_finish32, mul_finish64};
 
 /// Which datapath of Figure 7 the multiplier is configured to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -106,12 +106,12 @@ impl AcMulConfig {
 
 /// Instantiates the Figure 7 datapath for one machine word width: the full
 /// path's Mitchell term and the whole multiplier over bit patterns held in
-/// that word, finished by the Table 1 multiplier's special-operand stage
-/// for that word (the two units share their special cases). Single
+/// that word, finished by the Table 1 multiplier's encode and
+/// special-operand stage for that word (the units share both). Single
 /// precision runs in `u32` and double precision in `u64`; every
 /// intermediate fits in `F + 2` bits, so no wider type is needed.
 macro_rules! ac_mul_datapath {
-    ($u:ty, $i:ty, $term:ident, $mul:ident, $specials:ident) => {
+    ($u:ty, $i:ty, $term:ident, $mul:ident, $finish:ident) => {
         /// The full path's Mitchell term `MA(fa, fb) >> F` for `F`-bit
         /// fractions `fa, fb < 2^F`, bit-identical to
         /// `mitchell_mul(fa, fb) >> F` without its 128-bit datapath.
@@ -164,8 +164,8 @@ macro_rules! ac_mul_datapath {
         }
 
         /// The whole multiplier on one word: an unconditionally evaluated
-        /// normal × normal datapath finished by the special-operand stage
-        /// `$specials`. The only branch is the loop-invariant path choice,
+        /// normal × normal datapath finished by `$finish` (the encode and
+        /// the special-operand stage). The only branch is the loop-invariant path choice,
         /// which loop unswitching hoists out of the SIMT lane loops. A
         /// zero, subnormal, infinite or NaN operand only reaches the normal
         /// datapath, whose result the stage overrides.
@@ -178,7 +178,6 @@ macro_rules! ac_mul_datapath {
             let bias: $i = (1 << (exp_bits - 1)) - 1;
             let ea = (a >> f) & emax;
             let eb = (b >> f) & emax;
-            let sign = ((a ^ b) >> (exp_bits + f)) & 1;
 
             let t = cfg.truncation.min(f);
             let keep_mask = frac_mask & !((1 << t) - 1);
@@ -202,22 +201,13 @@ macro_rules! ac_mul_datapath {
                 }
             };
             let exp = ea as $i + eb as $i - 2 * bias + inc as $i;
-
-            // Encode, saturating to infinity on overflow and flushing to
-            // zero on underflow (no subnormal outputs).
-            let max_exp = emax as $i - 1 - bias;
-            let min_exp = 1 - bias;
-            let zero = sign << (exp_bits + f);
-            let inf = zero | (emax << f);
-            let body = zero | (((exp.clamp(min_exp, max_exp) + bias) as $u) << f) | frac;
-            let r = sel(exp < min_exp, zero, body);
-            $specials(exp_bits, frac_bits, a, b, sel(exp > max_exp, inf, r))
+            $finish(exp_bits, frac_bits, a, b, exp, frac)
         }
     };
 }
 
-ac_mul_datapath!(u32, i32, mitchell_term32, mul_word32, mul_specials32);
-ac_mul_datapath!(u64, i64, mitchell_term64, mul_word64, mul_specials64);
+ac_mul_datapath!(u32, i32, mitchell_term32, mul_word32, mul_finish32);
+ac_mul_datapath!(u64, i64, mitchell_term64, mul_word64, mul_finish64);
 
 #[cfg(test)]
 mod tests {

@@ -32,13 +32,41 @@ pub fn imprecise_mul_bits(fmt: Format, a: u64, b: u64) -> u64 {
     mul_word64(fmt.exp_bits, fmt.frac_bits, a, b)
 }
 
-/// Instantiates the Table 1 multiplier for one machine word width, over
+/// Instantiates, for one machine word width, the Table 1 multiplier over
 /// bit patterns of a format with `exp_bits`/`frac_bits` fields held in
-/// that word, finished by the special-operand stage `$specials`. Single
+/// that word, and `$finish`: the encode plus special-operand stage
+/// (`$specials`) that every multiplier of that word ends with. Single
 /// precision runs in `u32` and double precision in `u64`: `Ma + Mb` fits
 /// in `F + 2` bits and every exponent in the word's signed twin.
 macro_rules! mul_datapath {
-    ($u:ty, $i:ty, $name:ident, $specials:ident) => {
+    ($u:ty, $i:ty, $name:ident, $finish:ident, $specials:ident) => {
+        /// Encodes the normal × normal result of `a × b`, its unbiased
+        /// exponent `exp` and `F`-bit fraction `frac`, saturating to
+        /// infinity on overflow and flushing to zero on underflow (no
+        /// subnormal outputs), then applies the special-operand stage. The
+        /// Table 1, accuracy-configurable and bit-truncation multipliers
+        /// all end here.
+        #[inline(always)]
+        pub(crate) fn $finish(
+            exp_bits: u32,
+            frac_bits: u32,
+            a: $u,
+            b: $u,
+            exp: $i,
+            frac: $u,
+        ) -> $u {
+            let f = frac_bits;
+            let emax: $u = (1 << exp_bits) - 1;
+            let bias: $i = (1 << (exp_bits - 1)) - 1;
+            let max_exp = emax as $i - 1 - bias;
+            let min_exp = 1 - bias;
+            let zero = (((a ^ b) >> (exp_bits + f)) & 1) << (exp_bits + f);
+            let inf = zero | (emax << f);
+            let body = zero | (((exp.clamp(min_exp, max_exp) + bias) as $u) << f) | frac;
+            let r = sel(exp < min_exp, zero, body);
+            $specials(exp_bits, frac_bits, a, b, sel(exp > max_exp, inf, r))
+        }
+
         /// Imprecise multiplication on one word, straight-line: the normal
         /// × normal datapath runs unconditionally and the special-operand
         /// stage selects over its result, so the SIMT lane loops that
@@ -53,7 +81,6 @@ macro_rules! mul_datapath {
             let bias: $i = (1 << (exp_bits - 1)) - 1;
             let ea = (a >> f) & emax;
             let eb = (b >> f) & emax;
-            let sign = ((a ^ b) >> (exp_bits + f)) & 1;
 
             // Ma + Mb in units of 2^-F. Ma + Mb >= 1: Mz = (1 + Ma + Mb)/2,
             // cin = 1 (eq. 6). Both fractions are below the hidden bit, so
@@ -62,24 +89,15 @@ macro_rules! mul_datapath {
             let cin = sum >> f;
             let frac = ((sum + (cin << f)) >> cin) & frac_mask;
             let exp = ea as $i + eb as $i - 2 * bias + cin as $i;
-
-            // Encode, saturating to infinity on overflow and flushing to
-            // zero on underflow (no subnormal outputs).
-            let max_exp = emax as $i - 1 - bias;
-            let min_exp = 1 - bias;
-            let zero = sign << (exp_bits + f);
-            let inf = zero | (emax << f);
-            let body = zero | (((exp.clamp(min_exp, max_exp) + bias) as $u) << f) | frac;
-            let r = sel(exp < min_exp, zero, body);
-            $specials(exp_bits, frac_bits, a, b, sel(exp > max_exp, inf, r))
+            $finish(exp_bits, frac_bits, a, b, exp, frac)
         }
     };
 }
 
-mul_datapath!(u32, i32, mul_word32, mul_specials32);
-mul_datapath!(u64, i64, mul_word64, mul_specials64);
+mul_datapath!(u32, i32, mul_word32, mul_finish32, mul_specials32);
+mul_datapath!(u64, i64, mul_word64, mul_finish64, mul_specials64);
 
-/// The single-precision special-operand stage of both multipliers: when
+/// The single-precision special-operand stage of every multiplier: when
 /// either operand is zero, subnormal, infinite or NaN, the result is the
 /// IEEE product of the flushed operands (exact: a signed zero, a signed
 /// infinity or NaN), with any NaN made canonical; otherwise `normal`.
@@ -90,7 +108,7 @@ mul_datapath!(u64, i64, mul_word64, mul_specials64);
 /// Panics if `(exp_bits, frac_bits)` is not `(8, 23)`.
 // ihw-lint: allow(float-arith) reason=special-operand stage: the host product of two flushed operands one of which is zero, infinite or NaN is exact, so it is the unit's IEEE special result
 #[inline(always)]
-pub(crate) fn mul_specials32(exp_bits: u32, frac_bits: u32, a: u32, b: u32, normal: u32) -> u32 {
+fn mul_specials32(exp_bits: u32, frac_bits: u32, a: u32, b: u32, normal: u32) -> u32 {
     assert!(
         (exp_bits, frac_bits) == (8, 23),
         "the u32 multipliers are single precision only, got ({exp_bits}, {frac_bits})"
@@ -99,11 +117,11 @@ pub(crate) fn mul_specials32(exp_bits: u32, frac_bits: u32, a: u32, b: u32, norm
     sel(is_special32(a) | is_special32(b), canon32(host), normal)
 }
 
-/// The special-operand stage of both multipliers in a `u64` word, for any
+/// The special-operand stage of every multiplier in a `u64` word, for any
 /// format: the IEEE special cases layered over `normal` as a select
 /// cascade in reverse priority order. A subnormal operand counts as zero.
 #[inline(always)]
-pub(crate) fn mul_specials64(exp_bits: u32, frac_bits: u32, a: u64, b: u64, normal: u64) -> u64 {
+fn mul_specials64(exp_bits: u32, frac_bits: u32, a: u64, b: u64, normal: u64) -> u64 {
     let f = frac_bits;
     let frac_mask: u64 = (1 << f) - 1;
     let emax: u64 = (1 << exp_bits) - 1;

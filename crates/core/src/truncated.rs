@@ -22,7 +22,8 @@
 //! assert_eq!(tm.mul32(1.5, 2.0), 3.0); // zero truncation ≈ exact (truncated, not rounded)
 //! ```
 
-use crate::format::{flush_subnormal, Format, RoundedClass};
+use crate::format::Format;
+use crate::multiplier::{mul_finish32, mul_finish64};
 
 /// A bit-width-reduced "precise" multiplier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -38,48 +39,24 @@ impl TruncatedMul {
         TruncatedMul { truncation }
     }
 
-    /// Multiplies raw bit patterns of the given format.
+    /// Multiplies raw bit patterns of the given format (carried in a `u64`).
     #[inline(always)]
     pub fn mul_bits(&self, fmt: Format, a: u64, b: u64) -> u64 {
-        let a = flush_subnormal(fmt, a);
-        let b = flush_subnormal(fmt, b);
-        let pa = fmt.decompose(a);
-        let pb = fmt.decompose(b);
-        let sign = pa.sign ^ pb.sign;
-        match (fmt.classify(&pa), fmt.classify(&pb)) {
-            (RoundedClass::Nan, _) | (_, RoundedClass::Nan) => fmt.nan(),
-            (RoundedClass::Infinite, RoundedClass::Zero)
-            | (RoundedClass::Zero, RoundedClass::Infinite) => fmt.nan(),
-            (RoundedClass::Infinite, _) | (_, RoundedClass::Infinite) => fmt.infinity(sign),
-            (RoundedClass::Zero, _) | (_, RoundedClass::Zero) => fmt.zero(sign),
-            (RoundedClass::Normal, RoundedClass::Normal) => {
-                let f = fmt.frac_bits;
-                let t = self.truncation.min(f);
-                let mut exp = fmt.unbiased_exp(&pa) + fmt.unbiased_exp(&pb);
-                let ma = round_significand(fmt.significand(&pa), t);
-                let mb = round_significand(fmt.significand(&pb), t);
-                // Rounding the significand may carry into a new bit
-                // (1.111… → 10.000…): renormalize before multiplying.
-                let (ma, ea) = renorm(fmt, ma);
-                let (mb, eb) = renorm(fmt, mb);
-                exp += ea + eb;
-                // Exact product of the reduced significands (≤ 2·(F+1) bits).
-                let p = (ma as u128) * (mb as u128); // in [2^2F, 2^(2F+2))
-                let two_f = 2 * f;
-                // Product carry is exactly bit 2F+1 — fold it branch-free.
-                let cin = (p >> (two_f + 1)) as u32 & 1;
-                let (p, exp) = (p >> cin, exp + i64::from(cin));
-                // Truncate the product fraction back into F bits (no rounding).
-                let frac = ((p >> f) as u64) & fmt.frac_mask();
-                fmt.encode_normal(sign, exp, frac)
-            }
-        }
+        mul_word64(self.truncation, fmt.exp_bits, fmt.frac_bits, a, b)
     }
 
-    /// Multiplies two single precision values.
+    /// Multiplies two single precision values, in 32-bit words with a
+    /// 64-bit significand product, so SIMT lane loops over it vectorize.
     #[inline(always)]
     pub fn mul32(&self, a: f32, b: f32) -> f32 {
-        f32::from_bits(self.mul_bits(Format::SINGLE, a.to_bits() as u64, b.to_bits() as u64) as u32)
+        let f = Format::SINGLE;
+        f32::from_bits(mul_word32(
+            self.truncation,
+            f.exp_bits,
+            f.frac_bits,
+            a.to_bits(),
+            b.to_bits(),
+        ))
     }
 
     /// Multiplies two double precision values.
@@ -89,24 +66,52 @@ impl TruncatedMul {
     }
 }
 
-/// Rounds a significand to `t` fewer fraction bits with a half-LSB
-/// correction (round-to-nearest, the "variable correction" constant).
-#[inline(always)]
-fn round_significand(m: u64, t: u32) -> u64 {
-    if t == 0 {
-        return m;
-    }
-    let half = 1u64 << (t - 1);
-    ((m + half) >> t) << t
+/// Instantiates the truncated multiplier for one machine word width `$u`
+/// whose significand product is carried in `$w`, finished by the Table 1
+/// multiplier's encode and special-operand stage `$finish`. Single
+/// precision runs in `u32` with a `u64` product; the `u64` word (double
+/// precision and binary16) keeps a `u128` product.
+macro_rules! truncated_mul_datapath {
+    ($u:ty, $i:ty, $w:ty, $name:ident, $finish:ident) => {
+        /// The whole multiplier on one word, straight-line: the normal ×
+        /// normal datapath runs unconditionally and the special-operand
+        /// stage selects over its result. A zero, subnormal, infinite or
+        /// NaN operand only reaches the normal datapath, whose result the
+        /// stage overrides.
+        #[inline(always)]
+        fn $name(truncation: u32, exp_bits: u32, frac_bits: u32, a: $u, b: $u) -> $u {
+            let f = frac_bits;
+            let frac_mask: $u = (1 << f) - 1;
+            let hidden: $u = 1 << f;
+            let emax: $u = (1 << exp_bits) - 1;
+            let bias: $i = (1 << (exp_bits - 1)) - 1;
+            let ea = (a >> f) & emax;
+            let eb = (b >> f) & emax;
+
+            // Round each significand to F − t fraction bits with a half-LSB
+            // correction (round to nearest, the "variable correction"
+            // constant; zero at t = 0). Rounding 1.11…1 up gives exactly
+            // 2.0, so each reduced significand lies in [2^F, 2^(F+1)].
+            let t = truncation.min(f);
+            let half: $u = (1 << t) >> 1;
+            let ra = (((hidden | (a & frac_mask)) + half) >> t) << t;
+            let rb = (((hidden | (b & frac_mask)) + half) >> t) << t;
+
+            // Exact product of the reduced significands, in
+            // [2^2F, 2^(2F+2)]: its leading one sits at bit 2F + cin with
+            // cin = 0, 1, or 2 when both significands rounded up to 2.0.
+            // Truncate the product fraction back into F bits (no rounding).
+            let p = <$w>::from(ra) * <$w>::from(rb);
+            let cin = (p >> (2 * f + 1)) as u32;
+            let frac = (p >> (f + cin)) as $u & frac_mask;
+            let exp = ea as $i + eb as $i - 2 * bias + cin as $i;
+            $finish(exp_bits, frac_bits, a, b, exp, frac)
+        }
+    };
 }
 
-/// Renormalizes a significand that may have carried past 2.0 on rounding.
-#[inline(always)]
-fn renorm(fmt: Format, m: u64) -> (u64, i64) {
-    // The carry past 2.0 is exactly bit F+1 (m ≤ 2·hidden after rounding).
-    let c = (m >> (fmt.frac_bits + 1)) & 1;
-    (m >> c, c as i64)
-}
+truncated_mul_datapath!(u32, i32, u64, mul_word32, mul_finish32);
+truncated_mul_datapath!(u64, i64, u128, mul_word64, mul_finish64);
 
 #[cfg(test)]
 mod tests {

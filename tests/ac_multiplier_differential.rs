@@ -1,5 +1,5 @@
-//! Differential tests of the accuracy-configurable multiplier's word-width
-//! datapaths against the composition they replace.
+//! Differential tests of the accuracy-configurable and bit-truncation
+//! multipliers' word-width datapaths against the bodies they replace.
 //!
 //! `AcMulConfig::mul32` runs the whole Figure 7 datapath in 32-bit words
 //! and `mul64` in 64-bit words, computing the full path's Mitchell term
@@ -7,14 +7,25 @@
 //! oracle below is the original generic `u64` formulation: flush
 //! subnormals, decode and encode through `Format`, take
 //! `mitchell_mul(fa, fb) >> F` from the 128-bit Figure 6 unit, and resolve
-//! specials in priority order (NaN, then Inf, then zero). Every check
-//! compares raw bit patterns, so NaN payloads and signed zeros count.
+//! specials in priority order (NaN, then Inf, then zero).
+//!
+//! The intuitive bit-truncation multiplier `TruncatedMul` shares the same
+//! word shape (a straight-line normal datapath finished by the Table 1
+//! special-operand stage): `mul32` in 32-bit words with a 64-bit product,
+//! `mul_bits`/`mul64` in 64-bit words with a 128-bit product. Its oracle
+//! is the original `classify`-matching `u64` body, which rounds each
+//! significand, renormalises the rounding carry, and forms the product in
+//! `u128` for every format.
+//!
+//! Every check compares raw bit patterns, so NaN payloads and signed
+//! zeros count.
 
 use imprecise_gpgpu::core::ac_multiplier::{
     mitchell_term32, mitchell_term64, AcMulConfig, MulPath,
 };
-use imprecise_gpgpu::core::format::{flush_subnormal, Format};
+use imprecise_gpgpu::core::format::{flush_subnormal, Format, RoundedClass};
 use imprecise_gpgpu::core::mitchell::mitchell_mul;
+use imprecise_gpgpu::core::truncated::TruncatedMul;
 
 const PATHS: [MulPath; 2] = [MulPath::Log, MulPath::Full];
 
@@ -85,6 +96,63 @@ fn check64(cfg: AcMulConfig, a: u64, b: u64) {
         got, want,
         "mul64 {cfg:?}: {a:#018x} x {b:#018x} gave {got:#018x}, oracle {want:#018x}"
     );
+}
+
+// ---------------------------------------------------------------------
+// Oracle: the original `TruncatedMul` body (u128 product, every format).
+// ---------------------------------------------------------------------
+
+fn oracle_truncated(truncation: u32, fmt: Format, a: u64, b: u64) -> u64 {
+    let a = flush_subnormal(fmt, a);
+    let b = flush_subnormal(fmt, b);
+    let pa = fmt.decompose(a);
+    let pb = fmt.decompose(b);
+    let sign = pa.sign ^ pb.sign;
+    match (fmt.classify(&pa), fmt.classify(&pb)) {
+        (RoundedClass::Nan, _) | (_, RoundedClass::Nan) => fmt.nan(),
+        (RoundedClass::Infinite, RoundedClass::Zero)
+        | (RoundedClass::Zero, RoundedClass::Infinite) => fmt.nan(),
+        (RoundedClass::Infinite, _) | (_, RoundedClass::Infinite) => fmt.infinity(sign),
+        (RoundedClass::Zero, _) | (_, RoundedClass::Zero) => fmt.zero(sign),
+        (RoundedClass::Normal, RoundedClass::Normal) => {
+            let f = fmt.frac_bits;
+            let t = truncation.min(f);
+            let round = |m: u64| {
+                if t == 0 {
+                    return m;
+                }
+                ((m + (1u64 << (t - 1))) >> t) << t
+            };
+            let renorm = |m: u64| {
+                let c = (m >> (f + 1)) & 1;
+                (m >> c, c as i64)
+            };
+            let (ma, ea) = renorm(round(fmt.significand(&pa)));
+            let (mb, eb) = renorm(round(fmt.significand(&pb)));
+            let exp = fmt.unbiased_exp(&pa) + fmt.unbiased_exp(&pb) + ea + eb;
+            let p = (ma as u128) * (mb as u128);
+            let cin = (p >> (2 * f + 1)) as u32 & 1;
+            let (p, exp) = (p >> cin, exp + i64::from(cin));
+            let frac = ((p >> f) as u64) & fmt.frac_mask();
+            fmt.encode_normal(sign, exp, frac)
+        }
+    }
+}
+
+/// `a × b` through every `TruncatedMul` entry point that serves `fmt`.
+fn check_truncated(t: u32, fmt: Format, a: u64, b: u64) {
+    let tm = TruncatedMul::new(t);
+    let want = oracle_truncated(t, fmt, a, b);
+    let ctx = || format!("TruncatedMul({t}) {fmt:?}: {a:#x} x {b:#x}");
+    assert_eq!(tm.mul_bits(fmt, a, b), want, "mul_bits {}", ctx());
+    if fmt == Format::SINGLE {
+        let got = tm.mul32(f32::from_bits(a as u32), f32::from_bits(b as u32));
+        assert_eq!(u64::from(got.to_bits()), want, "mul32 {}", ctx());
+    }
+    if fmt == Format::DOUBLE {
+        let got = tm.mul64(f64::from_bits(a), f64::from_bits(b));
+        assert_eq!(got.to_bits(), want, "mul64 {}", ctx());
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -318,6 +386,58 @@ fn seeded_patterns_every_truncation_double() {
                 let a = pattern(Format::DOUBLE, &sp, &mut st);
                 let b = pattern(Format::DOUBLE, &sp, &mut st);
                 check64(cfg, a, b);
+            }
+        }
+    }
+}
+
+/// `TruncatedMul` at every truncation 0..=24 (24 clamps to 23) over every
+/// single precision exponent field pair `(ea, eb)` in 0..=255², fractions
+/// {0, 1, all ones, seeded} on the first operand against a rotation of
+/// the set on the second, in both operand orders and with seeded signs.
+/// Covers the rounding carry of an all-ones fraction, every overflow and
+/// underflow edge, and every pair that touches a zero, subnormal,
+/// infinity or NaN field.
+#[test]
+fn truncated_mul32_every_exponent_pair_every_truncation() {
+    let sign = 1u32 << 31;
+    let mut st = 0x5EED_7001;
+    for t in 0..=24u32 {
+        for ea in 0..=255u32 {
+            for eb in 0..=255u32 {
+                let seeded = splitmix(&mut st);
+                let fracs = [0, 1, (1 << 23) - 1, seeded as u32 >> 9];
+                for (i, &fa) in fracs.iter().enumerate() {
+                    let fb = fracs[(i + eb as usize) % 4];
+                    let signs = seeded >> (32 + 2 * i);
+                    let a = (ea << 23) | fa | (sign * (signs & 1) as u32);
+                    let b = (eb << 23) | fb | (sign * ((signs >> 1) & 1) as u32);
+                    check_truncated(t, Format::SINGLE, a.into(), b.into());
+                    check_truncated(t, Format::SINGLE, b.into(), a.into());
+                }
+            }
+        }
+    }
+}
+
+/// `TruncatedMul`: every special encoding against every other, and 2^16
+/// seeded bit patterns per truncation, in single, double and binary16
+/// precision, at every truncation up to the fraction width plus one.
+#[test]
+fn truncated_mul_specials_and_seeded_patterns() {
+    for fmt in [Format::SINGLE, Format::DOUBLE, Format::HALF] {
+        let sp = specials(fmt);
+        for t in 0..=fmt.frac_bits + 1 {
+            for &a in &sp {
+                for &b in &sp {
+                    check_truncated(t, fmt, a, b);
+                }
+            }
+            let mut st = 0x5EED_7100 ^ (u64::from(t) << 8) ^ u64::from(fmt.frac_bits);
+            for _ in 0..1 << 16 {
+                let a = pattern(fmt, &sp, &mut st);
+                let b = pattern(fmt, &sp, &mut st);
+                check_truncated(t, fmt, a, b);
             }
         }
     }
