@@ -281,35 +281,25 @@ fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a String> {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    // `repro analyze ...` is a self-contained subcommand with its own
-    // flag grammar — hand everything after it to the analyzer CLI.
-    if args.first().map(String::as_str) == Some("analyze") {
-        std::process::exit(ihw_analyze::cli::run(&args[1..]));
-    }
-    // `repro racecheck ...` likewise; `--bench` routes to the
-    // interpreted-vs-compiled throughput benchmark instead of the
-    // diagnostic gate.
-    if args.first().map(String::as_str) == Some("racecheck") {
-        let rest = &args[1..];
-        if rest.iter().any(|a| a == "--bench") {
-            std::process::exit(ihw_bench::racebench::run_cli(rest));
-        }
-        std::process::exit(ihw_analyze::races::run(rest));
-    }
-    // `repro autotune ...` — the static-bound-driven precision autotuner
-    // (Pareto front + A008 over-provisioned-precision gate).
-    if args.first().map(String::as_str) == Some("autotune") {
-        std::process::exit(ihw_analyze::autotune::run(&args[1..]));
-    }
-    // `repro converge ...` — static contraction certificates for the
-    // iterative solver kernels (A010 gate); `--bench` pairs them with
-    // measured trajectories and records `BENCH_solvers.json`.
-    if args.first().map(String::as_str) == Some("converge") {
-        let rest = &args[1..];
-        if rest.iter().any(|a| a == "--bench") {
-            std::process::exit(ihw_bench::solverbench::run_cli(rest));
-        }
-        std::process::exit(ihw_analyze::contraction::run(rest));
+    // The audit subcommands own their flag grammar (the shared baseline
+    // gate of `ihw_lint::gate`): `analyze` (static error bounds),
+    // `racecheck` (memory dependences), `autotune` (Pareto fronts, A008)
+    // and `converge` (contraction certificates, A010). With `--bench`,
+    // `racecheck` runs the interpreted-vs-compiled throughput benchmark
+    // and `converge` pairs certificates with measured trajectories.
+    let rest = args.get(1..).unwrap_or_default();
+    let bench = rest.iter().any(|a| a == "--bench");
+    let subcommand: Option<fn(&[String]) -> i32> = match args.first().map(String::as_str) {
+        Some("analyze") => Some(ihw_analyze::cli::run),
+        Some("racecheck") if bench => Some(ihw_bench::racebench::run_cli),
+        Some("racecheck") => Some(ihw_analyze::races::run),
+        Some("autotune") => Some(ihw_analyze::autotune::run),
+        Some("converge") if bench => Some(ihw_bench::solverbench::run_cli),
+        Some("converge") => Some(ihw_analyze::contraction::run),
+        _ => None,
+    };
+    if let Some(run) = subcommand {
+        std::process::exit(run(rest));
     }
     if let Some(flag) = args.last().filter(|a| VALUE_FLAGS.contains(&a.as_str())) {
         eprintln!("{flag} expects a value");

@@ -23,6 +23,7 @@ use crate::runner::report::Stopwatch;
 use gpu_sim::deps::footprints;
 use gpu_sim::isa::{Program, WarpInterpreter};
 use ihw_core::config::IhwConfig;
+use ihw_lint::gate;
 use ihw_lint::json::{obj, Json};
 
 /// Default output filename (workspace root, committed as a perf record).
@@ -330,35 +331,32 @@ pub fn run_cli(args: &[String]) -> i32 {
                     eprintln!("{arg} expects a value");
                     return 2;
                 };
-                // Counts are rejected at 0 with a diagnostic — never
+                // Out-of-range values (a count of 0, a floor below 0 or
+                // not finite) are rejected with a diagnostic — never
                 // silently clamped (the subcommands agree on this).
-                let ok = match arg.as_str() {
-                    "--threads" | "--repeats" => match value.parse::<u64>() {
-                        Ok(v) if v >= 1 => {
+                let parsed = match arg.as_str() {
+                    "--threads" | "--repeats" => {
+                        gate::value::<u64>(arg, value, "a positive integer", |v| *v >= 1).map(|v| {
                             let v = v.min(u64::from(u32::MAX)) as u32;
                             if arg == "--threads" {
                                 threads = v;
                             } else {
                                 repeats = v;
                             }
-                            true
-                        }
-                        _ => {
-                            eprintln!("{arg} expects a positive integer, got '{value}'");
-                            return 2;
-                        }
-                    },
-                    "--min-compiled-speedup" => value
-                        .parse()
-                        .map(|v: f64| min_compiled_speedup = Some(v.max(0.0)))
-                        .is_ok(),
+                        })
+                    }
+                    "--min-compiled-speedup" => {
+                        let ok = |v: &f64| *v >= 0.0 && v.is_finite();
+                        gate::value(arg, value, "a finite non-negative number", ok)
+                            .map(|v| min_compiled_speedup = Some(v))
+                    }
                     _ => {
                         out_path = std::path::PathBuf::from(value);
-                        true
+                        Ok(())
                     }
                 };
-                if !ok {
-                    eprintln!("{arg} expects a number, got '{value}'");
+                if let Err(msg) = parsed {
+                    eprintln!("{msg}");
                     return 2;
                 }
             }
@@ -463,5 +461,21 @@ mod tests {
         assert!(!json.contains("\"workers\""));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
+    }
+
+    #[test]
+    fn bad_values_exit_2_instead_of_clamping() {
+        let s = |v: &[&str]| -> Vec<String> { v.iter().map(|x| x.to_string()).collect() };
+        for bad in [
+            &["--threads", "0"][..],
+            &["--repeats", "0"],
+            &["--repeats"],
+            &["--min-compiled-speedup", "nan"],
+            &["--min-compiled-speedup", "-1"],
+            &["--min-compiled-speedup", "inf"],
+            &["--min-compiled-speedup", "fast"],
+        ] {
+            assert_eq!(run_cli(&s(bad)), 2, "{bad:?}");
+        }
     }
 }

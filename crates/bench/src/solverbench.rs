@@ -19,6 +19,7 @@
 use ihw_analyze::contraction::{converge_configs, DEFAULT_TOL};
 use ihw_analyze::interp::AnalysisSettings;
 use ihw_analyze::{certify, ConvergeVerdict};
+use ihw_lint::gate;
 use ihw_lint::json::{obj, Json};
 use ihw_workloads::solvers::{problem_for, SolverParams, SolverRun};
 
@@ -152,16 +153,21 @@ pub fn run_cli(args: &[String]) -> i32 {
                     eprintln!("{arg} expects a value");
                     return 2;
                 };
-                let ok = match arg.as_str() {
-                    "--interior" => value.parse().map(|v: usize| interior = v.max(2)).is_ok(),
-                    "--max-iters" => value.parse().map(|v: usize| max_iters = v.max(1)).is_ok(),
+                // Out-of-range sizes are rejected, never clamped.
+                let parsed = match arg.as_str() {
+                    "--interior" => {
+                        gate::value(arg, value, "an integer of at least 2", |v| *v >= 2)
+                            .map(|v| interior = v)
+                    }
+                    "--max-iters" => gate::value(arg, value, "a positive integer", |v| *v >= 1)
+                        .map(|v| max_iters = v),
                     _ => {
                         out_path = std::path::PathBuf::from(value);
-                        true
+                        Ok(())
                     }
                 };
-                if !ok {
-                    eprintln!("{arg} expects a positive integer, got '{value}'");
+                if let Err(msg) = parsed {
+                    eprintln!("{msg}");
                     return 2;
                 }
             }
@@ -272,5 +278,9 @@ mod tests {
         assert_eq!(run_cli(&s(&["--interior"])), 2);
         assert_eq!(run_cli(&s(&["--interior", "zero"])), 2);
         assert_eq!(run_cli(&s(&["bogus"])), 2);
+        // Out-of-range sizes are rejected, not clamped.
+        assert_eq!(run_cli(&s(&["--interior", "1"])), 2);
+        assert_eq!(run_cli(&s(&["--interior", "0"])), 2);
+        assert_eq!(run_cli(&s(&["--max-iters", "0"])), 2);
     }
 }

@@ -30,6 +30,11 @@
 //! The result is a deterministic Pareto front (energy vs. guaranteed
 //! bound): points sorted by (energy, bound, render), equal-bound configs
 //! deduped to the cheapest, byte-identical `--json` across runs.
+//!
+//! `repro autotune` takes `--target REL_ERR` (default 0.1%) and
+//! `--threads N` besides kernel names; its common gate flags and exit
+//! status are those of [`ihw_lint::gate`] (rule A008,
+//! `autotune-baseline.txt`).
 
 use crate::interp::{analyze_program, AnalysisSettings};
 use crate::sensitivity::{self, Relaxation};
@@ -37,27 +42,14 @@ use crate::stock_kernel_names;
 use gpu_sim::isa::{Instr, Program};
 use gpu_sim::tuner::{tune, QualityConstraint};
 use ihw_core::config::{FpOp, IhwConfig};
-use ihw_lint::baseline::Baseline;
 use ihw_lint::diag::{findings_fields, Finding};
+use ihw_lint::gate::{self, value, Audit, Tally};
 use ihw_lint::json::{obj, Json};
 use ihw_power::system::{OpCounts, SystemPowerModel};
 use std::collections::BTreeMap;
-use std::path::PathBuf;
 
 /// Schema tag of the autotune JSON document.
 pub const SCHEMA: &str = "ihw-autotune/1";
-
-/// Default baseline filename at the workspace root (sibling of
-/// `lint-baseline.txt`, `analyze-baseline.txt`, `racecheck-baseline.txt`).
-pub const AUTOTUNE_BASELINE_FILE: &str = "autotune-baseline.txt";
-
-/// Header written at the top of a regenerated autotune baseline.
-pub const BASELINE_HEADER: &str =
-    "# ihw-autotune baseline — grandfathered A008 findings (one fingerprint per line).\n\
-     # Regenerate with `cargo run -p ihw-bench --bin repro -- autotune --write-baseline`;\n\
-     # the CI gate fails only on findings NOT listed here. Keep this file empty:\n\
-     # an over-provisioned-precision site is a tuning opportunity, not an error —\n\
-     # relax the unit (or tighten the target) instead of baselining the finding.\n";
 
 /// Default quality target: 0.1% relative error.
 pub const DEFAULT_TARGET: f64 = 1e-3;
@@ -509,101 +501,33 @@ fn fmt_bound(b: f64) -> String {
     }
 }
 
-/// Runs the autotune CLI over `args` (everything after `autotune`);
-/// returns the process exit code: 0 when no *new* (non-baselined) A008
-/// findings, 1 when new findings exist, 2 on usage errors.
-pub fn run(args: &[String]) -> i32 {
-    let mut json = false;
-    let mut write_baseline = false;
-    let mut json_out: Option<PathBuf> = None;
-    let mut baseline_path: Option<PathBuf> = None;
-    let mut settings = AutotuneSettings::default();
-    let mut kernels: Vec<String> = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--json" => json = true,
-            "--write-baseline" => write_baseline = true,
-            "--json-out" | "--baseline" | "--target" | "--threads" => {
-                let Some(value) = it.next() else {
-                    eprintln!("{arg} expects a value");
-                    return 2;
-                };
-                match arg.as_str() {
-                    "--json-out" => json_out = Some(PathBuf::from(value)),
-                    "--baseline" => baseline_path = Some(PathBuf::from(value)),
-                    "--target" => match value.parse::<f64>() {
-                        Ok(t) if t > 0.0 && t.is_finite() => settings.target = t,
-                        _ => {
-                            eprintln!("--target expects a positive relative error, got '{value}'");
-                            return 2;
-                        }
-                    },
-                    _ => match value.parse::<u32>() {
-                        Ok(n) if n > 0 => settings.analysis.threads = n,
-                        _ => {
-                            eprintln!("--threads expects a positive integer, got '{value}'");
-                            return 2;
-                        }
-                    },
-                }
-            }
-            "--help" | "-h" => {
-                println!(
-                    "usage: repro autotune [--target REL_ERR] [--threads N] [--json] \
-                     [--json-out FILE] [--baseline FILE] [--write-baseline] [KERNELS...]\n\
-                     kernels: {}",
-                    stock_kernel_names().join(" ")
-                );
-                return 0;
-            }
-            flag if flag.starts_with("--") => {
-                eprintln!("unknown flag {flag}");
-                return 2;
-            }
-            name => kernels.push(name.to_string()),
-        }
-    }
-    for k in &kernels {
-        if !stock_kernel_names().contains(&k.as_str()) {
-            eprintln!(
-                "unknown kernel '{k}'. Available: {}",
-                stock_kernel_names().join(" ")
-            );
-            return 2;
-        }
+/// The autotune gate's own parts: the per-kernel Pareto fronts and the
+/// summary line.
+struct Autotune {
+    settings: AutotuneSettings,
+    results: Vec<KernelAutotune>,
+}
+
+impl Audit for Autotune {
+    const BASELINE_FILE: &'static str = "autotune-baseline.txt";
+    const BASELINE_HEADER: &'static str =
+        "# ihw-autotune baseline — grandfathered A008 findings (one fingerprint per line).\n\
+         # Regenerate with `cargo run -p ihw-bench --bin repro -- autotune --write-baseline`;\n\
+         # the CI gate fails only on findings NOT listed here. Keep this file empty:\n\
+         # an over-provisioned-precision site is a tuning opportunity, not an error —\n\
+         # relax the unit (or tighten the target) instead of baselining the finding.\n";
+
+    fn to_json(&self, findings: &[Finding]) -> String {
+        to_json(&self.results, findings, &self.settings)
     }
 
-    let results = autotune_stock(&settings, &kernels);
-    let mut findings = sensitivity::collect_findings(settings.target, &settings.analysis, &kernels);
-
-    let baseline_file =
-        baseline_path.unwrap_or_else(|| ihw_lint::default_root().join(AUTOTUNE_BASELINE_FILE));
-    if write_baseline {
-        let text = Baseline::render_with_header(&findings, BASELINE_HEADER);
-        if let Err(e) = std::fs::write(&baseline_file, text) {
-            eprintln!("cannot write {}: {e}", baseline_file.display());
-            return 2;
-        }
-        println!(
-            "baseline written: {} finding(s) grandfathered to {}",
-            findings.len(),
-            baseline_file.display()
-        );
-        return 0;
-    }
-    let baseline = Baseline::load(&baseline_file);
-    let new = baseline.apply(&mut findings);
-
-    if json {
-        print!("{}", to_json(&results, &findings, &settings));
-    } else {
-        for r in &results {
+    fn print_table(&self) {
+        for r in &self.results {
             println!(
                 "{}: target {:e}, {} explored, {} pruned, {} measured, \
                  {} Pareto point(s)",
                 r.kernel,
-                settings.target,
+                self.settings.target,
                 r.explored,
                 r.pruned,
                 r.measured,
@@ -625,35 +549,53 @@ pub fn run(args: &[String]) -> i32 {
                 );
             }
         }
-        for f in &findings {
-            let tag = if f.new { "" } else { " (baselined)" };
-            println!("{}{tag}", f.render());
-        }
-        println!(
+    }
+
+    fn summary(&self, t: &Tally) -> String {
+        format!(
             "ihw-autotune: {} kernel(s), {} A008 finding(s), {} new, {} baselined",
-            results.len(),
-            findings.len(),
-            new,
-            findings.len() - new
-        );
+            self.results.len(),
+            t.total,
+            t.new,
+            t.baselined()
+        )
     }
-    if let Some(path) = &json_out {
-        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-            let _ = std::fs::create_dir_all(dir);
-        }
-        if let Err(e) = std::fs::write(path, to_json(&results, &findings, &settings)) {
-            eprintln!("cannot write {}: {e}", path.display());
-            return 2;
-        }
-        if !json {
-            println!("JSON diagnostics written to {}", path.display());
-        }
-    }
-    if new > 0 {
-        1
-    } else {
-        0
-    }
+}
+
+/// Runs the autotune CLI over `args` (everything after `autotune`);
+/// returns the process exit code.
+pub fn run(args: &[String]) -> i32 {
+    let mut settings = AutotuneSettings::default();
+    let usage = format!(
+        "usage: repro autotune [--target REL_ERR] [--threads N] [--json] \
+         [--json-out FILE] [--baseline FILE] [--write-baseline] [KERNELS...]\n\
+         kernels: {}",
+        stock_kernel_names().join(" ")
+    );
+    let vocabulary = stock_kernel_names();
+    let parsed = gate::parse(
+        args,
+        &usage,
+        Some(&vocabulary),
+        &["--target", "--threads"],
+        |flag, v| {
+            if flag == "--target" {
+                let ok = |t: &f64| *t > 0.0 && t.is_finite();
+                settings.target = value(flag, v, "a positive relative error", ok)?;
+            } else {
+                settings.analysis.threads = value(flag, v, "a positive integer", |n| *n > 0)?;
+            }
+            Ok(())
+        },
+    );
+    let flags = match parsed {
+        Ok(flags) => flags,
+        Err(code) => return code,
+    };
+
+    let results = autotune_stock(&settings, &flags.names);
+    let findings = sensitivity::collect_findings(settings.target, &settings.analysis, &flags.names);
+    gate::run(&flags, &Autotune { settings, results }, findings)
 }
 
 #[cfg(test)]

@@ -47,37 +47,26 @@
 //! faster than the iteration contracts and the pair is flagged
 //! **A010 `imprecision-divergence-risk`**. Pairs listed in
 //! [`EXPECTED_DIVERGENT`] — the repo's documented resilience table,
-//! re-measured by `tests/convergence_soundness.rs` — are reported but
-//! do not gate the exit code, mirroring how `repro analyze` treats
-//! advisory A009.
+//! re-measured by `tests/convergence_soundness.rs` — are advisory in
+//! the sense of [`ihw_lint::gate`]: reported, never baselined, never
+//! gating, like A009 in `repro analyze`.
+//!
+//! `repro converge` takes `--tol EPS` (default [`DEFAULT_TOL`]) and
+//! `--threads N` besides solver kernel names; the common gate flags
+//! and exit status are those of [`ihw_lint::gate`].
 
 use crate::affine::SeedSpec;
 use crate::domain::Interval;
 use crate::interp::AnalysisSettings;
 use gpu_sim::isa::{Instr, Program};
 use ihw_core::config::{AddUnit, IhwConfig};
-use ihw_lint::baseline::Baseline;
 use ihw_lint::diag::{findings_fields, Finding, Rule};
+use ihw_lint::gate::{self, value, Audit, Tally};
 use ihw_lint::json::{obj, Json};
 use ihw_power::system::SystemPowerModel;
-use std::path::PathBuf;
 
 /// Schema tag of the converge JSON document.
 pub const SCHEMA: &str = "ihw-converge/1";
-
-/// Default baseline filename at the workspace root (sibling of
-/// `lint-baseline.txt`, `analyze-baseline.txt`, `racecheck-baseline.txt`
-/// and `autotune-baseline.txt`).
-pub const CONVERGE_BASELINE_FILE: &str = "converge-baseline.txt";
-
-/// Header written at the top of a regenerated converge baseline.
-pub const BASELINE_HEADER: &str =
-    "# ihw-converge baseline — grandfathered findings (one fingerprint per line).\n\
-     # Regenerate with `cargo run -p ihw-bench --bin repro -- converge --write-baseline`;\n\
-     # the CI gate fails only on findings NOT listed here. Keep this file empty:\n\
-     # divergence under a deliberately aggressive config belongs in\n\
-     # `EXPECTED_DIVERGENT` (with measured evidence in the soundness gate),\n\
-     # not in a baseline.\n";
 
 /// Default convergence target `ε` for `N(ε)` (`repro converge --tol`).
 pub const DEFAULT_TOL: f64 = 1e-6;
@@ -560,129 +549,41 @@ pub fn to_json(rows: &[KernelConvergence], findings: &[Finding], tol: f64) -> St
     obj(head.into_iter().chain(findings_fields(findings))).render()
 }
 
-/// Names of the kernels `repro converge` accepts.
-fn solver_names() -> Vec<&'static str> {
-    crate::solver_kernel_names()
+/// The converge gate's own parts: the certificate table, the summary
+/// line and the [`EXPECTED_DIVERGENT`] advisory predicate.
+struct Converge {
+    tol: f64,
+    rows: Vec<KernelConvergence>,
 }
 
-/// Runs the converge CLI over `args` (everything after `converge`);
-/// returns the process exit code — 0 when no new *gating* findings
-/// (A010s outside [`EXPECTED_DIVERGENT`] and the baseline), 1 when new
-/// gating findings exist, 2 on usage errors.
-pub fn run(args: &[String]) -> i32 {
-    let mut json = false;
-    let mut write_baseline = false;
-    let mut json_out: Option<PathBuf> = None;
-    let mut baseline_path: Option<PathBuf> = None;
-    let mut tol = DEFAULT_TOL;
-    let mut settings = AnalysisSettings::default();
-    let mut kernels: Vec<String> = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--json" => json = true,
-            "--write-baseline" => write_baseline = true,
-            "--json-out" | "--baseline" | "--tol" | "--threads" => {
-                let Some(value) = it.next() else {
-                    eprintln!("{arg} expects a value");
-                    return 2;
-                };
-                match arg.as_str() {
-                    "--json-out" => json_out = Some(PathBuf::from(value)),
-                    "--baseline" => baseline_path = Some(PathBuf::from(value)),
-                    "--tol" => match value.parse::<f64>() {
-                        Ok(v) if v > 0.0 && v.is_finite() => tol = v,
-                        _ => {
-                            eprintln!("--tol expects a positive number, got '{value}'");
-                            return 2;
-                        }
-                    },
-                    _ => match value.parse::<u32>() {
-                        Ok(v) if v > 0 => settings.threads = v,
-                        _ => {
-                            eprintln!("--threads expects a positive integer, got '{value}'");
-                            return 2;
-                        }
-                    },
-                }
-            }
-            "--help" | "-h" => {
-                println!(
-                    "usage: repro converge [--json] [--json-out FILE] [--baseline FILE] \
-                     [--write-baseline] [--tol EPS] [--threads N] [KERNELS...]\n\
-                     kernels: {}",
-                    solver_names().join(" ")
-                );
-                return 0;
-            }
-            flag if flag.starts_with("--") => {
-                eprintln!("unknown flag {flag}");
-                return 2;
-            }
-            name => kernels.push(name.to_string()),
-        }
-    }
-    for k in &kernels {
-        if !solver_names().contains(&k.as_str()) {
-            eprintln!(
-                "unknown kernel '{k}'. Available: {}",
-                solver_names().join(" ")
-            );
-            return 2;
-        }
+impl Audit for Converge {
+    const BASELINE_FILE: &'static str = "converge-baseline.txt";
+    const BASELINE_HEADER: &'static str =
+        "# ihw-converge baseline — grandfathered findings (one fingerprint per line).\n\
+         # Regenerate with `cargo run -p ihw-bench --bin repro -- converge --write-baseline`;\n\
+         # the CI gate fails only on findings NOT listed here. Keep this file empty:\n\
+         # divergence under a deliberately aggressive config belongs in\n\
+         # `EXPECTED_DIVERGENT` (with measured evidence in the soundness gate),\n\
+         # not in a baseline.\n";
+
+    /// An A010 on a documented divergence (fingerprint
+    /// `A010|{kernel}.s|{config}|b{buffer}`).
+    fn is_advisory(&self, f: &Finding) -> bool {
+        let kernel = f.path.strip_suffix(".s").unwrap_or(&f.path);
+        let config = f.function.as_deref().and_then(|fun| fun.split('|').next());
+        config.is_some_and(|config| is_expected_divergent(kernel, config))
     }
 
-    let rows = converge_stock(&settings, tol, &kernels);
-    let mut findings = findings_for(&rows);
-
-    let baseline_file =
-        baseline_path.unwrap_or_else(|| ihw_lint::default_root().join(CONVERGE_BASELINE_FILE));
-    if write_baseline {
-        let gating: Vec<Finding> = findings
-            .iter()
-            .filter(|f| {
-                !rows.iter().any(|r| {
-                    is_expected_divergent(&r.kernel, &r.config)
-                        && f.path == format!("{}.s", r.kernel)
-                        && f.function.as_deref() == Some(&format!("{}|b{}", r.config, r.buffer))
-                })
-            })
-            .cloned()
-            .collect();
-        let text = Baseline::render_with_header(&gating, BASELINE_HEADER);
-        if let Err(e) = std::fs::write(&baseline_file, text) {
-            eprintln!("cannot write {}: {e}", baseline_file.display());
-            return 2;
-        }
-        println!(
-            "baseline written: {} finding(s) grandfathered to {}",
-            gating.len(),
-            baseline_file.display()
-        );
-        return 0;
+    fn to_json(&self, findings: &[Finding]) -> String {
+        to_json(&self.rows, findings, self.tol)
     }
-    let baseline = Baseline::load(&baseline_file);
-    baseline.apply(&mut findings);
-    let gating_new = findings
-        .iter()
-        .filter(|f| f.new)
-        .filter(|f| {
-            !rows.iter().any(|r| {
-                is_expected_divergent(&r.kernel, &r.config)
-                    && f.path == format!("{}.s", r.kernel)
-                    && f.function.as_deref() == Some(&format!("{}|b{}", r.config, r.buffer))
-            })
-        })
-        .count();
 
-    if json {
-        print!("{}", to_json(&rows, &findings, tol));
-    } else {
+    fn print_table(&self) {
         println!(
             "{:<13} {:<15} {:>4} {:>8} {:>9} {:>9} {:>7} {:>13}  verdict",
             "kernel", "config", "buf", "rho", "floor", "tol_eff", "N(eps)", "energy/solve"
         );
-        for r in &rows {
+        for r in &self.rows {
             match &r.verdict {
                 Verdict::Certified(cert) => println!(
                     "{:<13} {:<15} {:>4} {:>8} {:>9} {:>9} {:>7} {:>10} pJ  CERTIFIED",
@@ -715,50 +616,60 @@ pub fn run(args: &[String]) -> i32 {
                 }
             }
         }
-        for f in &findings {
-            let mut tag = String::new();
-            if !f.new {
-                tag.push_str(" (baselined)");
-            }
-            let expected = rows.iter().any(|r| {
-                is_expected_divergent(&r.kernel, &r.config)
-                    && f.path == format!("{}.s", r.kernel)
-                    && f.function.as_deref() == Some(&format!("{}|b{}", r.config, r.buffer))
-            });
-            if expected {
-                tag.push_str(" (expected — advisory)");
-            }
-            println!("{}{tag}", f.render());
-        }
-        let certified = rows
+    }
+
+    fn summary(&self, t: &Tally) -> String {
+        let certified = self
+            .rows
             .iter()
             .filter(|r| matches!(r.verdict, Verdict::Certified(_)))
             .count();
-        println!(
+        format!(
             "ihw-converge: {} pair(s), {} certified, {} divergence risk(s), {} gating",
-            rows.len(),
+            self.rows.len(),
             certified,
-            rows.len() - certified,
-            gating_new
-        );
+            self.rows.len() - certified,
+            t.gating
+        )
     }
-    if let Some(path) = &json_out {
-        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-            let _ = std::fs::create_dir_all(dir);
-        }
-        if let Err(e) = std::fs::write(path, to_json(&rows, &findings, tol)) {
-            eprintln!("cannot write {}: {e}", path.display());
-            return 2;
-        }
-        if !json {
-            println!("JSON diagnostics written to {}", path.display());
-        }
-    }
-    if gating_new > 0 {
-        1
-    } else {
-        0
-    }
+}
+
+/// Runs the converge CLI over `args` (everything after `converge`);
+/// returns the process exit code.
+pub fn run(args: &[String]) -> i32 {
+    let mut tol = DEFAULT_TOL;
+    let mut settings = AnalysisSettings::default();
+    let names = crate::solver_kernel_names();
+    let usage = format!(
+        "usage: repro converge [--json] [--json-out FILE] [--baseline FILE] \
+         [--write-baseline] [--tol EPS] [--threads N] [KERNELS...]\n\
+         kernels: {}",
+        names.join(" ")
+    );
+    let parsed = gate::parse(
+        args,
+        &usage,
+        Some(&names),
+        &["--tol", "--threads"],
+        |flag, v| {
+            if flag == "--tol" {
+                tol = value(flag, v, "a positive number", |t: &f64| {
+                    *t > 0.0 && t.is_finite()
+                })?;
+            } else {
+                settings.threads = value(flag, v, "a positive integer", |n| *n > 0)?;
+            }
+            Ok(())
+        },
+    );
+    let flags = match parsed {
+        Ok(flags) => flags,
+        Err(code) => return code,
+    };
+
+    let rows = converge_stock(&settings, tol, &flags.names);
+    let findings = findings_for(&rows);
+    gate::run(&flags, &Converge { tol, rows }, findings)
 }
 
 #[cfg(test)]
@@ -951,6 +862,23 @@ mod tests {
         std::fs::write(&empty, "").unwrap();
         let code = run(&s(&["--baseline", empty.to_str().unwrap()]));
         assert_eq!(code, 0, "expected divergences must not gate");
+    }
+
+    #[test]
+    fn write_baseline_keeps_only_the_header() {
+        // Every stock A010 is a documented divergence, so advisory: none
+        // is grandfathered.
+        let path = std::env::temp_dir().join(format!(
+            "ihw-converge-written-baseline-{}.txt",
+            std::process::id()
+        ));
+        let args = ["--write-baseline", "--baseline", path.to_str().unwrap()];
+        assert_eq!(run(&s(&args)), 0);
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            <Converge as Audit>::BASELINE_HEADER
+        );
+        let _ = std::fs::remove_file(path);
     }
 
     #[test]

@@ -7,15 +7,10 @@
 //! [`crate::deps`]); this module maps a [`RaceReport`] onto
 //! [`Finding`]s, honours a kernel's allow markers
 //! ([`Program::is_allowed`]), and fronts the whole thing with a CLI
-//! whose exit-code contract mirrors `ihw-lint` and `repro analyze`:
-//! 0 when no *new* (non-baselined) findings, 1 when new findings exist,
-//! 2 on usage errors.
+//! whose common flags and exit status are those of [`ihw_lint::gate`]:
 //!
 //! ```text
 //! repro racecheck                     # verdict table over stock kernels
-//! repro racecheck --json              # machine-readable (ihw-racecheck/1)
-//! repro racecheck --json-out f.json   # human output + JSON artifact
-//! repro racecheck --write-baseline    # grandfather current findings
 //! repro racecheck saxpy distance      # restrict to named kernels
 //! ```
 
@@ -31,24 +26,11 @@ fn racecheck_kernel_names() -> Vec<&'static str> {
     names.extend(crate::solver_kernel_names());
     names
 }
-use ihw_lint::baseline::Baseline;
 use ihw_lint::diag::{to_json_with_schema, Finding, Rule};
-use std::path::PathBuf;
+use ihw_lint::gate::{self, Audit, Tally};
 
 /// Schema tag of the racecheck JSON document.
 pub const SCHEMA: &str = "ihw-racecheck/1";
-
-/// Default baseline filename at the workspace root (sibling of
-/// `lint-baseline.txt` and `analyze-baseline.txt`).
-pub const RACECHECK_BASELINE_FILE: &str = "racecheck-baseline.txt";
-
-/// Header written at the top of a regenerated racecheck baseline.
-pub const BASELINE_HEADER: &str =
-    "# ihw-racecheck baseline — grandfathered findings (one fingerprint per line).\n\
-     # Regenerate with `cargo run -p ihw-bench --bin repro -- racecheck --write-baseline`;\n\
-     # the CI gate fails only on findings NOT listed here. Keep this file empty:\n\
-     # fix the kernel, or annotate intentional sites with\n\
-     # `# ihw-racecheck: allow(A00x) reason=...` instead of baselining races.\n";
 
 /// One kernel's racecheck result, paired with the program it analyzed
 /// (needed for source lines and allow markers).
@@ -226,84 +208,29 @@ pub fn to_json(findings: &[Finding]) -> String {
     to_json_with_schema(findings, SCHEMA)
 }
 
-/// Runs the racecheck CLI over `args` (everything after `racecheck`);
-/// returns the process exit code.
-pub fn run(args: &[String]) -> i32 {
-    let mut json = false;
-    let mut write_baseline = false;
-    let mut json_out: Option<PathBuf> = None;
-    let mut baseline_path: Option<PathBuf> = None;
-    let mut kernels: Vec<String> = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--json" => json = true,
-            "--write-baseline" => write_baseline = true,
-            "--json-out" | "--baseline" => {
-                let Some(value) = it.next() else {
-                    eprintln!("{arg} expects a value");
-                    return 2;
-                };
-                match arg.as_str() {
-                    "--json-out" => json_out = Some(PathBuf::from(value)),
-                    _ => baseline_path = Some(PathBuf::from(value)),
-                }
-            }
-            "--help" | "-h" => {
-                println!(
-                    "usage: repro racecheck [--json] [--json-out FILE] [--baseline FILE] \
-                     [--write-baseline] [KERNELS...]\n\
-                     kernels: {}",
-                    racecheck_kernel_names().join(" ")
-                );
-                return 0;
-            }
-            flag if flag.starts_with("--") => {
-                eprintln!("unknown flag {flag}");
-                return 2;
-            }
-            name => kernels.push(name.to_string()),
-        }
-    }
-    for k in &kernels {
-        if !racecheck_kernel_names().contains(&k.as_str()) {
-            eprintln!(
-                "unknown kernel '{k}'. Available: {}",
-                racecheck_kernel_names().join(" ")
-            );
-            return 2;
-        }
+/// The racecheck gate's own parts: the verdict table and its summary
+/// line.
+struct Racecheck(Vec<KernelRace>);
+
+impl Audit for Racecheck {
+    const BASELINE_FILE: &'static str = "racecheck-baseline.txt";
+    const BASELINE_HEADER: &'static str =
+        "# ihw-racecheck baseline — grandfathered findings (one fingerprint per line).\n\
+         # Regenerate with `cargo run -p ihw-bench --bin repro -- racecheck --write-baseline`;\n\
+         # the CI gate fails only on findings NOT listed here. Keep this file empty:\n\
+         # fix the kernel, or annotate intentional sites with\n\
+         # `# ihw-racecheck: allow(A00x) reason=...` instead of baselining races.\n";
+
+    fn to_json(&self, findings: &[Finding]) -> String {
+        to_json(findings)
     }
 
-    let races = racecheck_stock(&kernels);
-    let mut findings = collect_findings(&races);
-
-    let baseline_file =
-        baseline_path.unwrap_or_else(|| ihw_lint::default_root().join(RACECHECK_BASELINE_FILE));
-    if write_baseline {
-        let text = Baseline::render_with_header(&findings, BASELINE_HEADER);
-        if let Err(e) = std::fs::write(&baseline_file, text) {
-            eprintln!("cannot write {}: {e}", baseline_file.display());
-            return 2;
-        }
-        println!(
-            "baseline written: {} finding(s) grandfathered to {}",
-            findings.len(),
-            baseline_file.display()
-        );
-        return 0;
-    }
-    let baseline = Baseline::load(&baseline_file);
-    let new = baseline.apply(&mut findings);
-
-    if json {
-        print!("{}", to_json(&findings));
-    } else {
+    fn print_table(&self) {
         println!(
             "{:<12} {:<20} {:>6} {:>6} {:>6} {:>8} {:>9}",
             "kernel", "verdict", "deps", "oob", "uninit", "dead-st", "parallel?"
         );
-        for r in &races {
+        for r in &self.0 {
             let parallel = match r.report.verdict {
                 Verdict::ThreadIndependent => "yes",
                 Verdict::SequentialCarried | Verdict::Unknown => "no",
@@ -319,41 +246,43 @@ pub fn run(args: &[String]) -> i32 {
                 parallel
             );
         }
-        for f in &findings {
-            let tag = if f.new { "" } else { " (baselined)" };
-            println!("{}{tag}", f.render());
-        }
-        let independent = races
+    }
+
+    fn summary(&self, t: &Tally) -> String {
+        let independent = self
+            .0
             .iter()
             .filter(|r| r.report.verdict == Verdict::ThreadIndependent)
             .count();
-        println!(
+        format!(
             "ihw-racecheck: {} kernel(s), {} thread-independent, \
              {} finding(s), {} new, {} baselined",
-            races.len(),
+            self.0.len(),
             independent,
-            findings.len(),
-            new,
-            findings.len() - new
-        );
+            t.total,
+            t.new,
+            t.baselined()
+        )
     }
-    if let Some(path) = &json_out {
-        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-            let _ = std::fs::create_dir_all(dir);
-        }
-        if let Err(e) = std::fs::write(path, to_json(&findings)) {
-            eprintln!("cannot write {}: {e}", path.display());
-            return 2;
-        }
-        if !json {
-            println!("JSON diagnostics written to {}", path.display());
-        }
-    }
-    if new > 0 {
-        1
-    } else {
-        0
-    }
+}
+
+/// Runs the racecheck CLI over `args` (everything after `racecheck`);
+/// returns the process exit code.
+pub fn run(args: &[String]) -> i32 {
+    let usage = format!(
+        "usage: repro racecheck [--json] [--json-out FILE] [--baseline FILE] \
+         [--write-baseline] [KERNELS...]\n\
+         kernels: {}",
+        racecheck_kernel_names().join(" ")
+    );
+    let vocabulary = racecheck_kernel_names();
+    let flags = match gate::parse(args, &usage, Some(&vocabulary), &[], |_, _| Ok(())) {
+        Ok(flags) => flags,
+        Err(code) => return code,
+    };
+    let races = racecheck_stock(&flags.names);
+    let findings = collect_findings(&races);
+    gate::run(&flags, &Racecheck(races), findings)
 }
 
 #[cfg(test)]

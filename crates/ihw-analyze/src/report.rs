@@ -1,6 +1,6 @@
 //! Mapping analysis results onto the shared `ihw-lint` diagnostic
-//! machinery: rules A001–A003 and A009, the `ihw-analyze/2` JSON schema
-//! and the `analyze-baseline.txt` grandfather file.
+//! machinery: rules A001–A003 and A009 and the `ihw-analyze/2` JSON
+//! schema.
 
 use crate::interp::{AnalysisSettings, KernelAnalysis};
 use ihw_lint::diag::{to_json_with_schema, Finding, Rule};
@@ -9,17 +9,6 @@ use ihw_lint::diag::{to_json_with_schema, Finding, Rule};
 /// the advisory **A009** `cancellation-recovered` rule contributed by
 /// the affine relational domain; the document shape is unchanged.
 pub const SCHEMA: &str = "ihw-analyze/2";
-
-/// Default baseline filename at the workspace root (sibling of
-/// `lint-baseline.txt`).
-pub const ANALYZE_BASELINE_FILE: &str = "analyze-baseline.txt";
-
-/// Header written at the top of a regenerated analyzer baseline.
-pub const BASELINE_HEADER: &str =
-    "# ihw-analyze baseline — grandfathered findings (one fingerprint per line).\n\
-     # Regenerate with `cargo run -p ihw-bench --bin repro -- analyze --write-baseline`;\n\
-     # the CI gate fails only on findings NOT listed here. Keep this file empty:\n\
-     # restructure kernels or tighten configs instead of baselining bounds.\n";
 
 /// Formats a bound for humans: percent when finite, `unbounded` at ⊤.
 pub fn fmt_bound(bound: f64) -> String {

@@ -3,8 +3,9 @@
 //! The checked-in baseline file (`lint-baseline.txt` at the workspace
 //! root) lists fingerprints of known findings, one per line; the CI gate
 //! fails only on findings *not* in the baseline, so pre-existing debt
-//! never blocks an unrelated PR while new violations always do. After
-//! the PR-2 triage the shipped baseline is empty — keep it that way.
+//! never blocks an unrelated change while new violations always do.
+//! After the initial triage the shipped baseline is empty — keep it that
+//! way. [`crate::gate`] drives the write/load/apply cycle for every tool.
 
 use crate::diag::Finding;
 use std::collections::BTreeSet;
@@ -12,6 +13,13 @@ use std::path::Path;
 
 /// Default baseline filename at the workspace root.
 pub const BASELINE_FILE: &str = "lint-baseline.txt";
+
+/// Header written at the top of a regenerated lint baseline.
+pub const BASELINE_HEADER: &str =
+    "# ihw-lint baseline — grandfathered findings (one fingerprint per line).\n\
+     # Regenerate with `cargo run -p ihw-lint -- --write-baseline`; the CI gate\n\
+     # fails only on findings NOT listed here. Keep this file empty: fix or\n\
+     # annotate violations instead of baselining them whenever possible.\n";
 
 /// A set of grandfathered finding fingerprints.
 #[derive(Debug, Default)]
@@ -63,21 +71,9 @@ impl Baseline {
         new
     }
 
-    /// Renders the given findings as baseline-file text with the
-    /// `ihw-lint` header.
-    pub fn render(findings: &[Finding]) -> String {
-        Baseline::render_with_header(
-            findings,
-            "# ihw-lint baseline — grandfathered findings (one fingerprint per line).\n\
-             # Regenerate with `cargo run -p ihw-lint -- --write-baseline`; the CI gate\n\
-             # fails only on findings NOT listed here. Keep this file empty: fix or\n\
-             # annotate violations instead of baselining them whenever possible.\n",
-        )
-    }
-
-    /// Renders the given findings as baseline-file text under a custom
-    /// `#`-comment header. Shared by `ihw-lint` and `ihw-analyze` so the
-    /// two tools never diverge on baseline syntax.
+    /// Renders the given findings as baseline-file text under a
+    /// `#`-comment header. Shared by every gate (see [`crate::gate`]) so
+    /// the tools never diverge on baseline syntax.
     pub fn render_with_header(findings: &[Finding], header: &str) -> String {
         let mut out = String::from(header);
         if !out.is_empty() && !out.ends_with('\n') {
@@ -128,7 +124,7 @@ mod tests {
     #[test]
     fn render_roundtrips_through_parse() {
         let findings = vec![finding("a"), finding("b"), finding("a")];
-        let text = Baseline::render(&findings);
+        let text = Baseline::render_with_header(&findings, BASELINE_HEADER);
         let b = Baseline::parse(&text);
         assert_eq!(b.len(), 2, "deduplicated");
         let mut fs = vec![finding("a"), finding("b")];

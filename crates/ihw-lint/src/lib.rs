@@ -26,6 +26,8 @@
 //! [`json`], the one JSON writer every `ihw-*` document uses. A checked-in
 //! baseline (`lint-baseline.txt`) grandfathers findings so CI fails only
 //! on *new* violations; after the initial triage the baseline is empty.
+//! [`gate`] holds the flags, baseline policy and exit codes that the lint
+//! shares with the `repro` audit subcommands.
 //! See `DESIGN.md` §7 ("Invariants & the lint catalog") for the
 //! allow-marker syntax and the baseline workflow.
 //!
@@ -39,6 +41,7 @@
 
 pub mod baseline;
 pub mod diag;
+pub mod gate;
 pub mod json;
 pub mod lexer;
 pub mod rules;

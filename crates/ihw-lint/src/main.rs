@@ -3,68 +3,68 @@
 //!
 //! ```text
 //! cargo run -p ihw-lint                       # audit the workspace
-//! cargo run -p ihw-lint -- --json             # machine-readable (ihw-lint/1)
-//! cargo run -p ihw-lint -- --json-out f.json  # human output + JSON artifact
-//! cargo run -p ihw-lint -- --write-baseline   # grandfather current findings
+//! cargo run -p ihw-lint -- --root DIR         # audit another checkout
 //! cargo run -p ihw-lint -- path/to/file.rs    # audit specific files
 //! ```
 //!
-//! Exit status: 0 when no *new* (non-baselined) findings, 1 when new
-//! findings exist, 2 on usage/IO errors.
+//! The common gate flags (`--json`, `--json-out`, `--baseline`,
+//! `--write-baseline`) and the exit status are those of
+//! [`ihw_lint::gate`]; the baseline is `lint-baseline.txt` under the
+//! root.
 
 #![forbid(unsafe_code)]
 
-use ihw_lint::baseline::{Baseline, BASELINE_FILE};
-use ihw_lint::{default_root, diag, lint_file, lint_workspace};
+use ihw_lint::baseline::{BASELINE_FILE, BASELINE_HEADER};
+use ihw_lint::diag::{self, Finding};
+use ihw_lint::gate::{self, Audit, Tally};
+use ihw_lint::{default_root, lint_file, lint_workspace};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut json = false;
-    let mut write_baseline = false;
-    let mut json_out: Option<PathBuf> = None;
-    let mut baseline_path: Option<PathBuf> = None;
-    let mut root: Option<PathBuf> = None;
-    let mut paths: Vec<PathBuf> = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--json" => json = true,
-            "--write-baseline" => write_baseline = true,
-            "--json-out" | "--baseline" | "--root" => {
-                let Some(value) = it.next() else {
-                    eprintln!("{arg} expects a value");
-                    return ExitCode::from(2);
-                };
-                match arg.as_str() {
-                    "--json-out" => json_out = Some(PathBuf::from(value)),
-                    "--baseline" => baseline_path = Some(PathBuf::from(value)),
-                    _ => root = Some(PathBuf::from(value)),
-                }
-            }
-            "--help" | "-h" => {
-                println!(
-                    "usage: ihw-lint [--json] [--json-out FILE] [--baseline FILE] \
-                     [--root DIR] [--write-baseline] [FILES...]"
-                );
-                return ExitCode::SUCCESS;
-            }
-            flag if flag.starts_with("--") => {
-                eprintln!("unknown flag {flag}");
-                return ExitCode::from(2);
-            }
-            path => paths.push(PathBuf::from(path)),
-        }
+/// The lint gate's own part: its summary line.
+struct Lint;
+
+impl Audit for Lint {
+    const BASELINE_FILE: &'static str = BASELINE_FILE;
+    const BASELINE_HEADER: &'static str = BASELINE_HEADER;
+
+    fn to_json(&self, findings: &[Finding]) -> String {
+        diag::to_json(findings)
     }
 
+    fn summary(&self, t: &Tally) -> String {
+        format!(
+            "ihw-lint: {} finding(s), {} new, {} baselined",
+            t.total,
+            t.new,
+            t.baselined()
+        )
+    }
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut root: Option<PathBuf> = None;
+    let usage = "usage: ihw-lint [--json] [--json-out FILE] [--baseline FILE] \
+                 [--root DIR] [--write-baseline] [FILES...]";
+    let mut flags = match gate::parse(&args, usage, None, &["--root"], |_, dir| {
+        root = Some(PathBuf::from(dir));
+        Ok(())
+    }) {
+        Ok(flags) => flags,
+        Err(code) => return ExitCode::from(code as u8),
+    };
+
     let root = root.unwrap_or_else(default_root);
-    let result = if paths.is_empty() {
+    flags
+        .baseline
+        .get_or_insert_with(|| root.join(BASELINE_FILE));
+    let result = if flags.names.is_empty() {
         lint_workspace(&root)
     } else {
         let mut findings = Vec::new();
-        for p in &paths {
-            match lint_file(&root, p) {
+        for p in flags.names.iter().map(PathBuf::from) {
+            match lint_file(&root, &p) {
                 Ok(f) => findings.extend(f),
                 Err(e) => {
                     eprintln!("cannot read {}: {e}", p.display());
@@ -78,61 +78,11 @@ fn main() -> ExitCode {
         findings.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
         Ok(findings)
     };
-    let mut findings = match result {
-        Ok(f) => f,
+    match result {
+        Ok(findings) => ExitCode::from(gate::run(&flags, &Lint, findings) as u8),
         Err(e) => {
             eprintln!("scan failed: {e}");
-            return ExitCode::from(2);
+            ExitCode::from(2)
         }
-    };
-
-    let baseline_file = baseline_path.unwrap_or_else(|| root.join(BASELINE_FILE));
-    if write_baseline {
-        let text = Baseline::render(&findings);
-        if let Err(e) = std::fs::write(&baseline_file, text) {
-            eprintln!("cannot write {}: {e}", baseline_file.display());
-            return ExitCode::from(2);
-        }
-        println!(
-            "baseline written: {} finding(s) grandfathered to {}",
-            findings.len(),
-            baseline_file.display()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    let baseline = Baseline::load(&baseline_file);
-    let new = baseline.apply(&mut findings);
-
-    if json {
-        print!("{}", diag::to_json(&findings));
-    } else {
-        for f in &findings {
-            let tag = if f.new { "" } else { " (baselined)" };
-            println!("{}{tag}", f.render());
-        }
-        println!(
-            "ihw-lint: {} finding(s), {} new, {} baselined",
-            findings.len(),
-            new,
-            findings.len() - new
-        );
-    }
-    if let Some(path) = &json_out {
-        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-            let _ = std::fs::create_dir_all(dir);
-        }
-        if let Err(e) = std::fs::write(path, diag::to_json(&findings)) {
-            eprintln!("cannot write {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        if !json {
-            println!("JSON diagnostics written to {}", path.display());
-        }
-    }
-    if new > 0 {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
     }
 }

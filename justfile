@@ -27,7 +27,9 @@ clippy:
     cargo clippy --workspace --all-targets -- -D warnings
 
 # Workspace invariant audit (bit-determinism lint, see DESIGN.md §7).
-# Fails on findings not in lint-baseline.txt.
+# Fails on findings not in lint-baseline.txt. This and the four audits
+# below share the baseline gate of DESIGN.md §7 (`--json`, `--json-out
+# FILE`, `--baseline FILE`, `--write-baseline`).
 lint *ARGS:
     cargo run --release -p ihw-lint -- {{ARGS}}
 
@@ -58,7 +60,7 @@ autotune *ARGS:
 # per-launch error-transfer summaries e' ≤ ρ·e + c, closed-form N(ε)
 # and certified net energy when ρ < 1, the A010 divergence-risk rule
 # when ρ ≥ 1 (see DESIGN.md §13). Fails on A010 findings not in
-# converge-baseline.txt (expected divergences never gate).
+# converge-baseline.txt (expected divergences are advisory).
 # `just converge --bench` records BENCH_solvers.json, pairing every
 # certificate with a measured solver trajectory.
 converge *ARGS:
