@@ -633,12 +633,13 @@ mod tests {
 
     #[test]
     fn image_artifacts_written() {
-        let dir = std::env::temp_dir().join("ihw_bench_images_test");
+        let dir =
+            std::env::temp_dir().join(format!("ihw_bench_images_test_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         write_image_artifacts(Scale::Quick, &dir).expect("writes");
-        let entries: Vec<_> = std::fs::read_dir(&dir).expect("dir").collect();
-        assert_eq!(entries.len(), 10);
+        let entries = std::fs::read_dir(&dir).expect("dir").count();
         let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(entries, 10);
     }
 
     #[test]

@@ -7,10 +7,87 @@
 //! [`IhwConfig`] knob **and** increments the per-opcode performance
 //! counter that the Figure 12 power estimator and the GPUWattch-style
 //! model later consume.
+//!
+//! The double-precision workloads (MD, ART, Sphinx) also run whole
+//! slices through one call: [`FpCtx::add64_lanes`], `sub64_lanes`,
+//! `mul64_lanes`, `fma64_lanes`, `rcp64_lanes` and the ordered fold
+//! [`FpCtx::fma64_fold`]. A slice op counts its `n` ops once and picks
+//! the unit once, so its loop is instantiated per unit, as the `map*`
+//! loops of `crate::compile` are. Each lane calls the same unit function
+//! as the scalar op, so a slice op's values, `OpCounts` and trace equal
+//! those of a loop over the scalar op. What changes is the trace order
+//! of a caller that batches: a slice op pushes its `n` unit classes
+//! together, so a workload computed op-major over a block of lanes
+//! traces the same multiset of classes as its one-op-at-a-time form,
+//! in a different order.
 
 use crate::simt::UnitClass;
-use ihw_core::config::{FpOp, IhwConfig};
+use ihw_core::ac_multiplier::{AcMulConfig, MulPath};
+use ihw_core::adder::{iadd64, isub64};
+use ihw_core::config::{AddUnit, FpOp, IhwConfig, MulUnit, UnitMode};
+use ihw_core::multiplier::imul64;
+use ihw_core::sfu::ircp64;
 use ihw_power::system::OpCounts;
+
+/// Lane count of the stack buffers around the slice ops: the fold's
+/// block of products, and the operand buffers the double-precision
+/// workloads fill. The slice ops themselves take any length.
+pub const LANE_BLOCK: usize = 64;
+
+/// Evaluates `$body` with `$mul` bound to the configured double-precision
+/// multiplier as a plain closure, one match arm per unit. Each arm
+/// instantiates `$body`'s lane loop for one unit function, with the AC
+/// datapath re-bound to a literal `MulPath` so its path match folds (as
+/// in `crate::compile::exec_block`).
+macro_rules! with_mul64 {
+    ($unit:expr, |$mul:ident| $body:expr) => {
+        match $unit {
+            MulUnit::Precise => {
+                let $mul = |x: f64, y: f64| x * y;
+                $body
+            }
+            MulUnit::Imprecise => {
+                let $mul = imul64;
+                $body
+            }
+            MulUnit::AcMul(AcMulConfig {
+                path: MulPath::Log,
+                truncation,
+            }) => {
+                let $mul = move |x, y| AcMulConfig::new(MulPath::Log, truncation).mul64(x, y);
+                $body
+            }
+            MulUnit::AcMul(AcMulConfig {
+                path: MulPath::Full,
+                truncation,
+            }) => {
+                let $mul = move |x, y| AcMulConfig::new(MulPath::Full, truncation).mul64(x, y);
+                $body
+            }
+            MulUnit::Truncated(tm) => {
+                let $mul = move |x, y| tm.mul64(x, y);
+                $body
+            }
+        }
+    };
+}
+
+/// Evaluates `$body` with `$add` bound to the configured double-precision
+/// adder as a plain closure, one match arm per unit.
+macro_rules! with_add64 {
+    ($unit:expr, |$add:ident| $body:expr) => {
+        match $unit {
+            AddUnit::Precise => {
+                let $add = |x: f64, y: f64| x + y;
+                $body
+            }
+            AddUnit::Imprecise { th } => {
+                let $add = move |x, y| iadd64(x, y, th);
+                $body
+            }
+        }
+    };
+}
 
 /// Counting arithmetic dispatcher ("the knob" plus performance counters).
 ///
@@ -77,6 +154,16 @@ impl FpCtx {
     fn trace_push(&mut self, unit: UnitClass) {
         if let Some(t) = &mut self.trace {
             t.push(unit);
+        }
+    }
+
+    /// Counts `n` ops of class `op` and, when tracing, pushes their `n`
+    /// unit classes together.
+    #[inline]
+    fn record_lanes(&mut self, op: FpOp, n: usize) {
+        self.counts.record(op, n as u64);
+        if let Some(t) = &mut self.trace {
+            t.extend(std::iter::repeat_n(UnitClass::for_fp_op(op), n));
         }
     }
 
@@ -362,6 +449,146 @@ impl FpCtx {
         self.trace_push(UnitClass::for_fp_op(FpOp::Fma));
         self.cfg.fma64(a, b, c)
     }
+
+    // ---- double precision lanes ----
+    //
+    // Each op equals a loop of its scalar op over the lanes, in value,
+    // count and trace. The operand slices and `out` must have one
+    // length; a mismatch panics with a message naming the op. A
+    // constant or broadcast operand is a filled buffer.
+
+    /// `out[k] = add64(a[k], b[k])` for every lane.
+    pub fn add64_lanes(&mut self, a: &[f64], b: &[f64], out: &mut [f64]) {
+        lanes_len("add64_lanes", &[a, b], out);
+        self.record_lanes(FpOp::Add, out.len());
+        match self.cfg.add {
+            AddUnit::Precise => map2(a, b, out, |x, y| x + y),
+            AddUnit::Imprecise { th } => map2(a, b, out, move |x, y| iadd64(x, y, th)),
+        }
+    }
+
+    /// `out[k] = sub64(a[k], b[k])` for every lane.
+    pub fn sub64_lanes(&mut self, a: &[f64], b: &[f64], out: &mut [f64]) {
+        lanes_len("sub64_lanes", &[a, b], out);
+        self.record_lanes(FpOp::Add, out.len());
+        match self.cfg.add {
+            AddUnit::Precise => map2(a, b, out, |x, y| x - y),
+            AddUnit::Imprecise { th } => map2(a, b, out, move |x, y| isub64(x, y, th)),
+        }
+    }
+
+    /// `out[k] = mul64(a[k], b[k])` for every lane.
+    pub fn mul64_lanes(&mut self, a: &[f64], b: &[f64], out: &mut [f64]) {
+        lanes_len("mul64_lanes", &[a, b], out);
+        self.record_lanes(FpOp::Mul, out.len());
+        with_mul64!(self.cfg.mul, |mul| map2(a, b, out, mul))
+    }
+
+    /// `out[k] = fma64(a[k], b[k], c[k])` for every lane.
+    pub fn fma64_lanes(&mut self, a: &[f64], b: &[f64], c: &[f64], out: &mut [f64]) {
+        lanes_len("fma64_lanes", &[a, b, c], out);
+        self.record_lanes(FpOp::Fma, out.len());
+        // `add64(mul64(x, y), z)`, as `IhwConfig::fma64` composes it.
+        with_mul64!(self.cfg.mul, |mul| with_add64!(self.cfg.add, |add| {
+            map3(a, b, c, out, move |x, y, z| add(mul(x, y), z))
+        }))
+    }
+
+    /// `out[k] = rcp64(a[k])` for every lane.
+    pub fn rcp64_lanes(&mut self, a: &[f64], out: &mut [f64]) {
+        lanes_len("rcp64_lanes", &[a], out);
+        self.record_lanes(FpOp::Rcp, out.len());
+        match self.cfg.rcp {
+            UnitMode::Precise => map1(a, out, |x| 1.0 / x),
+            UnitMode::Imprecise => map1(a, out, ircp64),
+        }
+    }
+
+    /// The ordered dot-product fold: `acc = fma64(a[k], b[k], acc)` for
+    /// `k = 0, 1, …`, returning the final `acc`, bit-identical to that
+    /// loop of the scalar op (the imprecise units round differently from
+    /// the host, so the order is part of the result). `a` and `b` must
+    /// have one length; a mismatch panics with a message.
+    pub fn fma64_fold(&mut self, a: &[f64], b: &[f64], acc: f64) -> f64 {
+        assert_eq!(
+            a.len(),
+            b.len(),
+            "fma64_fold: operand slices differ in length"
+        );
+        self.record_lanes(FpOp::Fma, a.len());
+        with_mul64!(self.cfg.mul, |mul| with_add64!(self.cfg.add, |add| {
+            fold2(a, b, acc, mul, add)
+        }))
+    }
+}
+
+/// Checks that every input slice of a lane op has `out`'s length.
+fn lanes_len(op: &str, inputs: &[&[f64]], out: &[f64]) {
+    for (i, input) in inputs.iter().enumerate() {
+        assert_eq!(
+            input.len(),
+            out.len(),
+            "{op}: operand {i} has {} lanes, out has {}",
+            input.len(),
+            out.len()
+        );
+    }
+}
+
+// As in `crate::compile`, the lane loops are `inline(never)`: each
+// monomorphized instance is one small loop into which LLVM inlines the
+// unit body, instead of a loop inside a large caller.
+
+/// `out[k] = f(a[k])` for every lane.
+#[inline(never)]
+fn map1(a: &[f64], out: &mut [f64], f: impl Fn(f64) -> f64) {
+    let a = &a[..out.len()];
+    for k in 0..out.len() {
+        out[k] = f(a[k]);
+    }
+}
+
+/// `out[k] = f(a[k], b[k])` for every lane.
+#[inline(never)]
+fn map2(a: &[f64], b: &[f64], out: &mut [f64], f: impl Fn(f64, f64) -> f64) {
+    let (a, b) = (&a[..out.len()], &b[..out.len()]);
+    for k in 0..out.len() {
+        out[k] = f(a[k], b[k]);
+    }
+}
+
+/// `out[k] = f(a[k], b[k], c[k])` for every lane.
+#[inline(never)]
+fn map3(a: &[f64], b: &[f64], c: &[f64], out: &mut [f64], f: impl Fn(f64, f64, f64) -> f64) {
+    let (a, b, c) = (&a[..out.len()], &b[..out.len()], &c[..out.len()]);
+    for k in 0..out.len() {
+        out[k] = f(a[k], b[k], c[k]);
+    }
+}
+
+/// `acc = add(mul(a[k], b[k]), acc)` in lane order. The products do
+/// not depend on `acc`, so each block of them is a lane loop of its
+/// own, ahead of the serial sum.
+#[inline(never)]
+fn fold2(
+    a: &[f64],
+    b: &[f64],
+    acc: f64,
+    mul: impl Fn(f64, f64) -> f64,
+    add: impl Fn(f64, f64) -> f64,
+) -> f64 {
+    let mut acc = acc;
+    let mut prod = [0.0f64; LANE_BLOCK];
+    for (a, b) in a.chunks(LANE_BLOCK).zip(b.chunks(LANE_BLOCK)) {
+        let prod = &mut prod[..a.len()];
+        for k in 0..prod.len() {
+            prod[k] = mul(a[k], b[k]);
+        }
+        for &p in prod.iter() {
+            acc = add(p, acc);
+        }
+    }
+    acc
 }
 
 #[cfg(test)]

@@ -858,9 +858,13 @@ mod tests {
 
     #[test]
     fn stock_converge_is_clean_against_empty_baseline() {
-        let empty = std::env::temp_dir().join("ihw-converge-empty-baseline-test.txt");
+        let empty = std::env::temp_dir().join(format!(
+            "ihw-converge-empty-baseline-{}.txt",
+            std::process::id()
+        ));
         std::fs::write(&empty, "").unwrap();
         let code = run(&s(&["--baseline", empty.to_str().unwrap()]));
+        let _ = std::fs::remove_file(empty);
         assert_eq!(code, 0, "expected divergences must not gate");
     }
 

@@ -238,11 +238,12 @@ mod tests {
     #[test]
     fn pgm_roundtrip_to_disk() {
         let img = GrayImage::from_fn(4, 4, |x, y| (x * y) as f64);
-        let dir = std::env::temp_dir().join("ihw_quality_pgm_test.pgm");
-        img.write_pgm(&dir).expect("writes");
-        let bytes = std::fs::read(&dir).expect("reads");
+        let path =
+            std::env::temp_dir().join(format!("ihw_quality_pgm_test_{}.pgm", std::process::id()));
+        img.write_pgm(&path).expect("writes");
+        let bytes = std::fs::read(&path).expect("reads");
+        let _ = std::fs::remove_file(&path);
         assert_eq!(bytes, img.to_pgm());
-        let _ = std::fs::remove_file(&dir);
     }
 
     #[test]

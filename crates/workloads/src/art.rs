@@ -128,15 +128,15 @@ pub fn run(params: &ArtParams, image: &[f64], ctx: &mut FpCtx) -> ArtOutput {
     for y0 in 0..=(n - PATCH) {
         for x0 in 0..=(n - PATCH) {
             ctx.int_op(6);
-            // Window energy ‖x‖² (F1 normalisation term).
-            let mut energy = 0.0f64;
-            for dy in 0..PATCH {
-                for dx in 0..PATCH {
-                    let v = image[(y0 + dy) * n + (x0 + dx)];
-                    ctx.mem_op(1);
-                    energy = ctx.fma64(v, v, energy);
-                }
+            // Window energy ‖x‖² (F1 normalisation term), folded in
+            // row-major order over the gathered window.
+            let mut window = [0.0f64; PATCH * PATCH];
+            for (dy, row) in window.chunks_exact_mut(PATCH).enumerate() {
+                let start = (y0 + dy) * n + x0;
+                row.copy_from_slice(&image[start..start + PATCH]);
             }
+            ctx.mem_op((PATCH * PATCH) as u64);
+            let energy = ctx.fma64_fold(&window, &window, 0.0);
             let norm = ctx.sqrt64(energy);
             if norm <= 0.0 {
                 continue;
@@ -145,13 +145,7 @@ pub fn run(params: &ArtParams, image: &[f64], ctx: &mut FpCtx) -> ArtOutput {
             // F2 activations: dot products against each category's
             // bottom-up weights.
             for (cat, w) in weights.iter().enumerate() {
-                let mut act = 0.0f64;
-                for dy in 0..PATCH {
-                    for dx in 0..PATCH {
-                        let v = image[(y0 + dy) * n + (x0 + dx)];
-                        act = ctx.fma64(v, w[dy * PATCH + dx], act);
-                    }
-                }
+                let act = ctx.fma64_fold(&window, w, 0.0);
                 // Vigilance: cosine match of the window to the category.
                 let vig = ctx.mul64(act, inv_norm);
                 if vig > best.vigilance {

@@ -11,7 +11,7 @@
 //! error** of the reference are considered correct; that error percentage
 //! is the quality metric.
 
-use gpu_sim::dispatch::FpCtx;
+use gpu_sim::dispatch::{FpCtx, LANE_BLOCK};
 use gpu_sim::simt::{InstrMix, KernelLaunch};
 use ihw_core::config::IhwConfig;
 use rand::rngs::StdRng;
@@ -125,71 +125,186 @@ fn min_image(d: f64, box_len: f64) -> f64 {
     }
 }
 
+/// Stack lane buffers for one block of `j` partners of particle `i`,
+/// made once per run (no allocation per force evaluation or block).
+struct PairBlock {
+    /// Particle `i`'s coordinate on one axis, broadcast.
+    pi: [f64; LANE_BLOCK],
+    /// The partners' coordinates on that axis.
+    pj: [f64; LANE_BLOCK],
+    /// Minimum-image displacement per axis, then `r²` and its partial
+    /// sums, for every pair.
+    d: [[f64; LANE_BLOCK]; 3],
+    xx: [f64; LANE_BLOCK],
+    xy: [f64; LANE_BLOCK],
+    r2: [f64; LANE_BLOCK],
+    /// The pairs inside the cutoff, compacted: partner index,
+    /// displacement and `r²`.
+    j: [usize; LANE_BLOCK],
+    cd: [[f64; LANE_BLOCK]; 3],
+    cr2: [f64; LANE_BLOCK],
+    /// Force-kernel temporaries, named by the value they hold.
+    inv_r2: [f64; LANE_BLOCK],
+    inv_r4: [f64; LANE_BLOCK],
+    inv_r6: [f64; LANE_BLOCK],
+    inv_r12: [f64; LANE_BLOCK],
+    lj_diff: [f64; LANE_BLOCK],
+    u: [f64; LANE_BLOCK],
+    two_r12: [f64; LANE_BLOCK],
+    f_term: [f64; LANE_BLOCK],
+    f24: [f64; LANE_BLOCK],
+    fmag: [f64; LANE_BLOCK],
+    /// Pair force per axis, and partner `j`'s force before and after.
+    f: [[f64; LANE_BLOCK]; 3],
+    fj: [f64; LANE_BLOCK],
+    fj_new: [f64; LANE_BLOCK],
+}
+
+/// The broadcast constant operands of the force kernel.
+const FOUR: [f64; LANE_BLOCK] = [4.0; LANE_BLOCK];
+const TWO: [f64; LANE_BLOCK] = [2.0; LANE_BLOCK];
+const TWENTY_FOUR: [f64; LANE_BLOCK] = [24.0; LANE_BLOCK];
+
+impl PairBlock {
+    fn new() -> Self {
+        let z = [0.0; LANE_BLOCK];
+        PairBlock {
+            pi: z,
+            pj: z,
+            d: [z; 3],
+            xx: z,
+            xy: z,
+            r2: z,
+            j: [0; LANE_BLOCK],
+            cd: [z; 3],
+            cr2: z,
+            inv_r2: z,
+            inv_r4: z,
+            inv_r6: z,
+            inv_r12: z,
+            lj_diff: z,
+            u: z,
+            two_r12: z,
+            f_term: z,
+            f24: z,
+            fmag: z,
+            f: [z; 3],
+            fj: z,
+            fj_new: z,
+        }
+    }
+}
+
+/// Lennard-Jones forces and potential through the counted dispatcher:
+/// r⁻² via rcp, r⁻⁶/r⁻¹² via multiplies. Overwrites `forces` and
+/// returns the total potential.
+///
+/// Each pair's arithmetic is that of the one-pair-at-a-time kernel,
+/// run op-major over blocks of [`LANE_BLOCK`] partners `j` of each `i`
+/// with the `FpCtx` slice ops. The order-dependent sums, `potential`
+/// and `forces[i]`, stay sequential in `j` order, so every value is
+/// bit-identical to the per-pair loop; `forces[j]` takes one op per
+/// pair, each on a distinct `j`, so it runs in lanes.
+fn compute_forces(
+    pos: &[[f64; 3]],
+    forces: &mut [[f64; 3]],
+    box_len: f64,
+    blk: &mut PairBlock,
+    ctx: &mut FpCtx,
+) -> f64 {
+    let cutoff2 = 2.5f64 * 2.5;
+    let n = pos.len();
+    forces.fill([0.0; 3]);
+    let mut potential = 0.0f64;
+    for i in 0..n {
+        for j0 in (i + 1..n).step_by(LANE_BLOCK) {
+            let m = LANE_BLOCK.min(n - j0);
+            ctx.int_op(4 * m as u64);
+            ctx.mem_op(2 * m as u64);
+            for k in 0..3 {
+                blk.pi[..m].fill(pos[i][k]);
+                for (p, q) in blk.pj[..m].iter_mut().zip(&pos[j0..j0 + m]) {
+                    *p = q[k];
+                }
+                ctx.sub64_lanes(&blk.pi[..m], &blk.pj[..m], &mut blk.d[k][..m]);
+                for d in &mut blk.d[k][..m] {
+                    *d = min_image(*d, box_len);
+                }
+            }
+            let [dx, dy, dz] = &blk.d;
+            ctx.mul64_lanes(&dx[..m], &dx[..m], &mut blk.xx[..m]);
+            ctx.fma64_lanes(&dy[..m], &dy[..m], &blk.xx[..m], &mut blk.xy[..m]);
+            ctx.fma64_lanes(&dz[..m], &dz[..m], &blk.xy[..m], &mut blk.r2[..m]);
+
+            // Compact the pairs inside the cutoff. The test is the
+            // per-pair kernel's `continue` negated, so a NaN r² still
+            // takes the force path.
+            let mut c = 0;
+            for l in 0..m {
+                let r2 = blk.r2[l];
+                if r2 >= cutoff2 || r2 <= 1e-12 {
+                    continue;
+                }
+                blk.j[c] = j0 + l;
+                for k in 0..3 {
+                    blk.cd[k][c] = blk.d[k][l];
+                }
+                blk.cr2[c] = r2;
+                c += 1;
+            }
+
+            ctx.rcp64_lanes(&blk.cr2[..c], &mut blk.inv_r2[..c]);
+            let inv_r2 = &blk.inv_r2[..c];
+            ctx.mul64_lanes(inv_r2, inv_r2, &mut blk.inv_r4[..c]);
+            ctx.mul64_lanes(&blk.inv_r4[..c], inv_r2, &mut blk.inv_r6[..c]);
+            let inv_r6 = &blk.inv_r6[..c];
+            ctx.mul64_lanes(inv_r6, inv_r6, &mut blk.inv_r12[..c]);
+            let inv_r12 = &blk.inv_r12[..c];
+            // U = 4(r⁻¹² − r⁻⁶); F·r = 24(2r⁻¹² − r⁻⁶)
+            ctx.sub64_lanes(inv_r12, inv_r6, &mut blk.lj_diff[..c]);
+            ctx.mul64_lanes(&FOUR[..c], &blk.lj_diff[..c], &mut blk.u[..c]);
+            for &u in &blk.u[..c] {
+                potential = ctx.add64(potential, u);
+            }
+            ctx.mul64_lanes(&TWO[..c], inv_r12, &mut blk.two_r12[..c]);
+            ctx.sub64_lanes(&blk.two_r12[..c], inv_r6, &mut blk.f_term[..c]);
+            ctx.mul64_lanes(&TWENTY_FOUR[..c], &blk.f_term[..c], &mut blk.f24[..c]);
+            ctx.mul64_lanes(&blk.f24[..c], inv_r2, &mut blk.fmag[..c]);
+            let mut fi = forces[i];
+            for (k, fi_k) in fi.iter_mut().enumerate() {
+                ctx.mul64_lanes(&blk.fmag[..c], &blk.cd[k][..c], &mut blk.f[k][..c]);
+                for &f in &blk.f[k][..c] {
+                    *fi_k = ctx.add64(*fi_k, f);
+                }
+                for (fj, &j) in blk.fj[..c].iter_mut().zip(&blk.j[..c]) {
+                    *fj = forces[j][k];
+                }
+                ctx.sub64_lanes(&blk.fj[..c], &blk.f[k][..c], &mut blk.fj_new[..c]);
+                for (&f, &j) in blk.fj_new[..c].iter().zip(&blk.j[..c]) {
+                    forces[j][k] = f;
+                }
+            }
+            forces[i] = fi;
+        }
+    }
+    potential
+}
+
 /// Runs the MD simulation under the arithmetic configuration carried by
 /// `ctx`.
 pub fn run(params: &MdParams, ctx: &mut FpCtx) -> MdOutput {
     let n = params.particles;
     let (mut pos, mut vel) = init_state(params);
     let mut forces = vec![[0.0f64; 3]; n];
+    let mut blk = PairBlock::new();
     let dt = params.dt;
     let half_dt = 0.5 * dt;
-    let cutoff2 = 2.5f64 * 2.5;
 
     let mut pot_acc = 0.0f64;
     let mut temp_acc = 0.0f64;
 
-    // Lennard-Jones force/potential for one pair, through the counted
-    // dispatcher: r⁻² via rcp, r⁻⁶/r⁻¹² via multiplies.
-    let compute_forces = |pos: &[[f64; 3]], forces: &mut Vec<[f64; 3]>, ctx: &mut FpCtx| {
-        for f in forces.iter_mut() {
-            *f = [0.0; 3];
-        }
-        let mut potential = 0.0f64;
-        for i in 0..n {
-            for j in (i + 1)..n {
-                ctx.int_op(4);
-                ctx.mem_op(2);
-                let dx = min_image(ctx.sub64(pos[i][0], pos[j][0]), params.box_len);
-                let dy = min_image(ctx.sub64(pos[i][1], pos[j][1]), params.box_len);
-                let dz = min_image(ctx.sub64(pos[i][2], pos[j][2]), params.box_len);
-                let r2 = {
-                    let xx = ctx.mul64(dx, dx);
-                    let yy = ctx.fma64(dy, dy, xx);
-                    ctx.fma64(dz, dz, yy)
-                };
-                if r2 >= cutoff2 || r2 <= 1e-12 {
-                    continue;
-                }
-                let inv_r2 = ctx.rcp64(r2);
-                let inv_r6 = {
-                    let a = ctx.mul64(inv_r2, inv_r2);
-                    ctx.mul64(a, inv_r2)
-                };
-                let inv_r12 = ctx.mul64(inv_r6, inv_r6);
-                // U = 4(r⁻¹² − r⁻⁶); F·r = 24(2r⁻¹² − r⁻⁶)
-                let lj_diff = ctx.sub64(inv_r12, inv_r6);
-                let u = ctx.mul64(4.0, lj_diff);
-                potential = ctx.add64(potential, u);
-                let two_r12 = ctx.mul64(2.0, inv_r12);
-                let f_term = ctx.sub64(two_r12, inv_r6);
-                let f24 = ctx.mul64(24.0, f_term);
-                let fmag = ctx.mul64(f24, inv_r2);
-                let fx = ctx.mul64(fmag, dx);
-                let fy = ctx.mul64(fmag, dy);
-                let fz = ctx.mul64(fmag, dz);
-                forces[i][0] = ctx.add64(forces[i][0], fx);
-                forces[i][1] = ctx.add64(forces[i][1], fy);
-                forces[i][2] = ctx.add64(forces[i][2], fz);
-                forces[j][0] = ctx.sub64(forces[j][0], fx);
-                forces[j][1] = ctx.sub64(forces[j][1], fy);
-                forces[j][2] = ctx.sub64(forces[j][2], fz);
-            }
-        }
-        potential
-    };
-
     // Initial force evaluation seeds the first half-kick.
-    compute_forces(&pos, &mut forces, ctx);
+    compute_forces(&pos, &mut forces, params.box_len, &mut blk, ctx);
     for _ in 0..params.steps {
         // Velocity Verlet: half-kick, drift, force, half-kick.
         for i in 0..n {
@@ -202,15 +317,15 @@ pub fn run(params: &MdParams, ctx: &mut FpCtx) -> MdOutput {
             ctx.int_op(3);
             ctx.mem_op(2);
         }
-        let potential = compute_forces(&pos, &mut forces, ctx);
+        let potential = compute_forces(&pos, &mut forces, params.box_len, &mut blk, ctx);
         // Second half-kick + kinetic energy.
-        let mut kinetic = 0.0f64;
         for i in 0..n {
             for k in 0..3 {
                 vel[i][k] = ctx.fma64(half_dt, forces[i][k], vel[i][k]);
-                kinetic = ctx.fma64(vel[i][k], vel[i][k], kinetic);
             }
         }
+        let v = vel.as_flattened();
+        let kinetic = ctx.fma64_fold(v, v, 0.0);
         pot_acc += potential / n as f64;
         // T = 2·KE / (3N) in reduced units (KE = ½Σv²).
         temp_acc += kinetic / (3.0 * n as f64);
@@ -255,6 +370,116 @@ mod tests {
             particles: 27,
             steps: 40,
             ..MdParams::default()
+        }
+    }
+
+    /// The one-pair-at-a-time force kernel `compute_forces` replaced,
+    /// kept as its oracle.
+    fn per_pair_forces(
+        pos: &[[f64; 3]],
+        forces: &mut [[f64; 3]],
+        box_len: f64,
+        ctx: &mut FpCtx,
+    ) -> f64 {
+        let n = pos.len();
+        let cutoff2 = 2.5f64 * 2.5;
+        forces.fill([0.0; 3]);
+        let mut potential = 0.0f64;
+        for i in 0..n {
+            for j in (i + 1)..n {
+                ctx.int_op(4);
+                ctx.mem_op(2);
+                let dx = min_image(ctx.sub64(pos[i][0], pos[j][0]), box_len);
+                let dy = min_image(ctx.sub64(pos[i][1], pos[j][1]), box_len);
+                let dz = min_image(ctx.sub64(pos[i][2], pos[j][2]), box_len);
+                let xx = ctx.mul64(dx, dx);
+                let yy = ctx.fma64(dy, dy, xx);
+                let r2 = ctx.fma64(dz, dz, yy);
+                if r2 >= cutoff2 || r2 <= 1e-12 {
+                    continue;
+                }
+                let inv_r2 = ctx.rcp64(r2);
+                let a = ctx.mul64(inv_r2, inv_r2);
+                let inv_r6 = ctx.mul64(a, inv_r2);
+                let inv_r12 = ctx.mul64(inv_r6, inv_r6);
+                let lj_diff = ctx.sub64(inv_r12, inv_r6);
+                let u = ctx.mul64(4.0, lj_diff);
+                potential = ctx.add64(potential, u);
+                let two_r12 = ctx.mul64(2.0, inv_r12);
+                let f_term = ctx.sub64(two_r12, inv_r6);
+                let f24 = ctx.mul64(24.0, f_term);
+                let fmag = ctx.mul64(f24, inv_r2);
+                let f = [
+                    ctx.mul64(fmag, dx),
+                    ctx.mul64(fmag, dy),
+                    ctx.mul64(fmag, dz),
+                ];
+                for k in 0..3 {
+                    forces[i][k] = ctx.add64(forces[i][k], f[k]);
+                }
+                for k in 0..3 {
+                    forces[j][k] = ctx.sub64(forces[j][k], f[k]);
+                }
+            }
+        }
+        potential
+    }
+
+    #[test]
+    fn blocked_forces_match_the_per_pair_kernel() {
+        // More particles than one lane block, packed so that many pairs
+        // pass the cutoff, plus the pairs the cutoff test must sort
+        // right: two coincident particles (r² = 0, skipped) and a NaN
+        // and an infinite coordinate (NaN r², which takes the force
+        // path and poisons its partners' forces).
+        let box_len = 6.0;
+        let mut pos: Vec<[f64; 3]> = (0..LANE_BLOCK + 9)
+            .map(|p| {
+                let t = p as f64;
+                [(t * 0.37) % box_len, (t * 0.61) % 2.0, (t * 0.23) % 1.5]
+            })
+            .collect();
+        pos[5] = pos[4];
+        pos[20][1] = f64::NAN;
+        pos[LANE_BLOCK + 3][2] = f64::INFINITY;
+        let canon = |x: f64| {
+            if x.is_nan() {
+                f64::NAN.to_bits()
+            } else {
+                x.to_bits()
+            }
+        };
+        let cfgs = [
+            IhwConfig::precise(),
+            IhwConfig::all_imprecise(),
+            IhwConfig::precise().with_mul(MulUnit::AcMul(AcMulConfig::new(MulPath::Log, 44))),
+        ];
+        for cfg in cfgs {
+            let mut blk = PairBlock::new();
+            let (mut got_ctx, mut want_ctx) = (FpCtx::new(cfg), FpCtx::new(cfg));
+            let mut got = vec![[0.0; 3]; pos.len()];
+            let mut want = got.clone();
+            let u = compute_forces(&pos, &mut got, box_len, &mut blk, &mut got_ctx);
+            let w = per_pair_forces(&pos, &mut want, box_len, &mut want_ctx);
+            assert_eq!(canon(u), canon(w), "potential under {cfg:?}");
+            let flat = |f: &[[f64; 3]]| {
+                f.as_flattened()
+                    .iter()
+                    .map(|&x| canon(x))
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(flat(&got), flat(&want), "forces under {cfg:?}");
+            assert!(
+                want.iter().any(|f| f[0].is_nan()),
+                "a NaN r² took the force path"
+            );
+            assert_eq!(
+                got_ctx.counts(),
+                want_ctx.counts(),
+                "OpCounts under {cfg:?}"
+            );
+            assert_eq!(got_ctx.int_ops(), want_ctx.int_ops());
+            assert_eq!(got_ctx.mem_ops(), want_ctx.mem_ops());
         }
     }
 

@@ -153,14 +153,12 @@ pub fn synth_utterances(params: &SphinxParams, vocab: &[Features]) -> Vec<Featur
 }
 
 /// Squared Euclidean frame distance through the counted dispatcher — the
-/// hot double precision multiply/accumulate loop.
+/// hot double precision multiply/accumulate loop: the differences in
+/// lanes, then their squares folded in dimension order.
 fn frame_dist(ctx: &mut FpCtx, a: &[f64; FEATURE_DIM], b: &[f64; FEATURE_DIM]) -> f64 {
-    let mut acc = 0.0f64;
-    for d in 0..FEATURE_DIM {
-        let diff = ctx.sub64(a[d], b[d]);
-        acc = ctx.fma64(diff, diff, acc);
-    }
-    acc
+    let mut diff = [0.0f64; FEATURE_DIM];
+    ctx.sub64_lanes(a, b, &mut diff);
+    ctx.fma64_fold(&diff, &diff, 0.0)
 }
 
 /// DTW alignment cost between an utterance and a template, normalized by

@@ -21,7 +21,7 @@ echo "== workspace tests =="
 # determinism, serve concurrency and hostile payloads, schema goldens).
 cargo test --workspace -q
 
-echo "== exhaustive single-precision SFU sweeps (release) =="
+echo "== release-only tests: exhaustive SFU sweeps, paper-scale MD pin =="
 # The #[ignore]d sweeps of tests/sfu_word_differential.rs: every one of
 # the 2^32 inputs of ircp32, irsqrt32, isqrt32, ilog2_32 and iexp2_32
 # (for ilog2_32 this includes its 2^31 - 2^24 positive normals, whose
@@ -29,6 +29,10 @@ echo "== exhaustive single-precision SFU sweeps (release) =="
 # bodies, bit for bit. The tier-1 tests sweep 2^24 cases per unit; only
 # this step proves the branch-free bodies on every input.
 cargo test --release --test sfu_word_differential -- --ignored
+# The #[ignore]d paper-scale MD pin of tests/workload_pins.rs: outputs,
+# OpCounts, int and mem ops bit for bit under five configs (the Quick
+# pins run in the tier-1 tests).
+cargo test --release --test workload_pins -- --ignored
 
 echo "== ihw-lint: workspace invariant audit (deny new findings) =="
 # Exits non-zero on findings not in lint-baseline.txt; the JSON
