@@ -14,14 +14,9 @@
 //! [`FpCtx::fma64_fold`]. A slice op counts its `n` ops once and picks
 //! the unit once, so its loop is instantiated per unit, as the `map*`
 //! loops of `crate::compile` are. Each lane calls the same unit function
-//! as the scalar op, so a slice op's values, `OpCounts` and trace equal
-//! those of a loop over the scalar op. What changes is the trace order
-//! of a caller that batches: a slice op pushes its `n` unit classes
-//! together, so a workload computed op-major over a block of lanes
-//! traces the same multiset of classes as its one-op-at-a-time form,
-//! in a different order.
+//! as the scalar op, so a slice op's values and `OpCounts` equal those
+//! of a loop over the scalar op.
 
-use crate::simt::UnitClass;
 use ihw_core::ac_multiplier::{AcMulConfig, MulPath};
 use ihw_core::adder::{iadd64, isub64};
 use ihw_core::config::{AddUnit, FpOp, IhwConfig, MulUnit, UnitMode};
@@ -109,10 +104,6 @@ pub struct FpCtx {
     /// Ops forced through the precise multiplier regardless of `cfg`
     /// (the CP benchmark keeps ≈20% of its multiplications precise).
     precise_mul_ops: u64,
-    /// When tracing is enabled, the issue-port sequence of every
-    /// dispatched operation (for trace-exact replay on the detailed
-    /// timing model).
-    trace: Option<Vec<UnitClass>>,
 }
 
 impl FpCtx {
@@ -124,46 +115,6 @@ impl FpCtx {
             int_ops: 0,
             mem_ops: 0,
             precise_mul_ops: 0,
-            trace: None,
-        }
-    }
-
-    /// Enables issue-port tracing: every subsequent operation appends its
-    /// unit class to the trace returned by [`FpCtx::take_trace`].
-    pub fn enable_trace(&mut self) {
-        if self.trace.is_none() {
-            self.trace = Some(Vec::new());
-        }
-    }
-
-    /// Whether issue-port tracing is currently enabled.
-    pub fn is_tracing(&self) -> bool {
-        self.trace.is_some()
-    }
-
-    /// Takes the captured trace, leaving tracing enabled with an empty
-    /// buffer. Returns an empty vector if tracing was never enabled.
-    pub fn take_trace(&mut self) -> Vec<UnitClass> {
-        match &mut self.trace {
-            Some(t) => std::mem::take(t),
-            None => Vec::new(),
-        }
-    }
-
-    #[inline]
-    fn trace_push(&mut self, unit: UnitClass) {
-        if let Some(t) = &mut self.trace {
-            t.push(unit);
-        }
-    }
-
-    /// Counts `n` ops of class `op` and, when tracing, pushes their `n`
-    /// unit classes together.
-    #[inline]
-    fn record_lanes(&mut self, op: FpOp, n: usize) {
-        self.counts.record(op, n as u64);
-        if let Some(t) = &mut self.trace {
-            t.extend(std::iter::repeat_n(UnitClass::for_fp_op(op), n));
         }
     }
 
@@ -192,34 +143,12 @@ impl FpCtx {
         self.precise_mul_ops
     }
 
-    /// Resets every counter (and any captured trace), keeping the
-    /// configuration.
+    /// Resets every counter, keeping the configuration.
     pub fn reset_counters(&mut self) {
         self.counts = OpCounts::new();
         self.int_ops = 0;
         self.mem_ops = 0;
         self.precise_mul_ops = 0;
-        if let Some(t) = &mut self.trace {
-            t.clear();
-        }
-    }
-
-    /// Folds another context's counters — and captured trace, when both
-    /// sides are tracing — into this one.
-    ///
-    /// The parallel kernel launch path runs each thread chunk on a fresh
-    /// context and absorbs them back **in tid order**, so the merged
-    /// counters and trace are identical to a sequential run's.
-    pub fn absorb(&mut self, other: &FpCtx) {
-        self.counts.merge(&other.counts);
-        self.int_ops += other.int_ops;
-        self.mem_ops += other.mem_ops;
-        self.precise_mul_ops += other.precise_mul_ops;
-        if let Some(t) = &mut self.trace {
-            if let Some(o) = &other.trace {
-                t.extend_from_slice(o);
-            }
-        }
     }
 
     /// Credits a precomputed batch of counters in one shot — the
@@ -229,48 +158,23 @@ impl FpCtx {
     /// and lands it here as a merge instead of `threads × instrs`
     /// individual counter updates. Workloads that run their kernel on
     /// a [`crate::isa::WarpInterpreter`] land its FP counts here too,
-    /// together with their own declared integer and memory ops. The
-    /// trace is untouched (see [`FpCtx::extend_trace_pattern`]).
+    /// together with their own declared integer and memory ops.
     pub fn record_static(&mut self, counts: &OpCounts, int_ops: u64, mem_ops: u64) {
         self.counts.merge(counts);
         self.int_ops += int_ops;
         self.mem_ops += mem_ops;
     }
 
-    /// Appends `repeats` full copies of a per-thread `UnitClass`
-    /// pattern plus a `prefix`-length partial copy (the faulting
-    /// thread's truncated trace) to the captured trace, if tracing.
-    /// One thread's pattern is position-identical to what `exec_step`
-    /// would have pushed, so a compiled launch's trace is
-    /// indistinguishable from an interpreted one's.
-    pub fn extend_trace_pattern(&mut self, pattern: &[UnitClass], repeats: u64, prefix: usize) {
-        if let Some(trace) = &mut self.trace {
-            trace.reserve(pattern.len() * repeats as usize + prefix);
-            for _ in 0..repeats {
-                trace.extend_from_slice(pattern);
-            }
-            trace.extend_from_slice(&pattern[..prefix]);
-        }
-    }
-
     /// Records `n` integer ALU operations (address math, loop control).
     #[inline]
     pub fn int_op(&mut self, n: u64) {
         self.int_ops += n;
-        if let Some(trace) = &mut self.trace {
-            trace.reserve(n as usize);
-            trace.extend(std::iter::repeat_n(UnitClass::Alu, n as usize));
-        }
     }
 
     /// Records `n` memory accesses.
     #[inline]
     pub fn mem_op(&mut self, n: u64) {
         self.mem_ops += n;
-        if let Some(trace) = &mut self.trace {
-            trace.reserve(n as usize);
-            trace.extend(std::iter::repeat_n(UnitClass::Lsu, n as usize));
-        }
     }
 
     // ---- single precision ----
@@ -279,7 +183,6 @@ impl FpCtx {
     #[inline]
     pub fn add32(&mut self, a: f32, b: f32) -> f32 {
         self.counts.record(FpOp::Add, 1);
-        self.trace_push(UnitClass::for_fp_op(FpOp::Add));
         self.cfg.add32(a, b)
     }
 
@@ -287,7 +190,6 @@ impl FpCtx {
     #[inline]
     pub fn sub32(&mut self, a: f32, b: f32) -> f32 {
         self.counts.record(FpOp::Add, 1);
-        self.trace_push(UnitClass::for_fp_op(FpOp::Add));
         self.cfg.sub32(a, b)
     }
 
@@ -295,7 +197,6 @@ impl FpCtx {
     #[inline]
     pub fn mul32(&mut self, a: f32, b: f32) -> f32 {
         self.counts.record(FpOp::Mul, 1);
-        self.trace_push(UnitClass::for_fp_op(FpOp::Mul));
         self.cfg.mul32(a, b)
     }
 
@@ -304,7 +205,6 @@ impl FpCtx {
     #[inline]
     pub fn mul32_precise(&mut self, a: f32, b: f32) -> f32 {
         self.counts.record(FpOp::Mul, 1);
-        self.trace_push(UnitClass::for_fp_op(FpOp::Mul));
         self.precise_mul_ops += 1;
         a * b
     }
@@ -313,7 +213,6 @@ impl FpCtx {
     #[inline]
     pub fn div32(&mut self, a: f32, b: f32) -> f32 {
         self.counts.record(FpOp::Div, 1);
-        self.trace_push(UnitClass::for_fp_op(FpOp::Div));
         self.cfg.div32(a, b)
     }
 
@@ -321,7 +220,6 @@ impl FpCtx {
     #[inline]
     pub fn rcp32(&mut self, x: f32) -> f32 {
         self.counts.record(FpOp::Rcp, 1);
-        self.trace_push(UnitClass::for_fp_op(FpOp::Rcp));
         self.cfg.rcp32(x)
     }
 
@@ -329,7 +227,6 @@ impl FpCtx {
     #[inline]
     pub fn rsqrt32(&mut self, x: f32) -> f32 {
         self.counts.record(FpOp::Rsqrt, 1);
-        self.trace_push(UnitClass::for_fp_op(FpOp::Rsqrt));
         self.cfg.rsqrt32(x)
     }
 
@@ -337,7 +234,6 @@ impl FpCtx {
     #[inline]
     pub fn sqrt32(&mut self, x: f32) -> f32 {
         self.counts.record(FpOp::Sqrt, 1);
-        self.trace_push(UnitClass::for_fp_op(FpOp::Sqrt));
         self.cfg.sqrt32(x)
     }
 
@@ -345,7 +241,6 @@ impl FpCtx {
     #[inline]
     pub fn log2_32(&mut self, x: f32) -> f32 {
         self.counts.record(FpOp::Log2, 1);
-        self.trace_push(UnitClass::for_fp_op(FpOp::Log2));
         self.cfg.log2_32(x)
     }
 
@@ -353,7 +248,6 @@ impl FpCtx {
     #[inline]
     pub fn exp2_32(&mut self, x: f32) -> f32 {
         self.counts.record(FpOp::Exp2, 1);
-        self.trace_push(UnitClass::for_fp_op(FpOp::Exp2));
         self.cfg.exp2_32(x)
     }
 
@@ -361,7 +255,6 @@ impl FpCtx {
     #[inline]
     pub fn fma32(&mut self, a: f32, b: f32, c: f32) -> f32 {
         self.counts.record(FpOp::Fma, 1);
-        self.trace_push(UnitClass::for_fp_op(FpOp::Fma));
         self.cfg.fma32(a, b, c)
     }
 
@@ -382,7 +275,6 @@ impl FpCtx {
     #[inline]
     pub fn add64(&mut self, a: f64, b: f64) -> f64 {
         self.counts.record(FpOp::Add, 1);
-        self.trace_push(UnitClass::for_fp_op(FpOp::Add));
         self.cfg.add64(a, b)
     }
 
@@ -390,7 +282,6 @@ impl FpCtx {
     #[inline]
     pub fn sub64(&mut self, a: f64, b: f64) -> f64 {
         self.counts.record(FpOp::Add, 1);
-        self.trace_push(UnitClass::for_fp_op(FpOp::Add));
         self.cfg.sub64(a, b)
     }
 
@@ -398,7 +289,6 @@ impl FpCtx {
     #[inline]
     pub fn mul64(&mut self, a: f64, b: f64) -> f64 {
         self.counts.record(FpOp::Mul, 1);
-        self.trace_push(UnitClass::for_fp_op(FpOp::Mul));
         self.cfg.mul64(a, b)
     }
 
@@ -406,7 +296,6 @@ impl FpCtx {
     #[inline]
     pub fn div64(&mut self, a: f64, b: f64) -> f64 {
         self.counts.record(FpOp::Div, 1);
-        self.trace_push(UnitClass::for_fp_op(FpOp::Div));
         self.cfg.div64(a, b)
     }
 
@@ -414,7 +303,6 @@ impl FpCtx {
     #[inline]
     pub fn sqrt64(&mut self, x: f64) -> f64 {
         self.counts.record(FpOp::Sqrt, 1);
-        self.trace_push(UnitClass::for_fp_op(FpOp::Sqrt));
         self.cfg.sqrt64(x)
     }
 
@@ -422,7 +310,6 @@ impl FpCtx {
     #[inline]
     pub fn rcp64(&mut self, x: f64) -> f64 {
         self.counts.record(FpOp::Rcp, 1);
-        self.trace_push(UnitClass::for_fp_op(FpOp::Rcp));
         self.cfg.rcp64(x)
     }
 
@@ -430,7 +317,6 @@ impl FpCtx {
     #[inline]
     pub fn rsqrt64(&mut self, x: f64) -> f64 {
         self.counts.record(FpOp::Rsqrt, 1);
-        self.trace_push(UnitClass::for_fp_op(FpOp::Rsqrt));
         self.cfg.rsqrt64(x)
     }
 
@@ -438,7 +324,6 @@ impl FpCtx {
     #[inline]
     pub fn log2_64(&mut self, x: f64) -> f64 {
         self.counts.record(FpOp::Log2, 1);
-        self.trace_push(UnitClass::for_fp_op(FpOp::Log2));
         self.cfg.log2_64(x)
     }
 
@@ -446,21 +331,20 @@ impl FpCtx {
     #[inline]
     pub fn fma64(&mut self, a: f64, b: f64, c: f64) -> f64 {
         self.counts.record(FpOp::Fma, 1);
-        self.trace_push(UnitClass::for_fp_op(FpOp::Fma));
         self.cfg.fma64(a, b, c)
     }
 
     // ---- double precision lanes ----
     //
-    // Each op equals a loop of its scalar op over the lanes, in value,
-    // count and trace. The operand slices and `out` must have one
+    // Each op equals a loop of its scalar op over the lanes, in value
+    // and count. The operand slices and `out` must have one
     // length; a mismatch panics with a message naming the op. A
     // constant or broadcast operand is a filled buffer.
 
     /// `out[k] = add64(a[k], b[k])` for every lane.
     pub fn add64_lanes(&mut self, a: &[f64], b: &[f64], out: &mut [f64]) {
         lanes_len("add64_lanes", &[a, b], out);
-        self.record_lanes(FpOp::Add, out.len());
+        self.counts.record(FpOp::Add, out.len() as u64);
         match self.cfg.add {
             AddUnit::Precise => map2(a, b, out, |x, y| x + y),
             AddUnit::Imprecise { th } => map2(a, b, out, move |x, y| iadd64(x, y, th)),
@@ -470,7 +354,7 @@ impl FpCtx {
     /// `out[k] = sub64(a[k], b[k])` for every lane.
     pub fn sub64_lanes(&mut self, a: &[f64], b: &[f64], out: &mut [f64]) {
         lanes_len("sub64_lanes", &[a, b], out);
-        self.record_lanes(FpOp::Add, out.len());
+        self.counts.record(FpOp::Add, out.len() as u64);
         match self.cfg.add {
             AddUnit::Precise => map2(a, b, out, |x, y| x - y),
             AddUnit::Imprecise { th } => map2(a, b, out, move |x, y| isub64(x, y, th)),
@@ -480,14 +364,14 @@ impl FpCtx {
     /// `out[k] = mul64(a[k], b[k])` for every lane.
     pub fn mul64_lanes(&mut self, a: &[f64], b: &[f64], out: &mut [f64]) {
         lanes_len("mul64_lanes", &[a, b], out);
-        self.record_lanes(FpOp::Mul, out.len());
+        self.counts.record(FpOp::Mul, out.len() as u64);
         with_mul64!(self.cfg.mul, |mul| map2(a, b, out, mul))
     }
 
     /// `out[k] = fma64(a[k], b[k], c[k])` for every lane.
     pub fn fma64_lanes(&mut self, a: &[f64], b: &[f64], c: &[f64], out: &mut [f64]) {
         lanes_len("fma64_lanes", &[a, b, c], out);
-        self.record_lanes(FpOp::Fma, out.len());
+        self.counts.record(FpOp::Fma, out.len() as u64);
         // `add64(mul64(x, y), z)`, as `IhwConfig::fma64` composes it.
         with_mul64!(self.cfg.mul, |mul| with_add64!(self.cfg.add, |add| {
             map3(a, b, c, out, move |x, y, z| add(mul(x, y), z))
@@ -497,7 +381,7 @@ impl FpCtx {
     /// `out[k] = rcp64(a[k])` for every lane.
     pub fn rcp64_lanes(&mut self, a: &[f64], out: &mut [f64]) {
         lanes_len("rcp64_lanes", &[a], out);
-        self.record_lanes(FpOp::Rcp, out.len());
+        self.counts.record(FpOp::Rcp, out.len() as u64);
         match self.cfg.rcp {
             UnitMode::Precise => map1(a, out, |x| 1.0 / x),
             UnitMode::Imprecise => map1(a, out, ircp64),
@@ -515,7 +399,7 @@ impl FpCtx {
             b.len(),
             "fma64_fold: operand slices differ in length"
         );
-        self.record_lanes(FpOp::Fma, a.len());
+        self.counts.record(FpOp::Fma, a.len() as u64);
         with_mul64!(self.cfg.mul, |mul| with_add64!(self.cfg.add, |add| {
             fold2(a, b, acc, mul, add)
         }))
@@ -637,65 +521,6 @@ mod tests {
         assert_eq!(d, 32.0);
         assert_eq!(ctx.counts().get(FpOp::Mul), 3);
         assert_eq!(ctx.counts().get(FpOp::Add), 2);
-    }
-
-    #[test]
-    fn trace_capture() {
-        let mut ctx = FpCtx::new(IhwConfig::precise());
-        assert!(ctx.take_trace().is_empty(), "no trace before enabling");
-        ctx.enable_trace();
-        let _ = ctx.mul32(1.0, 2.0);
-        let _ = ctx.rcp32(2.0);
-        ctx.mem_op(2);
-        ctx.int_op(1);
-        let trace = ctx.take_trace();
-        assert_eq!(
-            trace,
-            vec![
-                UnitClass::Fpu,
-                UnitClass::Sfu,
-                UnitClass::Lsu,
-                UnitClass::Lsu,
-                UnitClass::Alu
-            ]
-        );
-        // Buffer drained but tracing still on.
-        let _ = ctx.add32(1.0, 1.0);
-        assert_eq!(ctx.take_trace(), vec![UnitClass::Fpu]);
-    }
-
-    #[test]
-    fn absorb_merges_counters_and_trace_in_order() {
-        let mut main = FpCtx::new(IhwConfig::precise());
-        main.enable_trace();
-        let _ = main.add32(1.0, 1.0);
-
-        let mut chunk = FpCtx::new(IhwConfig::precise());
-        chunk.enable_trace();
-        let _ = chunk.mul32(2.0, 2.0);
-        chunk.mem_op(2);
-        chunk.int_op(1);
-
-        main.absorb(&chunk);
-        assert_eq!(main.counts().get(FpOp::Add), 1);
-        assert_eq!(main.counts().get(FpOp::Mul), 1);
-        assert_eq!(main.int_ops(), 1);
-        assert_eq!(main.mem_ops(), 2);
-        assert_eq!(
-            main.take_trace(),
-            vec![
-                UnitClass::Fpu,
-                UnitClass::Fpu,
-                UnitClass::Lsu,
-                UnitClass::Lsu,
-                UnitClass::Alu
-            ]
-        );
-        // Absorbing into a non-tracing context merges counters only.
-        let mut plain = FpCtx::new(IhwConfig::precise());
-        plain.absorb(&chunk);
-        assert!(!plain.is_tracing());
-        assert_eq!(plain.mem_ops(), 2);
     }
 
     #[test]

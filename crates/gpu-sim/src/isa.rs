@@ -1,6 +1,6 @@
 //! A small PTX-like kernel IR and its SIMT interpreter.
 //!
-//! The trace-driven timing model ([`crate::simt`]) consumes instruction
+//! The throughput timing model ([`crate::simt`]) consumes instruction
 //! *mixes*; this module closes the loop for code that is not hand
 //! instrumented: kernels written in a register-based IR execute
 //! functionally, per thread, with every floating point instruction routed
@@ -583,7 +583,7 @@ pub enum ExecEngine {
     /// Config-compiled plans from [`crate::plan`]: the `(Program,
     /// IhwConfig)` pair is lowered once, then lanes run as tight loops
     /// over contiguous slices. Bit-identical to the interpreter in
-    /// buffers, counters and traces; the default.
+    /// buffers and counters; the default.
     #[default]
     Compiled,
 }
@@ -594,7 +594,7 @@ pub enum ExecEngine {
 /// compiled engine (the default) runs the cached plan of the
 /// `(program, config)` pair, the interpreted engine runs
 /// [`WarpInterpreter::launch_sequential`]. Both produce bit-identical
-/// buffers, op counters and issue-port traces.
+/// buffers and op counters.
 #[derive(Debug)]
 pub struct WarpInterpreter {
     ctx: FpCtx,
@@ -625,8 +625,8 @@ impl WarpInterpreter {
     }
 
     /// Selects which engine [`WarpInterpreter::launch`] drives. Both
-    /// engines are bit-identical in buffers, counters and traces; the
-    /// choice only moves throughput.
+    /// engines are bit-identical in buffers and counters; the choice
+    /// only moves throughput.
     pub fn set_engine(&mut self, engine: ExecEngine) {
         self.engine = engine;
     }
@@ -634,11 +634,6 @@ impl WarpInterpreter {
     /// The engine serving [`WarpInterpreter::launch`].
     pub fn engine(&self) -> ExecEngine {
         self.engine
-    }
-
-    /// Number of plans currently held by the compiled engine's cache.
-    pub fn cached_plans(&self) -> usize {
-        self.plans.len()
     }
 
     /// Snapshot of the plan cache's cumulative hit/miss/eviction
@@ -655,16 +650,11 @@ impl WarpInterpreter {
 
     /// Switches the interpreter to a new datapath configuration,
     /// resetting the performance counters (they are meaningless across
-    /// a config change) while preserving the tracing flag and the plan
-    /// cache — plans are keyed on `(program, config)`, so previously
-    /// compiled configs stay warm for when a later launch switches
-    /// back.
+    /// a config change) while preserving the plan cache — plans are
+    /// keyed on `(program, config)`, so previously compiled configs stay
+    /// warm for when a later launch switches back.
     pub fn set_config(&mut self, cfg: IhwConfig) {
-        let tracing = self.ctx.is_tracing();
         self.ctx = FpCtx::new(cfg);
-        if tracing {
-            self.ctx.enable_trace();
-        }
     }
 
     /// The datapath configuration launches currently execute under.
@@ -675,17 +665,6 @@ impl WarpInterpreter {
     /// The accumulated counters (shared across launches until reset).
     pub fn ctx(&self) -> &FpCtx {
         &self.ctx
-    }
-
-    /// Enables issue-port tracing on the interpreter's context.
-    pub fn enable_trace(&mut self) {
-        self.ctx.enable_trace();
-    }
-
-    /// Takes the captured issue-port trace (empty unless tracing was
-    /// enabled).
-    pub fn take_trace(&mut self) -> Vec<crate::simt::UnitClass> {
-        self.ctx.take_trace()
     }
 
     /// Resets the performance counters.

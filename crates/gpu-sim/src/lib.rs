@@ -8,8 +8,8 @@
 //!   workload routes arithmetic through an [`dispatch::FpCtx`], which
 //!   both executes on the configured (im)precise unit and collects the
 //!   per-opcode performance counters;
-//! * [`simt`] — the trace-driven SIMT timing model (GTX480-like SMs,
-//!   warp scheduling, per-unit issue throughput);
+//! * [`simt`] — the SIMT throughput timing model over the per-opcode
+//!   counts (GTX480-like SMs, per-unit issue throughput, DRAM bandwidth);
 //! * [`wattch`] — the GPUWattch-style component power model producing the
 //!   Figure 2 breakdown and the FPU/SFU shares the Figure 12 estimator
 //!   needs;

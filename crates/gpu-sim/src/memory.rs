@@ -1,11 +1,10 @@
 //! Memory hierarchy model: L1/L2 caches and DRAM with per-level hit
-//! rates, latencies, energies and a global DRAM bandwidth bound.
+//! rates, energies and a global DRAM bandwidth bound.
 //!
 //! GPUWattch models the memory system per level; the earlier flat
 //! per-access constant is now derived from this hierarchy, and the SIMT
-//! timing model uses it both for the average load-to-use latency and for
-//! the machine-wide DRAM bandwidth ceiling that binds memory-streaming
-//! kernels.
+//! timing model uses it for the machine-wide DRAM bandwidth ceiling that
+//! binds memory-streaming kernels.
 
 /// A two-level cache + DRAM hierarchy.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -14,12 +13,6 @@ pub struct MemoryHierarchy {
     pub l1_hit_rate: f64,
     /// Fraction of L1 misses hitting L2.
     pub l2_hit_rate: f64,
-    /// L1 hit latency, cycles.
-    pub l1_latency: u64,
-    /// L2 hit latency, cycles.
-    pub l2_latency: u64,
-    /// DRAM latency, cycles.
-    pub dram_latency: u64,
     /// Energy per L1 access, pJ.
     pub l1_energy_pj: f64,
     /// Energy per L2 access, pJ.
@@ -39,9 +32,6 @@ impl MemoryHierarchy {
         MemoryHierarchy {
             l1_hit_rate: 0.70,
             l2_hit_rate: 0.70,
-            l1_latency: 28,
-            l2_latency: 180,
-            dram_latency: 440,
             l1_energy_pj: 40.0,
             l2_energy_pj: 450.0,
             dram_energy_pj: 6000.0,
@@ -54,8 +44,8 @@ impl MemoryHierarchy {
     ///
     /// # Panics
     ///
-    /// Panics if either hit rate is outside `[0, 1]` or any latency,
-    /// energy or bandwidth figure is non-positive.
+    /// Panics if either hit rate is outside `[0, 1]` or any energy or
+    /// bandwidth figure is non-positive.
     pub fn validate(&self) {
         assert!(
             (0.0..=1.0).contains(&self.l1_hit_rate),
@@ -65,7 +55,6 @@ impl MemoryHierarchy {
             (0.0..=1.0).contains(&self.l2_hit_rate),
             "l2 hit rate out of range"
         );
-        assert!(self.l1_latency > 0 && self.l2_latency > 0 && self.dram_latency > 0);
         assert!(self.l1_energy_pj > 0.0 && self.l2_energy_pj > 0.0 && self.dram_energy_pj > 0.0);
         assert!(self.access_bytes > 0.0 && self.dram_bytes_per_cycle > 0.0);
     }
@@ -73,14 +62,6 @@ impl MemoryHierarchy {
     /// Fraction of accesses that reach DRAM.
     pub fn dram_fraction(&self) -> f64 {
         (1.0 - self.l1_hit_rate) * (1.0 - self.l2_hit_rate)
-    }
-
-    /// Expected load-to-use latency in cycles.
-    pub fn avg_latency_cycles(&self) -> f64 {
-        let l1_miss = 1.0 - self.l1_hit_rate;
-        self.l1_latency as f64
-            + l1_miss
-                * (self.l2_latency as f64 + (1.0 - self.l2_hit_rate) * self.dram_latency as f64)
     }
 
     /// Expected energy per access in pJ (every access touches L1; misses
@@ -120,8 +101,6 @@ mod tests {
         assert!((m.dram_fraction() - 0.09).abs() < 1e-12);
         // avg energy = 40 + 0.3·(450 + 0.3·6000) = 715 pJ.
         assert!((m.avg_energy_pj() - 715.0).abs() < 1e-9);
-        // avg latency = 28 + 0.3·(180 + 0.3·440) = 121.6 cycles.
-        assert!((m.avg_latency_cycles() - 121.6).abs() < 1e-9);
     }
 
     #[test]

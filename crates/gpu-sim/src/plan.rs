@@ -11,11 +11,10 @@
 //!   constant-folded at lowering time;
 //! * whether the racecheck store-shape proof licenses instruction-major
 //!   lane blocks, decided once instead of per launch;
-//! * a static cost table — per-thread [`OpCounts`], integer/memory op
-//!   totals, and the `UnitClass` trace pattern — because a
-//!   straight-line kernel executes the same units for every thread, the
-//!   launch counters are a multiplication, not 32 768 `BTreeMap`
-//!   updates;
+//! * a static cost table — per-thread [`OpCounts`] and integer/memory
+//!   op totals — because a straight-line kernel executes the same units
+//!   for every thread, the launch counters are a multiplication, not
+//!   one counter update per thread and instruction;
 //! * a closed-form first-fault precheck over the kernel's affine
 //!   access sites, which both engines' fault semantics reduce to.
 //!
@@ -36,7 +35,6 @@ use crate::compile::{exec_block, lower, CompiledOp, RegFile, LANES};
 use crate::deps::{racecheck, store_shape, AffineIndex, StoreShape};
 use crate::dispatch::FpCtx;
 use crate::isa::{ExecError, Instr, Program};
-use crate::simt::UnitClass;
 use ihw_core::config::{FpOp, IhwConfig};
 use ihw_power::system::OpCounts;
 use std::collections::BTreeMap;
@@ -93,47 +91,25 @@ pub struct CompiledKernel {
     /// faulting access records its counts *before* the port call, so
     /// the faulting thread's contribution is an **inclusive** prefix).
     prefix: Vec<StaticCost>,
-    /// `UnitClass` sequence one thread appends to the trace.
-    trace_pattern: Vec<UnitClass>,
-    /// `trace_prefix_len[i]` = trace length of instructions `0..=i`.
-    trace_prefix_len: Vec<usize>,
 }
 
 /// What one instruction adds to the per-thread counters, mirroring
-/// `exec_step` exactly: fp ops record their [`FpOp`] class and trace
-/// `UnitClass::for_fp_op`; `Tid`/`Fmax`/`Sel` are one ALU op; memory
-/// accesses are one memory plus one ALU op traced `[Lsu, Alu]` —
-/// recorded even when the access faults.
-fn instr_cost(instr: &Instr) -> (Option<FpOp>, u64, u64, Vec<UnitClass>) {
+/// `exec_step` exactly: fp ops record their [`FpOp`] class;
+/// `Tid`/`Fmax`/`Sel` are one ALU op; memory accesses are one memory
+/// plus one ALU op — recorded even when the access faults.
+fn instr_cost(instr: &Instr) -> (Option<FpOp>, u64, u64) {
     match instr {
-        Instr::Movi(..) => (None, 0, 0, vec![]),
-        Instr::Tid(_) | Instr::Fmax(..) | Instr::Sel(..) => (None, 1, 0, vec![UnitClass::Alu]),
-        Instr::Fadd(..) | Instr::Fsub(..) => {
-            (Some(FpOp::Add), 0, 0, vec![UnitClass::for_fp_op(FpOp::Add)])
-        }
-        Instr::Fmul(..) => (Some(FpOp::Mul), 0, 0, vec![UnitClass::for_fp_op(FpOp::Mul)]),
-        Instr::Fdiv(..) => (Some(FpOp::Div), 0, 0, vec![UnitClass::for_fp_op(FpOp::Div)]),
-        Instr::Ffma(..) => (Some(FpOp::Fma), 0, 0, vec![UnitClass::for_fp_op(FpOp::Fma)]),
-        Instr::Rcp(..) => (Some(FpOp::Rcp), 0, 0, vec![UnitClass::for_fp_op(FpOp::Rcp)]),
-        Instr::Rsqrt(..) => (
-            Some(FpOp::Rsqrt),
-            0,
-            0,
-            vec![UnitClass::for_fp_op(FpOp::Rsqrt)],
-        ),
-        Instr::Sqrt(..) => (
-            Some(FpOp::Sqrt),
-            0,
-            0,
-            vec![UnitClass::for_fp_op(FpOp::Sqrt)],
-        ),
-        Instr::Log2(..) => (
-            Some(FpOp::Log2),
-            0,
-            0,
-            vec![UnitClass::for_fp_op(FpOp::Log2)],
-        ),
-        Instr::Ld(..) | Instr::St(..) => (None, 1, 1, vec![UnitClass::Lsu, UnitClass::Alu]),
+        Instr::Movi(..) => (None, 0, 0),
+        Instr::Tid(_) | Instr::Fmax(..) | Instr::Sel(..) => (None, 1, 0),
+        Instr::Fadd(..) | Instr::Fsub(..) => (Some(FpOp::Add), 0, 0),
+        Instr::Fmul(..) => (Some(FpOp::Mul), 0, 0),
+        Instr::Fdiv(..) => (Some(FpOp::Div), 0, 0),
+        Instr::Ffma(..) => (Some(FpOp::Fma), 0, 0),
+        Instr::Rcp(..) => (Some(FpOp::Rcp), 0, 0),
+        Instr::Rsqrt(..) => (Some(FpOp::Rsqrt), 0, 0),
+        Instr::Sqrt(..) => (Some(FpOp::Sqrt), 0, 0),
+        Instr::Log2(..) => (Some(FpOp::Log2), 0, 0),
+        Instr::Ld(..) | Instr::St(..) => (None, 1, 1),
     }
 }
 
@@ -148,8 +124,6 @@ pub fn compile(prog: &Program, cfg: &IhwConfig) -> CompiledKernel {
     let mut sites = Vec::new();
     let mut per_thread = StaticCost::default();
     let mut prefix = Vec::with_capacity(prog.instrs().len());
-    let mut trace_pattern = Vec::new();
-    let mut trace_prefix_len = Vec::with_capacity(prog.instrs().len());
     for (i, instr) in prog.instrs().iter().enumerate() {
         match *instr {
             Instr::Ld(_, buf, mode) | Instr::St(buf, mode, _) => sites.push(Site {
@@ -159,15 +133,13 @@ pub fn compile(prog: &Program, cfg: &IhwConfig) -> CompiledKernel {
             }),
             _ => {}
         }
-        let (fp, int_ops, mem_ops, trace) = instr_cost(instr);
+        let (fp, int_ops, mem_ops) = instr_cost(instr);
         if let Some(op) = fp {
             per_thread.counts.record(op, 1);
         }
         per_thread.int_ops += int_ops;
         per_thread.mem_ops += mem_ops;
-        trace_pattern.extend_from_slice(&trace);
         prefix.push(per_thread.clone());
-        trace_prefix_len.push(trace_pattern.len());
     }
 
     CompiledKernel {
@@ -178,8 +150,6 @@ pub fn compile(prog: &Program, cfg: &IhwConfig) -> CompiledKernel {
         sites,
         per_thread,
         prefix,
-        trace_pattern,
-        trace_prefix_len,
     }
 }
 
@@ -308,16 +278,13 @@ impl CompiledKernel {
         }
         let mut int_ops = self.per_thread.int_ops * u64::from(complete);
         let mut mem_ops = self.per_thread.mem_ops * u64::from(complete);
-        let mut prefix_trace = 0;
         if let Some(f) = fault {
             let p = &self.prefix[f.instr];
             counts.merge(&p.counts);
             int_ops += p.int_ops;
             mem_ops += p.mem_ops;
-            prefix_trace = self.trace_prefix_len[f.instr];
         }
         ctx.record_static(&counts, int_ops, mem_ops);
-        ctx.extend_trace_pattern(&self.trace_pattern, u64::from(complete), prefix_trace);
     }
 }
 
@@ -485,11 +452,6 @@ impl PlanCache {
             capacity: self.capacity,
         }
     }
-
-    /// Number of cached plans.
-    pub(crate) fn len(&self) -> usize {
-        self.entries.len()
-    }
 }
 
 #[cfg(test)]
@@ -507,23 +469,10 @@ mod tests {
         assert_eq!(plan.per_thread.counts.total(), 1);
         assert_eq!(plan.per_thread.int_ops, 3);
         assert_eq!(plan.per_thread.mem_ops, 3);
-        assert_eq!(
-            plan.trace_pattern,
-            vec![
-                UnitClass::Lsu,
-                UnitClass::Alu,
-                UnitClass::Lsu,
-                UnitClass::Alu,
-                UnitClass::Fpu,
-                UnitClass::Lsu,
-                UnitClass::Alu,
-            ]
-        );
         // Inclusive prefixes: through the ffma (instr 3) the thread has
         // recorded both loads and the fma, but not the store.
         assert_eq!(plan.prefix[3].mem_ops, 2);
         assert_eq!(plan.prefix[3].counts.get(FpOp::Fma), 1);
-        assert_eq!(plan.trace_prefix_len[3], 5);
     }
 
     #[test]
@@ -592,17 +541,17 @@ mod tests {
         let a = cache.get_or_compile(&prog, &IhwConfig::precise());
         let b = cache.get_or_compile(&prog, &IhwConfig::precise());
         assert!(Arc::ptr_eq(&a, &b), "same (program, config) → same plan");
-        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.stats().len, 1);
         // A different config is a different plan under the same program.
         let c = cache.get_or_compile(&prog, &IhwConfig::all_imprecise());
         assert!(!Arc::ptr_eq(&a, &c));
-        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.stats().len, 2);
         // A different program (different immediate) fingerprints apart.
         let prog2 = programs::saxpy(3.0);
         assert_ne!(prog.fingerprint(), prog2.fingerprint());
         let d = cache.get_or_compile(&prog2, &IhwConfig::precise());
         assert!(!Arc::ptr_eq(&a, &d));
-        assert_eq!(cache.len(), 3);
+        assert_eq!(cache.stats().len, 3);
     }
 
     #[test]
@@ -616,7 +565,7 @@ mod tests {
         for i in 0..total {
             cache.get_or_compile(&programs::saxpy(i as f32), &cfg);
             assert!(
-                cache.len() <= PlanCache::DEFAULT_CAPACITY,
+                cache.stats().len <= PlanCache::DEFAULT_CAPACITY,
                 "cache never exceeds its capacity"
             );
         }

@@ -24,8 +24,8 @@
 
 use gpu_sim::asm::assemble;
 use gpu_sim::dispatch::FpCtx;
-use gpu_sim::isa::{Instr, Program, WarpInterpreter};
-use gpu_sim::simt::{InstrMix, KernelLaunch, UnitClass};
+use gpu_sim::isa::{Program, WarpInterpreter};
+use gpu_sim::simt::{InstrMix, KernelLaunch};
 use ihw_core::config::IhwConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -252,8 +252,7 @@ fn refresh_neighbours(bufs: &mut [Vec<f32>], cols: usize) {
 /// Counting contract: `ctx` receives the launches' FP `OpCounts`
 /// (17 per cell and step) plus the workload's declared
 /// `CELL_INT_OPS`/`CELL_MEM_OPS` per cell and step; the kernel IR's own
-/// load/store counters are dropped. A tracing `ctx` gets one
-/// `[ALU×4, LSU×2, FP ops…]` pattern per cell and step.
+/// load/store counters are dropped.
 pub fn run(params: &HotspotParams, ctx: &mut FpCtx) -> HotspotOutput {
     let (r, c) = (params.rows, params.cols);
     let cells = r * c;
@@ -289,16 +288,6 @@ pub fn run(params: &HotspotParams, ctx: &mut FpCtx) -> HotspotOutput {
         CELL_INT_OPS * cell_steps,
         CELL_MEM_OPS * cell_steps,
     );
-    if ctx.is_tracing() {
-        let mut pattern = vec![UnitClass::Alu; CELL_INT_OPS as usize];
-        pattern.extend(std::iter::repeat_n(UnitClass::Lsu, CELL_MEM_OPS as usize));
-        pattern.extend(prog.instrs().iter().filter_map(|i| match i {
-            Instr::Rcp(..) => Some(UnitClass::Sfu),
-            Instr::Fadd(..) | Instr::Fsub(..) | Instr::Fmul(..) => Some(UnitClass::Fpu),
-            _ => None,
-        }));
-        ctx.extend_trace_pattern(&pattern, cell_steps, 0);
-    }
 
     // Free the other six buffers before the f64 copy of the field.
     let field = bufs.swap_remove(B_T);

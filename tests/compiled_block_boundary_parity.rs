@@ -1,8 +1,8 @@
 //! Block-boundary parity gate for the compiled engine: launches whose
 //! thread counts sit on either side of a lane-block edge (1, `LANES − 1`,
 //! `LANES`, `LANES + 1`, `2·LANES + 37`) must leave the same buffers (bit
-//! for bit), the same `FpCtx` counters and the same issue-port trace as
-//! the interpreter's sequential reference loop.
+//! for bit) and the same `FpCtx` counters as the interpreter's
+//! sequential reference loop.
 //!
 //! Payloads mix ±0, ±∞, NaN, subnormals and normal operands whose
 //! exponents spread over ±15 binades, so adder operand pairs fall on both
@@ -149,16 +149,13 @@ fn compiled_matches_sequential_reference_across_block_edges() {
                 let base = seed_buffers(prog, threads);
 
                 let mut reference = WarpInterpreter::new(*cfg).with_engine(ExecEngine::Interpreted);
-                reference.enable_trace();
                 let mut want = base.clone();
                 reference
                     .launch_sequential(prog, threads, &mut want)
                     .expect("stock kernels run");
-                let want_trace = reference.take_trace();
 
                 let tag = format!("{}/{label}/{threads} threads", prog.name());
                 let mut compiled = WarpInterpreter::new(*cfg).with_engine(ExecEngine::Compiled);
-                compiled.enable_trace();
                 let mut got = base;
                 compiled
                     .launch(prog, threads, &mut got)
@@ -170,7 +167,6 @@ fn compiled_matches_sequential_reference_across_block_edges() {
                 assert_eq!(r.int_ops(), c.int_ops(), "{tag}");
                 assert_eq!(r.mem_ops(), c.mem_ops(), "{tag}");
                 assert_eq!(r.precise_mul_ops(), c.precise_mul_ops(), "{tag}");
-                assert_eq!(compiled.take_trace(), want_trace, "{tag}: traces diverge");
             }
         }
     }

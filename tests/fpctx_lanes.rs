@@ -5,9 +5,8 @@
 //! kind, and the imprecise adder at TH 1, 8 and 27), each slice op
 //! (`add64_lanes`, `sub64_lanes`, `mul64_lanes`, `fma64_lanes`,
 //! `rcp64_lanes`) and the ordered fold `fma64_fold` must equal a loop of
-//! the scalar op over the same operands: every value bit for bit, the
-//! `OpCounts`, and the issue-port trace when tracing is on (any NaN
-//! equals any NaN; see `bits`). The operands
+//! the scalar op over the same operands: every value bit for bit (any
+//! NaN equals any NaN; see `bits`) and the `OpCounts`. The operands
 //! are seeded draws mixed with NaN, ±Inf, ±0, subnormals and values near
 //! the overflow threshold, at lengths 0, 1, an odd length and one past
 //! `LANE_BLOCK`. Slices of mismatched length panic with a message.
@@ -75,15 +74,6 @@ fn operands(rng: &mut StdRng, n: usize) -> Vec<f64> {
         .collect()
 }
 
-/// A fresh context under `cfg`, tracing or not.
-fn ctx(cfg: IhwConfig, trace: bool) -> FpCtx {
-    let mut c = FpCtx::new(cfg);
-    if trace {
-        c.enable_trace();
-    }
-    c
-}
-
 /// Bit patterns, with every NaN as one canonical NaN. Rust leaves the
 /// sign and payload of a NaN that host arithmetic produces unspecified,
 /// and LLVM may commute a host `+` or `*`, which picks the other
@@ -101,12 +91,11 @@ fn bits(v: &[f64]) -> Vec<u64> {
         .collect()
 }
 
-/// Asserts that the two contexts counted and traced the same ops.
-fn same_record(what: &str, lanes: &mut FpCtx, scalar: &mut FpCtx) {
+/// Asserts that the two contexts counted the same ops.
+fn same_record(what: &str, lanes: &FpCtx, scalar: &FpCtx) {
     assert_eq!(lanes.counts(), scalar.counts(), "{what}: OpCounts");
     assert_eq!(lanes.int_ops(), scalar.int_ops(), "{what}: int ops");
     assert_eq!(lanes.mem_ops(), scalar.mem_ops(), "{what}: mem ops");
-    assert_eq!(lanes.take_trace(), scalar.take_trace(), "{what}: trace");
 }
 
 #[test]
@@ -114,11 +103,12 @@ fn slice_ops_equal_a_loop_of_the_scalar_op() {
     let mut rng = StdRng::seed_from_u64(0x1a9e5);
     for (name, cfg) in configs() {
         for n in [0, 1, 7, 33, LANE_BLOCK + 1] {
-            for trace in [false, true] {
+            // Two operand draws per length.
+            for draw in 0..2 {
                 let a = operands(&mut rng, n);
                 let b = operands(&mut rng, n);
                 let c = operands(&mut rng, n);
-                let what = |op: &str| format!("{op} under {name}, n = {n}, trace {trace}");
+                let what = |op: &str| format!("{op} under {name}, n = {n}, draw {draw}");
                 let mut out = vec![0.0; n];
 
                 type Binary = (
@@ -132,24 +122,24 @@ fn slice_ops_equal_a_loop_of_the_scalar_op() {
                     ("mul64", FpCtx::mul64_lanes, FpCtx::mul64),
                 ];
                 for (op, lanes_op, scalar_op) in binary {
-                    let (mut l, mut s) = (ctx(cfg, trace), ctx(cfg, trace));
+                    let (mut l, mut s) = (FpCtx::new(cfg), FpCtx::new(cfg));
                     lanes_op(&mut l, &a, &b, &mut out);
                     let want: Vec<f64> = (0..n).map(|k| scalar_op(&mut s, a[k], b[k])).collect();
                     assert_eq!(bits(&out), bits(&want), "{}", what(op));
-                    same_record(&what(op), &mut l, &mut s);
+                    same_record(&what(op), &l, &s);
                 }
 
-                let (mut l, mut s) = (ctx(cfg, trace), ctx(cfg, trace));
+                let (mut l, mut s) = (FpCtx::new(cfg), FpCtx::new(cfg));
                 l.fma64_lanes(&a, &b, &c, &mut out);
                 let want: Vec<f64> = (0..n).map(|k| s.fma64(a[k], b[k], c[k])).collect();
                 assert_eq!(bits(&out), bits(&want), "{}", what("fma64"));
-                same_record(&what("fma64"), &mut l, &mut s);
+                same_record(&what("fma64"), &l, &s);
 
-                let (mut l, mut s) = (ctx(cfg, trace), ctx(cfg, trace));
+                let (mut l, mut s) = (FpCtx::new(cfg), FpCtx::new(cfg));
                 l.rcp64_lanes(&a, &mut out);
                 let want: Vec<f64> = a.iter().map(|&x| s.rcp64(x)).collect();
                 assert_eq!(bits(&out), bits(&want), "{}", what("rcp64"));
-                same_record(&what("rcp64"), &mut l, &mut s);
+                same_record(&what("rcp64"), &l, &s);
 
                 // The fold, from a special and from an ordinary start,
                 // and over moderate operands alone, whose sum a special
@@ -158,11 +148,11 @@ fn slice_ops_equal_a_loop_of_the_scalar_op() {
                 let mb: Vec<f64> = (0..n).map(|_| rng.gen_range(-4.0..4.0)).collect();
                 let acc0 = c.first().copied().unwrap_or(-0.0);
                 for (a, b, acc0) in [(&a, &b, acc0), (&a, &b, 0.25), (&ma, &mb, 0.25)] {
-                    let (mut l, mut s) = (ctx(cfg, trace), ctx(cfg, trace));
+                    let (mut l, mut s) = (FpCtx::new(cfg), FpCtx::new(cfg));
                     let got = l.fma64_fold(a, b, acc0);
                     let want = (0..n).fold(acc0, |acc, k| s.fma64(a[k], b[k], acc));
                     assert_eq!(bits(&[got]), bits(&[want]), "{}", what("fma64_fold"));
-                    same_record(&what("fma64_fold"), &mut l, &mut s);
+                    same_record(&what("fma64_fold"), &l, &s);
                 }
             }
         }
@@ -183,7 +173,7 @@ fn fold_is_ordered() {
 #[test]
 fn slice_ops_append_to_the_existing_counts_and_trace() {
     let cfg = IhwConfig::all_imprecise();
-    let (mut l, mut s) = (ctx(cfg, true), ctx(cfg, true));
+    let (mut l, mut s) = (FpCtx::new(cfg), FpCtx::new(cfg));
     for c in [&mut l, &mut s] {
         let _ = c.add64(1.0, 2.0);
         c.int_op(2);
@@ -195,7 +185,7 @@ fn slice_ops_append_to_the_existing_counts_and_trace() {
     for &x in &a {
         let _ = s.rcp64(x);
     }
-    same_record("rcp64 after scalar ops", &mut l, &mut s);
+    same_record("rcp64 after scalar ops", &l, &s);
 }
 
 #[test]

@@ -196,16 +196,3 @@ fn zero_and_one_steps_match_the_scalar_loop() {
         }
     }
 }
-
-#[test]
-fn issue_port_trace_matches_the_scalar_loop() {
-    for params in [grid(3, 7, 2), grid(1, 1, 1), grid(24, 24, 0)] {
-        let mut want = FpCtx::new(IhwConfig::all_imprecise());
-        want.enable_trace();
-        oracle(&params, &mut want);
-        let mut got = FpCtx::new(IhwConfig::all_imprecise());
-        got.enable_trace();
-        hotspot::run(&params, &mut got);
-        assert_eq!(got.take_trace(), want.take_trace());
-    }
-}
