@@ -77,29 +77,19 @@ impl GpuBenchmark {
     /// baseline that `fig2`, `table5`, `fig15` and the sensitivity
     /// extension all need — execute once.
     pub fn run(self, scale: Scale, cfg: IhwConfig) -> KernelLaunch {
+        let launch = |ctx: &FpCtx| KernelLaunch::new(ctx.mix().clone());
         match self {
-            GpuBenchmark::Hotspot => {
-                let params = params_hotspot(scale);
-                hotspot::kernel_launch(&params, &hotspot_cached(&params, cfg).1)
-            }
-            GpuBenchmark::Srad => {
-                let params = params_srad(scale);
-                srad::kernel_launch(&params, &srad_cached(&params, cfg).2)
-            }
-            GpuBenchmark::Ray => {
-                let params = params_ray(scale);
-                raytrace::kernel_launch(&params, &ray_cached(&params, cfg).1)
-            }
-            GpuBenchmark::Cp => {
-                let params = params_cp(scale);
-                cp::kernel_launch(&params, &cp_cached(&params, cfg).1)
-            }
+            GpuBenchmark::Hotspot => launch(&hotspot_cached(&params_hotspot(scale), cfg).1),
+            GpuBenchmark::Srad => launch(&srad_cached(&params_srad(scale), cfg).2),
+            GpuBenchmark::Ray => launch(&ray_cached(&params_ray(scale), cfg).1)
+                .with_warp_efficiency(raytrace::WARP_EFFICIENCY),
+            GpuBenchmark::Cp => launch(&cp_cached(&params_cp(scale), cfg).1),
             GpuBenchmark::Kmeans => {
                 let params = match scale {
                     Scale::Quick => kmeans::KmeansParams::default(),
                     Scale::Paper => kmeans::KmeansParams::paper(),
                 };
-                kmeans::kernel_launch(&params, &kmeans_cached(&params, cfg).1)
+                launch(&kmeans_cached(&params, cfg).1)
             }
             GpuBenchmark::Jpeg => {
                 let params = match scale {
@@ -109,7 +99,7 @@ impl GpuBenchmark {
                         ..jpeg::JpegParams::default()
                     },
                 };
-                jpeg::kernel_launch(&params, &jpeg_cached(&params, cfg).2)
+                launch(&jpeg_cached(&params, cfg).2)
             }
             GpuBenchmark::Backprop => {
                 let params = match scale {
@@ -119,21 +109,21 @@ impl GpuBenchmark {
                     },
                     Scale::Paper => backprop::BackpropParams::default(),
                 };
-                backprop::kernel_launch(&params, &backprop_cached(&params, cfg).1)
+                launch(&backprop_cached(&params, cfg).1)
             }
             GpuBenchmark::Cfd => {
                 let params = match scale {
                     Scale::Quick => cfd::CfdParams::default(),
                     Scale::Paper => cfd::CfdParams::paper(),
                 };
-                cfd::kernel_launch(&params, &cfd_cached(&params, cfg).1)
+                launch(&cfd_cached(&params, cfg).1)
             }
             GpuBenchmark::Hotspot3d => {
                 let params = match scale {
                     Scale::Quick => hotspot3d::Hotspot3dParams::default(),
                     Scale::Paper => hotspot3d::Hotspot3dParams::paper(),
                 };
-                hotspot3d::kernel_launch(&params, &hotspot3d_cached(&params, cfg).1)
+                launch(&hotspot3d_cached(&params, cfg).1)
             }
         }
     }
@@ -596,6 +586,18 @@ pub fn ascii_heatmap(values: &[f64], cols: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn run_carries_the_cached_mix_and_ray_divergence() {
+        let cfg = IhwConfig::precise();
+        let ray = GpuBenchmark::Ray.run(Scale::Quick, cfg);
+        assert_eq!(ray.warp_efficiency, raytrace::WARP_EFFICIENCY);
+        assert_eq!(&ray.mix, ray_cached(&params_ray(Scale::Quick), cfg).1.mix());
+        let hotspot = GpuBenchmark::Hotspot.run(Scale::Quick, cfg);
+        assert_eq!(hotspot.warp_efficiency, 1.0);
+        let ctx = &hotspot_cached(&params_hotspot(Scale::Quick), cfg).1;
+        assert_eq!(&hotspot.mix, ctx.mix());
+    }
 
     #[test]
     fn fig2_shares_in_band() {

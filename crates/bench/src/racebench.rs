@@ -192,9 +192,7 @@ pub fn measure(prog: &Program, cfg: &IhwConfig, label: &str, opts: MeasureOpts) 
     };
     let (r, e) = (ref_interp.ctx(), compiled.ctx());
     let bit_identical = bits(&ref_bufs) == bits(&seq_bufs)
-        && r.counts() == e.counts()
-        && r.int_ops() == e.int_ops()
-        && r.mem_ops() == e.mem_ops()
+        && r.mix() == e.mix()
         && r.precise_mul_ops() == e.precise_mul_ops();
 
     ThroughputRow {

@@ -7,7 +7,6 @@ use ihw_core::adder::{iadd32, isub32};
 use ihw_core::fma::ifma32;
 use ihw_core::multiplier::imul32;
 use ihw_core::sfu::{idiv32, ilog2_32, ircp32, irsqrt32, isqrt32};
-use ihw_core::truncated::TruncatedMul;
 
 /// A characterizable imprecise unit (the rows of Figures 8 and 9).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -39,11 +38,6 @@ pub enum CharTarget {
     AcMul {
         /// Datapath selection.
         path: MulPath,
-        /// Truncated operand bits.
-        truncation: u32,
-    },
-    /// Intuitive bit-truncation multiplier baseline.
-    TruncMul {
         /// Truncated operand bits.
         truncation: u32,
     },
@@ -104,7 +98,6 @@ impl CharTarget {
             } => {
                 format!("Full Path Tr{truncation}")
             }
-            CharTarget::TruncMul { truncation } => format!("BitTrunc Tr{truncation}"),
         }
     }
 }
@@ -139,10 +132,6 @@ pub fn characterize64(target: CharTarget, samples: u64) -> ErrorPmf {
         CharTarget::AcMul { path, truncation } => {
             let cfg = AcMulConfig::new(path, truncation);
             characterize_binary_f64(move |a, b| cfg.mul64(a, b), |a, b| a * b, samples, 0)
-        }
-        CharTarget::TruncMul { truncation } => {
-            let tm = TruncatedMul::new(truncation);
-            characterize_binary_f64(move |a, b| tm.mul64(a, b), |a, b| a * b, samples, 0)
         }
         // Unary SFUs and the FMA reuse the f32 harness's structure; their
         // f64 error profile matches the f32 one (same linear
@@ -225,10 +214,6 @@ pub fn characterize_with_offset(target: CharTarget, samples: u64, offset: u64) -
         CharTarget::AcMul { path, truncation } => {
             let cfg = AcMulConfig::new(path, truncation);
             characterize_binary_f32(move |a, b| cfg.mul32(a, b), |a, b| a * b, samples, offset)
-        }
-        CharTarget::TruncMul { truncation } => {
-            let tm = TruncatedMul::new(truncation);
-            characterize_binary_f32(move |a, b| tm.mul32(a, b), |a, b| a * b, samples, offset)
         }
     }
 }

@@ -17,6 +17,7 @@
 //! as the scalar op, so a slice op's values and `OpCounts` equal those
 //! of a loop over the scalar op.
 
+use crate::simt::InstrMix;
 use ihw_core::ac_multiplier::{AcMulConfig, MulPath};
 use ihw_core::adder::{iadd64, isub64};
 use ihw_core::config::{AddUnit, FpOp, IhwConfig, MulUnit, UnitMode};
@@ -98,9 +99,7 @@ macro_rules! with_add64 {
 #[derive(Debug, Clone)]
 pub struct FpCtx {
     cfg: IhwConfig,
-    counts: OpCounts,
-    int_ops: u64,
-    mem_ops: u64,
+    mix: InstrMix,
     /// Ops forced through the precise multiplier regardless of `cfg`
     /// (the CP benchmark keeps ≈20% of its multiplications precise).
     precise_mul_ops: u64,
@@ -111,9 +110,7 @@ impl FpCtx {
     pub fn new(cfg: IhwConfig) -> Self {
         FpCtx {
             cfg,
-            counts: OpCounts::new(),
-            int_ops: 0,
-            mem_ops: 0,
+            mix: InstrMix::default(),
             precise_mul_ops: 0,
         }
     }
@@ -123,19 +120,25 @@ impl FpCtx {
         &self.cfg
     }
 
+    /// Accumulated op mix: the counters the timing and power models
+    /// consume.
+    pub fn mix(&self) -> &InstrMix {
+        &self.mix
+    }
+
     /// Accumulated floating point performance counters.
     pub fn counts(&self) -> &OpCounts {
-        &self.counts
+        &self.mix.fp
     }
 
     /// Accumulated integer-ALU operation count.
     pub fn int_ops(&self) -> u64 {
-        self.int_ops
+        self.mix.int_ops
     }
 
     /// Accumulated memory (load/store) operation count.
     pub fn mem_ops(&self) -> u64 {
-        self.mem_ops
+        self.mix.mem_ops
     }
 
     /// Count of multiplications that bypassed the imprecise unit.
@@ -145,9 +148,7 @@ impl FpCtx {
 
     /// Resets every counter, keeping the configuration.
     pub fn reset_counters(&mut self) {
-        self.counts = OpCounts::new();
-        self.int_ops = 0;
-        self.mem_ops = 0;
+        self.mix = InstrMix::default();
         self.precise_mul_ops = 0;
     }
 
@@ -159,22 +160,20 @@ impl FpCtx {
     /// individual counter updates. Workloads that run their kernel on
     /// a [`crate::isa::WarpInterpreter`] land its FP counts here too,
     /// together with their own declared integer and memory ops.
-    pub fn record_static(&mut self, counts: &OpCounts, int_ops: u64, mem_ops: u64) {
-        self.counts.merge(counts);
-        self.int_ops += int_ops;
-        self.mem_ops += mem_ops;
+    pub fn record_static(&mut self, mix: &InstrMix) {
+        self.mix.add_scaled(mix, 1);
     }
 
     /// Records `n` integer ALU operations (address math, loop control).
     #[inline]
     pub fn int_op(&mut self, n: u64) {
-        self.int_ops += n;
+        self.mix.int_ops += n;
     }
 
     /// Records `n` memory accesses.
     #[inline]
     pub fn mem_op(&mut self, n: u64) {
-        self.mem_ops += n;
+        self.mix.mem_ops += n;
     }
 
     // ---- single precision ----
@@ -182,21 +181,21 @@ impl FpCtx {
     /// Counted addition.
     #[inline]
     pub fn add32(&mut self, a: f32, b: f32) -> f32 {
-        self.counts.record(FpOp::Add, 1);
+        self.mix.fp.record(FpOp::Add, 1);
         self.cfg.add32(a, b)
     }
 
     /// Counted subtraction.
     #[inline]
     pub fn sub32(&mut self, a: f32, b: f32) -> f32 {
-        self.counts.record(FpOp::Add, 1);
+        self.mix.fp.record(FpOp::Add, 1);
         self.cfg.sub32(a, b)
     }
 
     /// Counted multiplication.
     #[inline]
     pub fn mul32(&mut self, a: f32, b: f32) -> f32 {
-        self.counts.record(FpOp::Mul, 1);
+        self.mix.fp.record(FpOp::Mul, 1);
         self.cfg.mul32(a, b)
     }
 
@@ -204,7 +203,7 @@ impl FpCtx {
     /// paper's CP benchmark keeps coordinate computations precise.
     #[inline]
     pub fn mul32_precise(&mut self, a: f32, b: f32) -> f32 {
-        self.counts.record(FpOp::Mul, 1);
+        self.mix.fp.record(FpOp::Mul, 1);
         self.precise_mul_ops += 1;
         a * b
     }
@@ -212,49 +211,49 @@ impl FpCtx {
     /// Counted division.
     #[inline]
     pub fn div32(&mut self, a: f32, b: f32) -> f32 {
-        self.counts.record(FpOp::Div, 1);
+        self.mix.fp.record(FpOp::Div, 1);
         self.cfg.div32(a, b)
     }
 
     /// Counted reciprocal.
     #[inline]
     pub fn rcp32(&mut self, x: f32) -> f32 {
-        self.counts.record(FpOp::Rcp, 1);
+        self.mix.fp.record(FpOp::Rcp, 1);
         self.cfg.rcp32(x)
     }
 
     /// Counted inverse square root.
     #[inline]
     pub fn rsqrt32(&mut self, x: f32) -> f32 {
-        self.counts.record(FpOp::Rsqrt, 1);
+        self.mix.fp.record(FpOp::Rsqrt, 1);
         self.cfg.rsqrt32(x)
     }
 
     /// Counted square root.
     #[inline]
     pub fn sqrt32(&mut self, x: f32) -> f32 {
-        self.counts.record(FpOp::Sqrt, 1);
+        self.mix.fp.record(FpOp::Sqrt, 1);
         self.cfg.sqrt32(x)
     }
 
     /// Counted log₂.
     #[inline]
     pub fn log2_32(&mut self, x: f32) -> f32 {
-        self.counts.record(FpOp::Log2, 1);
+        self.mix.fp.record(FpOp::Log2, 1);
         self.cfg.log2_32(x)
     }
 
     /// Counted base-2 exponential.
     #[inline]
     pub fn exp2_32(&mut self, x: f32) -> f32 {
-        self.counts.record(FpOp::Exp2, 1);
+        self.mix.fp.record(FpOp::Exp2, 1);
         self.cfg.exp2_32(x)
     }
 
     /// Counted fused multiply–add.
     #[inline]
     pub fn fma32(&mut self, a: f32, b: f32, c: f32) -> f32 {
-        self.counts.record(FpOp::Fma, 1);
+        self.mix.fp.record(FpOp::Fma, 1);
         self.cfg.fma32(a, b, c)
     }
 
@@ -274,63 +273,63 @@ impl FpCtx {
     /// Counted addition (double).
     #[inline]
     pub fn add64(&mut self, a: f64, b: f64) -> f64 {
-        self.counts.record(FpOp::Add, 1);
+        self.mix.fp.record(FpOp::Add, 1);
         self.cfg.add64(a, b)
     }
 
     /// Counted subtraction (double).
     #[inline]
     pub fn sub64(&mut self, a: f64, b: f64) -> f64 {
-        self.counts.record(FpOp::Add, 1);
+        self.mix.fp.record(FpOp::Add, 1);
         self.cfg.sub64(a, b)
     }
 
     /// Counted multiplication (double).
     #[inline]
     pub fn mul64(&mut self, a: f64, b: f64) -> f64 {
-        self.counts.record(FpOp::Mul, 1);
+        self.mix.fp.record(FpOp::Mul, 1);
         self.cfg.mul64(a, b)
     }
 
     /// Counted division (double).
     #[inline]
     pub fn div64(&mut self, a: f64, b: f64) -> f64 {
-        self.counts.record(FpOp::Div, 1);
+        self.mix.fp.record(FpOp::Div, 1);
         self.cfg.div64(a, b)
     }
 
     /// Counted square root (double).
     #[inline]
     pub fn sqrt64(&mut self, x: f64) -> f64 {
-        self.counts.record(FpOp::Sqrt, 1);
+        self.mix.fp.record(FpOp::Sqrt, 1);
         self.cfg.sqrt64(x)
     }
 
     /// Counted reciprocal (double).
     #[inline]
     pub fn rcp64(&mut self, x: f64) -> f64 {
-        self.counts.record(FpOp::Rcp, 1);
+        self.mix.fp.record(FpOp::Rcp, 1);
         self.cfg.rcp64(x)
     }
 
     /// Counted inverse square root (double).
     #[inline]
     pub fn rsqrt64(&mut self, x: f64) -> f64 {
-        self.counts.record(FpOp::Rsqrt, 1);
+        self.mix.fp.record(FpOp::Rsqrt, 1);
         self.cfg.rsqrt64(x)
     }
 
     /// Counted log₂ (double).
     #[inline]
     pub fn log2_64(&mut self, x: f64) -> f64 {
-        self.counts.record(FpOp::Log2, 1);
+        self.mix.fp.record(FpOp::Log2, 1);
         self.cfg.log2_64(x)
     }
 
     /// Counted fused multiply–add (double).
     #[inline]
     pub fn fma64(&mut self, a: f64, b: f64, c: f64) -> f64 {
-        self.counts.record(FpOp::Fma, 1);
+        self.mix.fp.record(FpOp::Fma, 1);
         self.cfg.fma64(a, b, c)
     }
 
@@ -344,7 +343,7 @@ impl FpCtx {
     /// `out[k] = add64(a[k], b[k])` for every lane.
     pub fn add64_lanes(&mut self, a: &[f64], b: &[f64], out: &mut [f64]) {
         lanes_len("add64_lanes", &[a, b], out);
-        self.counts.record(FpOp::Add, out.len() as u64);
+        self.mix.fp.record(FpOp::Add, out.len() as u64);
         match self.cfg.add {
             AddUnit::Precise => map2(a, b, out, |x, y| x + y),
             AddUnit::Imprecise { th } => map2(a, b, out, move |x, y| iadd64(x, y, th)),
@@ -354,7 +353,7 @@ impl FpCtx {
     /// `out[k] = sub64(a[k], b[k])` for every lane.
     pub fn sub64_lanes(&mut self, a: &[f64], b: &[f64], out: &mut [f64]) {
         lanes_len("sub64_lanes", &[a, b], out);
-        self.counts.record(FpOp::Add, out.len() as u64);
+        self.mix.fp.record(FpOp::Add, out.len() as u64);
         match self.cfg.add {
             AddUnit::Precise => map2(a, b, out, |x, y| x - y),
             AddUnit::Imprecise { th } => map2(a, b, out, move |x, y| isub64(x, y, th)),
@@ -364,14 +363,14 @@ impl FpCtx {
     /// `out[k] = mul64(a[k], b[k])` for every lane.
     pub fn mul64_lanes(&mut self, a: &[f64], b: &[f64], out: &mut [f64]) {
         lanes_len("mul64_lanes", &[a, b], out);
-        self.counts.record(FpOp::Mul, out.len() as u64);
+        self.mix.fp.record(FpOp::Mul, out.len() as u64);
         with_mul64!(self.cfg.mul, |mul| map2(a, b, out, mul))
     }
 
     /// `out[k] = fma64(a[k], b[k], c[k])` for every lane.
     pub fn fma64_lanes(&mut self, a: &[f64], b: &[f64], c: &[f64], out: &mut [f64]) {
         lanes_len("fma64_lanes", &[a, b, c], out);
-        self.counts.record(FpOp::Fma, out.len() as u64);
+        self.mix.fp.record(FpOp::Fma, out.len() as u64);
         // `add64(mul64(x, y), z)`, as `IhwConfig::fma64` composes it.
         with_mul64!(self.cfg.mul, |mul| with_add64!(self.cfg.add, |add| {
             map3(a, b, c, out, move |x, y, z| add(mul(x, y), z))
@@ -381,7 +380,7 @@ impl FpCtx {
     /// `out[k] = rcp64(a[k])` for every lane.
     pub fn rcp64_lanes(&mut self, a: &[f64], out: &mut [f64]) {
         lanes_len("rcp64_lanes", &[a], out);
-        self.counts.record(FpOp::Rcp, out.len() as u64);
+        self.mix.fp.record(FpOp::Rcp, out.len() as u64);
         match self.cfg.rcp {
             UnitMode::Precise => map1(a, out, |x| 1.0 / x),
             UnitMode::Imprecise => map1(a, out, ircp64),
@@ -399,7 +398,7 @@ impl FpCtx {
             b.len(),
             "fma64_fold: operand slices differ in length"
         );
-        self.counts.record(FpOp::Fma, a.len() as u64);
+        self.mix.fp.record(FpOp::Fma, a.len() as u64);
         with_mul64!(self.cfg.mul, |mul| with_add64!(self.cfg.add, |add| {
             fold2(a, b, acc, mul, add)
         }))

@@ -35,7 +35,6 @@
 use crate::compile::RegFile;
 use crate::dispatch::FpCtx;
 use crate::plan::{CompiledKernel, PlanCache};
-use crate::simt::{InstrMix, KernelLaunch};
 use ihw_core::config::IhwConfig;
 use std::sync::Arc;
 
@@ -737,20 +736,6 @@ impl WarpInterpreter {
         }
         Ok(())
     }
-
-    /// Builds the timing-model launch descriptor for a completed run.
-    pub fn kernel_launch(&self, prog: &Program, threads: u32) -> KernelLaunch {
-        KernelLaunch::new(
-            prog.name.clone(),
-            threads.div_ceil(256).max(1),
-            threads.min(256),
-            InstrMix {
-                fp: self.ctx.counts().clone(),
-                int_ops: self.ctx.int_ops(),
-                mem_ops: self.ctx.mem_ops(),
-            },
-        )
-    }
 }
 
 #[cfg(test)]
@@ -788,9 +773,7 @@ mod tests {
         interp.launch(&saxpy(), 8, &mut bufs).expect("runs");
         assert_eq!(interp.ctx().counts().get(FpOp::Fma), 8);
         assert_eq!(interp.ctx().mem_ops(), 3 * 8);
-        let k = interp.kernel_launch(&saxpy(), 8);
-        assert_eq!(k.mix.fp.total(), 8);
-        assert_eq!(k.name, "saxpy");
+        assert_eq!(interp.ctx().mix().fp.total(), 8);
     }
 
     #[test]

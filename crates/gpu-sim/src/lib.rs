@@ -29,12 +29,7 @@
 //! ctx.mem_op(64);
 //!
 //! // Timing + power for the observed mix:
-//! let kernel = KernelLaunch::new(
-//!     "demo",
-//!     1,
-//!     64,
-//!     InstrMix { fp: ctx.counts().clone(), int_ops: ctx.int_ops(), mem_ops: ctx.mem_ops() },
-//! );
+//! let kernel = KernelLaunch::new(ctx.mix().clone());
 //! let stats = Simulator::new(GpuConfig::gtx480()).simulate(&kernel);
 //! let breakdown = WattchModel::gtx480().breakdown(&kernel.mix, &stats);
 //! assert!(breakdown.total_w() > 0.0);

@@ -11,10 +11,10 @@
 //!   constant-folded at lowering time;
 //! * whether the racecheck store-shape proof licenses instruction-major
 //!   lane blocks, decided once instead of per launch;
-//! * a static cost table — per-thread [`OpCounts`] and integer/memory
-//!   op totals — because a straight-line kernel executes the same units
-//!   for every thread, the launch counters are a multiplication, not
-//!   one counter update per thread and instruction;
+//! * a static cost table — the per-thread [`InstrMix`] and its
+//!   per-instruction prefixes — because a straight-line kernel executes
+//!   the same units for every thread, the launch counters are a
+//!   multiplication, not one counter update per thread and instruction;
 //! * a closed-form first-fault precheck over the kernel's affine
 //!   access sites, which both engines' fault semantics reduce to.
 //!
@@ -35,22 +35,10 @@ use crate::compile::{exec_block, lower, CompiledOp, RegFile, LANES};
 use crate::deps::{racecheck, store_shape, AffineIndex, StoreShape};
 use crate::dispatch::FpCtx;
 use crate::isa::{ExecError, Instr, Program};
+use crate::simt::InstrMix;
 use ihw_core::config::{FpOp, IhwConfig};
-use ihw_power::system::OpCounts;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-
-/// Per-thread static execution cost of a straight-line kernel (or of a
-/// prefix of one): what one thread adds to the launch counters.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct StaticCost {
-    /// Floating-point operation counts by class.
-    pub counts: OpCounts,
-    /// Integer/ALU operations.
-    pub int_ops: u64,
-    /// Memory operations.
-    pub mem_ops: u64,
-}
 
 /// One affine global-memory access site (load or store), in
 /// instruction order — the domain of the closed-form fault precheck.
@@ -86,11 +74,11 @@ pub struct CompiledKernel {
     /// is `DirectWrite`.
     block_safe: bool,
     sites: Vec<Site>,
-    per_thread: StaticCost,
-    /// `prefix[i]` = cost of instructions `0..=i` for one thread (the
+    per_thread: InstrMix,
+    /// `prefix[i]` = mix of instructions `0..=i` for one thread (the
     /// faulting access records its counts *before* the port call, so
     /// the faulting thread's contribution is an **inclusive** prefix).
-    prefix: Vec<StaticCost>,
+    prefix: Vec<InstrMix>,
 }
 
 /// What one instruction adds to the per-thread counters, mirroring
@@ -122,7 +110,7 @@ pub fn compile(prog: &Program, cfg: &IhwConfig) -> CompiledKernel {
     let block_safe = store_shape(&racecheck(prog)) == Some(StoreShape::DirectWrite);
 
     let mut sites = Vec::new();
-    let mut per_thread = StaticCost::default();
+    let mut per_thread = InstrMix::default();
     let mut prefix = Vec::with_capacity(prog.instrs().len());
     for (i, instr) in prog.instrs().iter().enumerate() {
         match *instr {
@@ -135,7 +123,7 @@ pub fn compile(prog: &Program, cfg: &IhwConfig) -> CompiledKernel {
         }
         let (fp, int_ops, mem_ops) = instr_cost(instr);
         if let Some(op) = fp {
-            per_thread.counts.record(op, 1);
+            per_thread.fp.record(op, 1);
         }
         per_thread.int_ops += int_ops;
         per_thread.mem_ops += mem_ops;
@@ -272,19 +260,12 @@ impl CompiledKernel {
     /// call, exactly like `exec_step`).
     pub(crate) fn absorb_into(&self, ctx: &mut FpCtx, threads: u32, fault: Option<&Fault>) {
         let complete = fault.map_or(threads, |f| f.tid);
-        let mut counts = OpCounts::new();
-        for (op, c) in self.per_thread.counts.iter() {
-            counts.record(op, c * u64::from(complete));
-        }
-        let mut int_ops = self.per_thread.int_ops * u64::from(complete);
-        let mut mem_ops = self.per_thread.mem_ops * u64::from(complete);
+        let mut mix = InstrMix::default();
+        mix.add_scaled(&self.per_thread, u64::from(complete));
         if let Some(f) = fault {
-            let p = &self.prefix[f.instr];
-            counts.merge(&p.counts);
-            int_ops += p.int_ops;
-            mem_ops += p.mem_ops;
+            mix.add_scaled(&self.prefix[f.instr], 1);
         }
-        ctx.record_static(&counts, int_ops, mem_ops);
+        ctx.record_static(&mix);
     }
 }
 
@@ -465,14 +446,14 @@ mod tests {
         let prog = programs::saxpy(2.0);
         let plan = compile(&prog, &IhwConfig::precise());
         // saxpy: movi, ld, ld, ffma, st → 1 Fma, 3 int (2 mem + 1), …
-        assert_eq!(plan.per_thread.counts.get(FpOp::Fma), 1);
-        assert_eq!(plan.per_thread.counts.total(), 1);
+        assert_eq!(plan.per_thread.fp.get(FpOp::Fma), 1);
+        assert_eq!(plan.per_thread.fp.total(), 1);
         assert_eq!(plan.per_thread.int_ops, 3);
         assert_eq!(plan.per_thread.mem_ops, 3);
         // Inclusive prefixes: through the ffma (instr 3) the thread has
         // recorded both loads and the fma, but not the store.
         assert_eq!(plan.prefix[3].mem_ops, 2);
-        assert_eq!(plan.prefix[3].counts.get(FpOp::Fma), 1);
+        assert_eq!(plan.prefix[3].fp.get(FpOp::Fma), 1);
     }
 
     #[test]

@@ -85,7 +85,10 @@ impl UnitClass {
     ];
 }
 
-/// Total dynamic scalar operation mix of one kernel (all threads).
+/// A dynamic scalar operation mix: the per-opcode counters the timing
+/// and power models consume. `FpCtx` accumulates one, a compiled plan
+/// keeps one per thread, and a [`KernelLaunch`] carries a whole
+/// kernel's.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct InstrMix {
     /// Floating point operations by class.
@@ -111,17 +114,22 @@ impl InstrMix {
             UnitClass::Lsu | UnitClass::Dram => self.mem_ops,
         }
     }
+
+    /// Adds `times` copies of `other` to this mix: a launch credits
+    /// `times` threads of one per-thread mix in one merge.
+    pub fn add_scaled(&mut self, other: &InstrMix, times: u64) {
+        for (op, c) in other.fp.iter() {
+            self.fp.record(op, c * times);
+        }
+        self.int_ops += other.int_ops * times;
+        self.mem_ops += other.mem_ops * times;
+    }
 }
 
-/// A kernel launch: grid geometry plus its dynamic instruction mix.
+/// A kernel launch as the timing model sees it: its dynamic
+/// instruction mix and how divergent its warps are.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KernelLaunch {
-    /// Kernel name (for reports).
-    pub name: String,
-    /// Number of thread blocks.
-    pub blocks: u32,
-    /// Threads per block.
-    pub threads_per_block: u32,
     /// Total dynamic op mix across all threads.
     pub mix: InstrMix,
     /// Average fraction of active lanes per warp instruction (1.0 = no
@@ -133,16 +141,8 @@ pub struct KernelLaunch {
 
 impl KernelLaunch {
     /// Creates a launch descriptor with full warp efficiency.
-    pub fn new(
-        name: impl Into<String>,
-        blocks: u32,
-        threads_per_block: u32,
-        mix: InstrMix,
-    ) -> Self {
+    pub fn new(mix: InstrMix) -> Self {
         KernelLaunch {
-            name: name.into(),
-            blocks,
-            threads_per_block,
             mix,
             warp_efficiency: 1.0,
         }
@@ -160,11 +160,6 @@ impl KernelLaunch {
         );
         self.warp_efficiency = efficiency;
         self
-    }
-
-    /// Total thread count.
-    pub fn threads(&self) -> u64 {
-        self.blocks as u64 * self.threads_per_block as u64
     }
 }
 
@@ -271,16 +266,11 @@ mod tests {
         fp.record(FpOp::Add, fpu / 2);
         fp.record(FpOp::Mul, fpu - fpu / 2);
         fp.record(FpOp::Rcp, sfu);
-        KernelLaunch::new(
-            "test",
-            120,
-            256,
-            InstrMix {
-                fp,
-                int_ops: alu,
-                mem_ops: mem,
-            },
-        )
+        KernelLaunch::new(InstrMix {
+            fp,
+            int_ops: alu,
+            mem_ops: mem,
+        })
     }
 
     #[test]
@@ -331,7 +321,10 @@ mod tests {
         assert_eq!(k.mix.total(), 135);
         assert_eq!(k.mix.ops_for(UnitClass::Fpu), 100);
         assert_eq!(k.mix.ops_for(UnitClass::Sfu), 10);
-        assert_eq!(k.threads(), 120 * 256);
+        let mut sum = InstrMix::default();
+        sum.add_scaled(&k.mix, 3);
+        sum.add_scaled(&k.mix, 0);
+        assert_eq!(sum, kernel(300, 30, 60, 15).mix);
     }
 
     #[test]

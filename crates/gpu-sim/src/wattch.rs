@@ -164,16 +164,11 @@ mod tests {
         fp.record(FpOp::Mul, 2_500_000);
         fp.record(FpOp::Rcp, 800_000);
         fp.record(FpOp::Sqrt, 700_000);
-        KernelLaunch::new(
-            "compute",
-            4096,
-            256,
-            InstrMix {
-                fp,
-                int_ops: 5_000_000,
-                mem_ops: 2_500_000,
-            },
-        )
+        KernelLaunch::new(InstrMix {
+            fp,
+            int_ops: 5_000_000,
+            mem_ops: 2_500_000,
+        })
     }
 
     fn run(k: &KernelLaunch) -> PowerBreakdown {
@@ -222,16 +217,11 @@ mod tests {
         let mut fp = OpCounts::new();
         fp.record(FpOp::Add, 1_000_000);
         fp.record(FpOp::Rsqrt, 3_000_000);
-        let k = KernelLaunch::new(
-            "sfu",
-            4096,
-            256,
-            InstrMix {
-                fp,
-                int_ops: 1_000_000,
-                mem_ops: 500_000,
-            },
-        );
+        let k = KernelLaunch::new(InstrMix {
+            fp,
+            int_ops: 1_000_000,
+            mem_ops: 500_000,
+        });
         let b = run(&k);
         assert!(b.sfu_share() > b.fpu_share());
     }

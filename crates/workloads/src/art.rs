@@ -15,7 +15,6 @@
 //! the image down but preserves the mix).
 
 use gpu_sim::dispatch::FpCtx;
-use gpu_sim::simt::{InstrMix, KernelLaunch};
 use ihw_core::config::IhwConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -168,21 +167,6 @@ pub fn run_with_config(params: &ArtParams, cfg: IhwConfig) -> (ArtOutput, FpCtx)
     let mut ctx = FpCtx::new(cfg);
     let out = run(params, &image, &mut ctx);
     (out, ctx)
-}
-
-/// Kernel-launch descriptor (one thread per window position).
-pub fn kernel_launch(params: &ArtParams, ctx: &FpCtx) -> KernelLaunch {
-    let windows = (params.image_size - PATCH + 1).pow(2) as u32;
-    KernelLaunch::new(
-        "179.art",
-        windows.div_ceil(64),
-        64,
-        InstrMix {
-            fp: ctx.counts().clone(),
-            int_ops: ctx.int_ops(),
-            mem_ops: ctx.mem_ops(),
-        },
-    )
 }
 
 #[cfg(test)]

@@ -11,7 +11,6 @@
 //! held-out set.
 
 use gpu_sim::dispatch::FpCtx;
-use gpu_sim::simt::{InstrMix, KernelLaunch};
 use ihw_core::config::IhwConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -189,22 +188,6 @@ pub fn run_with_config(params: &BackpropParams, cfg: IhwConfig) -> (BackpropOutp
     let mut ctx = FpCtx::new(cfg);
     let out = run(params, &mut ctx);
     (out, ctx)
-}
-
-/// Kernel-launch descriptor (one thread per hidden unit per example,
-/// Rodinia-style layered kernels).
-pub fn kernel_launch(params: &BackpropParams, ctx: &FpCtx) -> KernelLaunch {
-    let threads = (params.train * HIDDEN) as u32;
-    KernelLaunch::new(
-        "backprop",
-        threads.div_ceil(256).max(1),
-        256,
-        InstrMix {
-            fp: ctx.counts().clone(),
-            int_ops: ctx.int_ops(),
-            mem_ops: ctx.mem_ops(),
-        },
-    )
 }
 
 #[cfg(test)]

@@ -13,7 +13,6 @@
 //! long chain of multiplies/adds for the nine equilibrium distributions.
 
 use gpu_sim::dispatch::FpCtx;
-use gpu_sim::simt::{InstrMix, KernelLaunch};
 use ihw_core::config::IhwConfig;
 
 /// D2Q9 lattice directions.
@@ -208,21 +207,6 @@ pub fn run_with_config(params: &CfdParams, cfg: IhwConfig) -> (CfdOutput, FpCtx)
     let mut ctx = FpCtx::new(cfg);
     let out = run(params, &mut ctx);
     (out, ctx)
-}
-
-/// Kernel-launch descriptor (one thread per cell).
-pub fn kernel_launch(params: &CfdParams, ctx: &FpCtx) -> KernelLaunch {
-    let threads = (params.size * params.size) as u32;
-    KernelLaunch::new(
-        "cfd-lbm",
-        threads.div_ceil(256).max(1),
-        256,
-        InstrMix {
-            fp: ctx.counts().clone(),
-            int_ops: ctx.int_ops(),
-            mem_ops: ctx.mem_ops(),
-        },
-    )
 }
 
 #[cfg(test)]

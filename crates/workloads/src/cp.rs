@@ -13,7 +13,6 @@
 //! precise run.
 
 use gpu_sim::dispatch::FpCtx;
-use gpu_sim::simt::{InstrMix, KernelLaunch};
 use ihw_core::config::IhwConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -139,21 +138,6 @@ pub fn run_with_config(params: &CpParams, cfg: IhwConfig) -> (CpOutput, FpCtx) {
     let mut ctx = FpCtx::new(cfg);
     let out = run(params, &atoms, &mut ctx);
     (out, ctx)
-}
-
-/// Kernel-launch descriptor (one thread per lattice point).
-pub fn kernel_launch(params: &CpParams, ctx: &FpCtx) -> KernelLaunch {
-    let threads = (params.size * params.size) as u32;
-    KernelLaunch::new(
-        "cp",
-        threads.div_ceil(128),
-        128,
-        InstrMix {
-            fp: ctx.counts().clone(),
-            int_ops: ctx.int_ops(),
-            mem_ops: ctx.mem_ops(),
-        },
-    )
 }
 
 #[cfg(test)]

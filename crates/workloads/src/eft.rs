@@ -14,7 +14,6 @@
 //! `f64` host reference, compared to the naive FMA accumulation.
 
 use gpu_sim::dispatch::FpCtx;
-use gpu_sim::simt::{InstrMix, KernelLaunch};
 use ihw_core::config::IhwConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -144,21 +143,6 @@ pub fn run_with_config(params: &EftParams, cfg: IhwConfig) -> (EftOutput, FpCtx)
     (out, ctx)
 }
 
-/// Kernel-launch descriptor (one thread per element pair).
-pub fn kernel_launch(params: &EftParams, ctx: &FpCtx) -> KernelLaunch {
-    let threads = params.n as u32;
-    KernelLaunch::new(
-        "eft_dot2",
-        threads.div_ceil(128),
-        128,
-        InstrMix {
-            fp: ctx.counts().clone(),
-            int_ops: ctx.int_ops(),
-            mem_ops: ctx.mem_ops(),
-        },
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -267,13 +251,5 @@ mod tests {
         assert_eq!(ctx.counts().get(FpOp::Mul), n);
         assert_eq!(ctx.counts().get(FpOp::Fma), 2 * n);
         assert_eq!(ctx.counts().get(FpOp::Add), 8 * n + 1);
-    }
-
-    #[test]
-    fn launch_descriptor_covers_all_threads() {
-        let params = EftParams::default();
-        let (_, ctx) = run_with_config(&params, IhwConfig::precise());
-        let launch = kernel_launch(&params, &ctx);
-        assert_eq!(launch.blocks * launch.threads_per_block, 256);
     }
 }

@@ -25,7 +25,7 @@
 use gpu_sim::asm::assemble;
 use gpu_sim::dispatch::FpCtx;
 use gpu_sim::isa::{Program, WarpInterpreter};
-use gpu_sim::simt::{InstrMix, KernelLaunch};
+use gpu_sim::simt::InstrMix;
 use ihw_core::config::IhwConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -283,11 +283,11 @@ pub fn run(params: &HotspotParams, ctx: &mut FpCtx) -> HotspotOutput {
     }
 
     let cell_steps = (cells * params.steps) as u64;
-    ctx.record_static(
-        sim.ctx().counts(),
-        CELL_INT_OPS * cell_steps,
-        CELL_MEM_OPS * cell_steps,
-    );
+    ctx.record_static(&InstrMix {
+        fp: sim.ctx().counts().clone(),
+        int_ops: CELL_INT_OPS * cell_steps,
+        mem_ops: CELL_MEM_OPS * cell_steps,
+    });
 
     // Free the other six buffers before the f64 copy of the field.
     let field = bufs.swap_remove(B_T);
@@ -304,22 +304,6 @@ pub fn run_with_config(params: &HotspotParams, cfg: IhwConfig) -> (HotspotOutput
     let mut ctx = FpCtx::new(cfg);
     let out = run(params, &mut ctx);
     (out, ctx)
-}
-
-/// Builds the kernel-launch descriptor from an executed context (one
-/// thread per grid cell, 256-thread blocks, Rodinia-style).
-pub fn kernel_launch(params: &HotspotParams, ctx: &FpCtx) -> KernelLaunch {
-    let threads = (params.rows * params.cols) as u32;
-    KernelLaunch::new(
-        "hotspot",
-        threads.div_ceil(256),
-        256,
-        InstrMix {
-            fp: ctx.counts().clone(),
-            int_ops: ctx.int_ops(),
-            mem_ops: ctx.mem_ops(),
-        },
-    )
 }
 
 #[cfg(test)]
@@ -462,13 +446,13 @@ mod tests {
     }
 
     #[test]
-    fn kernel_launch_geometry() {
-        let params = small();
-        let (_, ctx) = run_with_config(&params, IhwConfig::precise());
-        let k = kernel_launch(&params, &ctx);
-        assert_eq!(k.threads_per_block, 256);
-        assert_eq!(k.blocks, (24 * 24u32).div_ceil(256));
-        assert_eq!(k.mix.fp.total(), ctx.counts().total());
+    fn mix_credits_the_declared_int_and_mem_ops() {
+        // The kernel IR's own load/store counters are dropped: the mix
+        // carries exactly the declared per-cell integer and memory ops.
+        let (_, ctx) = run_with_config(&small(), IhwConfig::precise());
+        let cell_steps = 24 * 24 * 10;
+        assert_eq!(ctx.mix().int_ops, CELL_INT_OPS * cell_steps);
+        assert_eq!(ctx.mix().mem_ops, CELL_MEM_OPS * cell_steps);
     }
 
     #[test]

@@ -8,7 +8,6 @@
 //! reciprocal + FPU multiply.
 
 use gpu_sim::dispatch::FpCtx;
-use gpu_sim::simt::{InstrMix, KernelLaunch};
 use ihw_core::config::IhwConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -198,21 +197,6 @@ pub fn run_with_config(params: &Hotspot3dParams, cfg: IhwConfig) -> (Hotspot3dOu
     let mut ctx = FpCtx::new(cfg);
     let out = run(params, &mut ctx);
     (out, ctx)
-}
-
-/// Kernel-launch descriptor (one thread per cell).
-pub fn kernel_launch(params: &Hotspot3dParams, ctx: &FpCtx) -> KernelLaunch {
-    let threads = (params.rows * params.cols * params.layers) as u32;
-    KernelLaunch::new(
-        "hotspot3d",
-        threads.div_ceil(256).max(1),
-        256,
-        InstrMix {
-            fp: ctx.counts().clone(),
-            int_ops: ctx.int_ops(),
-            mem_ops: ctx.mem_ops(),
-        },
-    )
 }
 
 #[cfg(test)]

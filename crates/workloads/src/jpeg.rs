@@ -13,7 +13,6 @@
 //! Quality metric: PSNR in dB (8-bit scale).
 
 use gpu_sim::dispatch::FpCtx;
-use gpu_sim::simt::{InstrMix, KernelLaunch};
 use ihw_core::config::IhwConfig;
 use ihw_quality::GrayImage;
 use rand::rngs::StdRng;
@@ -199,21 +198,6 @@ pub fn run_with_config(params: &JpegParams, cfg: IhwConfig) -> (GrayImage, GrayI
 /// PSNR between two images on the 8-bit scale.
 pub fn psnr_8bit(a: &GrayImage, b: &GrayImage) -> f64 {
     ihw_quality::metrics::psnr(a.as_slice(), b.as_slice(), 255.0)
-}
-
-/// Kernel-launch descriptor (one thread per block).
-pub fn kernel_launch(params: &JpegParams, ctx: &FpCtx) -> KernelLaunch {
-    let blocks = (params.size / BLOCK).pow(2) as u32;
-    KernelLaunch::new(
-        "jpeg-decode",
-        blocks.div_ceil(4).max(1),
-        4 * 64,
-        InstrMix {
-            fp: ctx.counts().clone(),
-            int_ops: ctx.int_ops(),
-            mem_ops: ctx.mem_ops(),
-        },
-    )
 }
 
 #[cfg(test)]

@@ -9,7 +9,6 @@
 //! the precise run, plus the centroid mean squared error.
 
 use gpu_sim::dispatch::FpCtx;
-use gpu_sim::simt::{InstrMix, KernelLaunch};
 use ihw_core::config::IhwConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -157,21 +156,6 @@ pub fn run_with_config(params: &KmeansParams, cfg: IhwConfig) -> (KmeansOutput, 
     let mut ctx = FpCtx::new(cfg);
     let out = run(params, &points, &mut ctx);
     (out, ctx)
-}
-
-/// Kernel-launch descriptor (one thread per point).
-pub fn kernel_launch(params: &KmeansParams, ctx: &FpCtx) -> KernelLaunch {
-    let threads = params.points as u32;
-    KernelLaunch::new(
-        "kmeans",
-        threads.div_ceil(256).max(1),
-        256,
-        InstrMix {
-            fp: ctx.counts().clone(),
-            int_ops: ctx.int_ops(),
-            mem_ops: ctx.mem_ops(),
-        },
-    )
 }
 
 #[cfg(test)]

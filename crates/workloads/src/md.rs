@@ -12,7 +12,6 @@
 //! is the quality metric.
 
 use gpu_sim::dispatch::{FpCtx, LANE_BLOCK};
-use gpu_sim::simt::{InstrMix, KernelLaunch};
 use ihw_core::config::IhwConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -342,21 +341,6 @@ pub fn run_with_config(params: &MdParams, cfg: IhwConfig) -> (MdOutput, FpCtx) {
     let mut ctx = FpCtx::new(cfg);
     let out = run(params, &mut ctx);
     (out, ctx)
-}
-
-/// Kernel-launch descriptor (one thread per particle pair batch).
-pub fn kernel_launch(params: &MdParams, ctx: &FpCtx) -> KernelLaunch {
-    let threads = params.particles as u32;
-    KernelLaunch::new(
-        "435.gromacs",
-        threads.div_ceil(32).max(1),
-        32,
-        InstrMix {
-            fp: ctx.counts().clone(),
-            int_ops: ctx.int_ops(),
-            mem_ops: ctx.mem_ops(),
-        },
-    )
 }
 
 #[cfg(test)]

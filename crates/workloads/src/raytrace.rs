@@ -12,7 +12,6 @@
 //! Quality metric: SSIM against the precise rendering (paper reference 31).
 
 use gpu_sim::dispatch::FpCtx;
-use gpu_sim::simt::{InstrMix, KernelLaunch};
 use ihw_core::config::IhwConfig;
 use ihw_quality::GrayImage;
 
@@ -277,22 +276,6 @@ pub fn measure_warp_efficiency(params: &RayParams) -> f64 {
     } else {
         eff_sum / warps as f64
     }
-}
-
-/// Kernel-launch descriptor (one thread per pixel).
-pub fn kernel_launch(params: &RayParams, ctx: &FpCtx) -> KernelLaunch {
-    let threads = (params.size * params.size) as u32;
-    KernelLaunch::new(
-        "raytracing",
-        threads.div_ceil(128),
-        128,
-        InstrMix {
-            fp: ctx.counts().clone(),
-            int_ops: ctx.int_ops(),
-            mem_ops: ctx.mem_ops(),
-        },
-    )
-    .with_warp_efficiency(WARP_EFFICIENCY)
 }
 
 // ---------------------------------------------------------------------

@@ -14,7 +14,6 @@
 //! flip close decisions — the same failure mode as the real recognizer.
 
 use gpu_sim::dispatch::FpCtx;
-use gpu_sim::simt::{InstrMix, KernelLaunch};
 use ihw_core::config::IhwConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -303,21 +302,6 @@ pub fn run_with_config(params: &SphinxParams, cfg: IhwConfig) -> (SphinxOutput, 
     let mut ctx = FpCtx::new(cfg);
     let out = run(params, &vocab, &utts, &mut ctx);
     (out, ctx)
-}
-
-/// Kernel-launch descriptor (one thread block per utterance/template pair).
-pub fn kernel_launch(params: &SphinxParams, ctx: &FpCtx) -> KernelLaunch {
-    let pairs = (params.words * params.words) as u32;
-    KernelLaunch::new(
-        "482.sphinx3",
-        pairs,
-        64,
-        InstrMix {
-            fp: ctx.counts().clone(),
-            int_ops: ctx.int_ops(),
-            mem_ops: ctx.mem_ops(),
-        },
-    )
 }
 
 #[cfg(test)]

@@ -14,7 +14,6 @@
 //! Pratt's figure of merit.
 
 use gpu_sim::dispatch::FpCtx;
-use gpu_sim::simt::{InstrMix, KernelLaunch};
 use ihw_core::config::IhwConfig;
 use ihw_quality::{pratt_fom, GrayImage};
 use rand::rngs::StdRng;
@@ -267,21 +266,6 @@ pub fn run_with_config(params: &SradParams, cfg: IhwConfig) -> (SradOutput, Srad
     let mut ctx = FpCtx::new(cfg);
     let out = run(params, &scene, &mut ctx);
     (out, scene, ctx)
-}
-
-/// Kernel-launch descriptor (one thread per pixel).
-pub fn kernel_launch(params: &SradParams, ctx: &FpCtx) -> KernelLaunch {
-    let threads = (params.size * params.size) as u32;
-    KernelLaunch::new(
-        "srad",
-        threads.div_ceil(256),
-        256,
-        InstrMix {
-            fp: ctx.counts().clone(),
-            int_ops: ctx.int_ops(),
-            mem_ops: ctx.mem_ops(),
-        },
-    )
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@ use imprecise_gpgpu::core::config::{AddUnit, IhwConfig, MulUnit};
 use imprecise_gpgpu::core::prelude::{AcMulConfig, MulPath};
 use imprecise_gpgpu::power::SystemPowerModel;
 use imprecise_gpgpu::quality::metrics::{mae, wed};
-use imprecise_gpgpu::sim::{GpuConfig, Simulator, WattchModel};
+use imprecise_gpgpu::sim::{GpuConfig, KernelLaunch, Simulator, WattchModel};
 use imprecise_gpgpu::workloads::hotspot;
 
 fn main() {
@@ -23,7 +23,7 @@ fn main() {
 
     // Reference run: functional output + counters + power breakdown.
     let (reference, ctx) = hotspot::run_with_config(&params, IhwConfig::precise());
-    let kernel = hotspot::kernel_launch(&params, &ctx);
+    let kernel = KernelLaunch::new(ctx.mix().clone());
     let stats = Simulator::new(GpuConfig::gtx480()).simulate(&kernel);
     let breakdown = WattchModel::gtx480().breakdown(&kernel.mix, &stats);
     println!(

@@ -9,7 +9,7 @@
 use imprecise_gpgpu::core::config::IhwConfig;
 use imprecise_gpgpu::sim::asm::assemble;
 use imprecise_gpgpu::sim::isa::WarpInterpreter;
-use imprecise_gpgpu::sim::{GpuConfig, Simulator, WattchModel};
+use imprecise_gpgpu::sim::{GpuConfig, KernelLaunch, Simulator, WattchModel};
 
 const KERNEL: &str = "
     # Gravitational-style kernel: out[i] = q / (x[i]^2 + y[i]^2)
@@ -55,7 +55,7 @@ fn main() {
         / n as f64;
     println!("mean absolute output error (imprecise vs precise): {mae:.6}");
 
-    let kernel = precise.kernel_launch(&prog, n);
+    let kernel = KernelLaunch::new(precise.ctx().mix().clone());
     println!(
         "counters: {} fp ops ({} SFU), {} loads/stores",
         kernel.mix.fp.total(),

@@ -75,8 +75,13 @@ cargo run --release -p ihw-bench --bin repro -- converge --json-out target/ihw-c
 echo "== solverbench: certificates vs measured solver trajectories =="
 # Fails (exit 1) if any certified kernel × config pair measures worse
 # than its certificate — more sweeps than N(ε) or a final error above
-# the effective tolerance. Refreshes the committed BENCH_solvers.json.
-cargo run --release -p ihw-bench --bin repro -- converge --bench
+# the effective tolerance. The record goes to target/ and must match
+# the committed BENCH_solvers.json byte for byte: it holds no timings,
+# so a drifted certificate or trajectory fails here instead of
+# silently rewriting the record (refresh it with
+# `repro converge --bench`).
+cargo run --release -p ihw-bench --bin repro -- converge --bench --out target/BENCH_solvers.json
+cmp target/BENCH_solvers.json BENCH_solvers.json
 
 echo "== racebench: interpreted vs compiled (bit-identity + throughput) =="
 # Fails if any compiled run diverges from the interpreted-sequential

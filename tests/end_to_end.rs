@@ -4,7 +4,7 @@
 
 use imprecise_gpgpu::core::config::IhwConfig;
 use imprecise_gpgpu::power::SystemPowerModel;
-use imprecise_gpgpu::sim::{GpuConfig, Simulator, WattchModel};
+use imprecise_gpgpu::sim::{GpuConfig, KernelLaunch, Simulator, WattchModel};
 use imprecise_gpgpu::workloads::{cp, hotspot, raytrace, srad};
 
 #[test]
@@ -16,7 +16,7 @@ fn hotspot_full_pipeline_matches_paper_band() {
         seed: 9,
     };
     let (_, ctx) = hotspot::run_with_config(&params, IhwConfig::precise());
-    let kernel = hotspot::kernel_launch(&params, &ctx);
+    let kernel = KernelLaunch::new(ctx.mix().clone());
     let stats = Simulator::new(GpuConfig::gtx480()).simulate(&kernel);
     assert!(stats.cycles > 0);
     let breakdown = WattchModel::gtx480().breakdown(&kernel.mix, &stats);
@@ -94,7 +94,7 @@ fn savings_increase_with_more_imprecise_units() {
         seed: 3,
     };
     let (_, ctx) = hotspot::run_with_config(&params, IhwConfig::precise());
-    let kernel = hotspot::kernel_launch(&params, &ctx);
+    let kernel = KernelLaunch::new(ctx.mix().clone());
     let stats = Simulator::new(GpuConfig::gtx480()).simulate(&kernel);
     let shares = WattchModel::gtx480()
         .breakdown(&kernel.mix, &stats)
@@ -147,8 +147,8 @@ fn gpu_time_scales_with_workload_size() {
     let sim = Simulator::new(GpuConfig::gtx480());
     let (_, sc) = hotspot::run_with_config(&small, IhwConfig::precise());
     let (_, lc) = hotspot::run_with_config(&large, IhwConfig::precise());
-    let ts = sim.simulate(&hotspot::kernel_launch(&small, &sc));
-    let tl = sim.simulate(&hotspot::kernel_launch(&large, &lc));
+    let ts = sim.simulate(&KernelLaunch::new(sc.mix().clone()));
+    let tl = sim.simulate(&KernelLaunch::new(lc.mix().clone()));
     assert!(
         tl.cycles > ts.cycles * 4,
         "8x work: {} vs {}",

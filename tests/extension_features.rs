@@ -9,6 +9,7 @@ use imprecise_gpgpu::sim::asm::assemble;
 use imprecise_gpgpu::sim::dvfs::{combined_power_factor, DvfsPoint};
 use imprecise_gpgpu::sim::isa::WarpInterpreter;
 use imprecise_gpgpu::sim::tuner::{tune_sites, QualityConstraint};
+use imprecise_gpgpu::sim::KernelLaunch;
 use imprecise_gpgpu::workloads::{backprop, cfd, jpeg, kmeans};
 
 #[test]
@@ -101,7 +102,7 @@ fn assembler_to_power_pipeline() {
     for &v in &bufs[2] {
         assert!((v as f64 - 5.0).abs() / 5.0 < 0.35, "{v}");
     }
-    let kernel = interp.kernel_launch(&prog, n);
+    let kernel = KernelLaunch::new(interp.ctx().mix().clone());
     let stats = imprecise_gpgpu::sim::Simulator::new(imprecise_gpgpu::sim::GpuConfig::gtx480())
         .simulate(&kernel);
     assert!(stats.cycles > 0);

@@ -27,17 +27,13 @@ fn arb_mix() -> impl Strategy<Value = InstrMix> {
         })
 }
 
-fn launch(mix: InstrMix) -> KernelLaunch {
-    KernelLaunch::new("prop", 256, 256, mix)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
     fn cycles_monotone_in_every_op_class(mix in arb_mix()) {
         let sim = Simulator::new(GpuConfig::gtx480());
-        let base = sim.simulate(&launch(mix.clone()));
+        let base = sim.simulate(&KernelLaunch::new(mix.clone()));
         // Doubling any class never reduces cycles.
         for class in [UnitClass::Fpu, UnitClass::Sfu, UnitClass::Alu, UnitClass::Lsu] {
             let mut bigger = mix.clone();
@@ -48,7 +44,7 @@ proptest! {
                 UnitClass::Lsu => bigger.mem_ops += mix.mem_ops.max(1),
                 UnitClass::Dram => unreachable!(),
             }
-            let grown = sim.simulate(&launch(bigger));
+            let grown = sim.simulate(&KernelLaunch::new(bigger));
             prop_assert!(grown.cycles >= base.cycles, "{class:?}");
         }
     }
@@ -56,7 +52,7 @@ proptest! {
     #[test]
     fn time_consistent_with_clock(mix in arb_mix()) {
         let cfg = GpuConfig::gtx480();
-        let stats = Simulator::new(cfg).simulate(&launch(mix));
+        let stats = Simulator::new(cfg).simulate(&KernelLaunch::new(mix));
         let expect = stats.cycles as f64 / (cfg.clock_ghz * 1e3);
         prop_assert!((stats.time_us - expect).abs() < 1e-9);
     }
@@ -64,15 +60,15 @@ proptest! {
     #[test]
     fn divergence_never_speeds_up(mix in arb_mix()) {
         let sim = Simulator::new(GpuConfig::gtx480());
-        let full = sim.simulate(&launch(mix.clone()));
-        let div = sim.simulate(&launch(mix).with_warp_efficiency(0.5));
+        let full = sim.simulate(&KernelLaunch::new(mix.clone()));
+        let div = sim.simulate(&KernelLaunch::new(mix).with_warp_efficiency(0.5));
         prop_assert!(div.cycles >= full.cycles);
     }
 
     #[test]
     fn power_breakdown_shares_partition(mix in arb_mix()) {
         prop_assume!(mix.total() > 0);
-        let stats = Simulator::new(GpuConfig::gtx480()).simulate(&launch(mix.clone()));
+        let stats = Simulator::new(GpuConfig::gtx480()).simulate(&KernelLaunch::new(mix.clone()));
         let b = WattchModel::gtx480().breakdown(&mix, &stats);
         let parts = b.fpu_w + b.sfu_w + b.alu_w + b.rf_w + b.mem_w + b.background_w;
         prop_assert!((parts - b.total_w()).abs() < 1e-9);
@@ -84,7 +80,7 @@ proptest! {
         prop_assume!(mix.mem_ops > 1_000_000);
         let mut cfg = GpuConfig::gtx480();
         cfg.memory.l1_hit_rate = 1.0;
-        let stats = Simulator::new(cfg).simulate(&launch(mix));
+        let stats = Simulator::new(cfg).simulate(&KernelLaunch::new(mix));
         prop_assert!(stats.bottleneck != UnitClass::Dram);
     }
 
