@@ -4,10 +4,10 @@ use crate::table::Table;
 use crate::Scale;
 use ihw_core::ac_multiplier::{AcMulConfig, MulPath};
 use ihw_core::bounds;
-use ihw_core::config::{FpOp, MulUnit};
+use ihw_core::config::{FpOp, IhwConfig, MulUnit};
 use ihw_core::sfu::{idiv32, ilog2_32, ircp32, irsqrt32, isqrt32};
 use ihw_core::truncated::TruncatedMul;
-use ihw_error::{characterize, CharTarget, ErrorPmf};
+use ihw_error::{characterize, label, ErrorPmf};
 use ihw_power::library::{Precision, SynthesisLibrary};
 use ihw_power::mul_power::power_reduction;
 
@@ -238,8 +238,8 @@ pub fn table4() -> Table {
 /// the paper's FSM / FLM / ISM / ILM quadrants.
 pub fn fig4(scale: Scale) -> Table {
     let mut t = Table::new(["unit", "error rate %", "mean error %", "taxonomy quadrant"]);
-    for target in CharTarget::figure8_set() {
-        let pmf = characterize(target, scale.char_samples() / 10);
+    for (op, cfg) in figure8_units() {
+        let pmf = characterize(op, &cfg, scale.char_samples() / 10);
         let frequent = pmf.error_rate() > 0.5;
         // "Large" magnitude: the bulk of errors above 1%.
         let large_mass: f64 = pmf.iter().filter(|&(b, _)| b > 0).map(|(_, p)| p).sum();
@@ -251,7 +251,7 @@ pub fn fig4(scale: Scale) -> Table {
             (false, true) => "ILM (infrequent, large magnitude)",
         };
         t.row([
-            target.label(),
+            label(op, &cfg),
             format!("{:.1}", pmf.error_rate() * 100.0),
             format!("{:.3}", pmf.mean_error_pct()),
             quadrant.to_string(),
@@ -260,22 +260,47 @@ pub fn fig4(scale: Scale) -> Table {
     t
 }
 
+/// The Figure 8 unit set: every Table 1 op but the `iexp2` extension,
+/// under [`IhwConfig::all_imprecise`] (`TH = 8`).
+fn figure8_units() -> Vec<(FpOp, IhwConfig)> {
+    FpOp::ALL
+        .into_iter()
+        .filter(|&op| op != FpOp::Exp2)
+        .map(|op| (op, IhwConfig::all_imprecise()))
+        .collect()
+}
+
+/// The Figure 9 configuration set: both datapaths of the AC multiplier
+/// at the truncation levels the paper plots.
+fn figure9_units() -> Vec<(FpOp, IhwConfig)> {
+    let mut units = Vec::new();
+    for t in [0, 8, 17, 18, 19] {
+        for path in [MulPath::Log, MulPath::Full] {
+            let ac = MulUnit::AcMul(AcMulConfig::new(path, t));
+            units.push((FpOp::Mul, IhwConfig::precise().with_mul(ac)));
+        }
+    }
+    units
+}
+
+/// Characterizes each `(op, config)` pair under its label.
+fn characterize_all(units: Vec<(FpOp, IhwConfig)>, samples: u64) -> Vec<(String, ErrorPmf)> {
+    units
+        .into_iter()
+        .map(|(op, cfg)| (label(op, &cfg), characterize(op, &cfg, samples)))
+        .collect()
+}
+
 /// Figure 8: error characterization PMFs for all proposed 32-bit IHW
 /// units under quasi-Monte Carlo inputs.
 pub fn fig8(scale: Scale) -> Vec<(String, ErrorPmf)> {
-    CharTarget::figure8_set()
-        .into_iter()
-        .map(|t| (t.label(), characterize(t, scale.char_samples())))
-        .collect()
+    characterize_all(figure8_units(), scale.char_samples())
 }
 
 /// Figure 9: error characterization of the accuracy-configurable
 /// multiplier across paths and truncation levels.
 pub fn fig9(scale: Scale) -> Vec<(String, ErrorPmf)> {
-    CharTarget::figure9_set()
-        .into_iter()
-        .map(|t| (t.label(), characterize(t, scale.char_samples())))
-        .collect()
+    characterize_all(figure9_units(), scale.char_samples())
 }
 
 /// One point of the Figure 14 trade-off curves.
@@ -386,6 +411,17 @@ mod tests {
     #[test]
     fn table2_has_all_units() {
         assert_eq!(table2().len(), 8);
+    }
+
+    #[test]
+    fn figure_sets_have_expected_sizes() {
+        assert_eq!(figure8_units().len(), 8);
+        let fig9: Vec<String> = figure9_units()
+            .iter()
+            .map(|(op, cfg)| label(*op, cfg))
+            .collect();
+        assert_eq!(fig9.len(), 10);
+        assert_eq!(fig9[..2], ["Log Path Tr0", "Full Path Tr0"]);
     }
 
     #[test]

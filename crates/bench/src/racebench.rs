@@ -20,8 +20,8 @@
 //! must live in `ihw-bench` next to the timing report.
 
 use crate::runner::report::Stopwatch;
-use gpu_sim::deps::footprints;
 use gpu_sim::isa::{Program, WarpInterpreter};
+use gpu_sim::programs::seed_buffers;
 use ihw_core::config::IhwConfig;
 use ihw_lint::gate;
 use ihw_lint::json::{obj, Json};
@@ -90,23 +90,6 @@ impl Default for MeasureOpts {
             repeats: DEFAULT_REPEATS,
         }
     }
-}
-
-/// Deterministic well-conditioned inputs: every element in `[0.5, 1)`,
-/// buffers sized by the kernel's own footprint
-/// ([`gpu_sim::deps::Footprint::required_len`]) so strided reads stay
-/// in bounds at any thread count.
-pub fn seed_buffers(prog: &Program, threads: u32) -> Vec<Vec<f32>> {
-    let fps = footprints(prog);
-    let n_bufs = fps.keys().max().map_or(0, |b| b + 1);
-    (0..n_bufs)
-        .map(|b| {
-            let len = fps.get(&b).map_or(0, |fp| fp.required_len(threads));
-            (0..len)
-                .map(|i| 0.5 + ((i * 37 + b * 11) % 512) as f32 / 1024.0)
-                .collect()
-        })
-        .collect()
 }
 
 /// Runs `launch` `repeats` times, each on a fresh copy of `base` made
@@ -406,16 +389,6 @@ pub fn run_cli(args: &[String]) -> i32 {
 mod tests {
     use super::*;
     use gpu_sim::programs;
-
-    #[test]
-    fn seed_buffers_cover_strided_footprints() {
-        let prog = programs::dot_partial(4);
-        let bufs = seed_buffers(&prog, 16);
-        assert_eq!(bufs.len(), 3);
-        assert_eq!(bufs[0].len(), 16 + 3, "x covers tid..tid+4 strips");
-        assert_eq!(bufs[2].len(), 16);
-        assert!(bufs[0].iter().all(|&v| (0.5..1.0).contains(&v)));
-    }
 
     #[test]
     fn measure_is_bit_identical() {

@@ -33,11 +33,11 @@
 //! concurrent replies are bit-identical to a sequential replay and that
 //! a multi-tenant mix coalesces.
 
-use crate::racebench::seed_buffers;
 use crate::runner::cache::RunCache;
 use gpu_sim::concurrent::SharedInterpreter;
 use gpu_sim::isa::Program;
 use gpu_sim::plan::PlanCacheStats;
+use gpu_sim::programs::seed_buffers;
 use ihw_analyze::{analyze_program, AnalysisSettings, KernelAnalysis};
 use ihw_core::config::IhwConfig;
 use std::sync::atomic::{AtomicU64, Ordering};

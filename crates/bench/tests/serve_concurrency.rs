@@ -7,7 +7,7 @@
 //! `gpu_sim::concurrent` — it exercises the whole stack (service →
 //! shared interpreter → plan cache) from outside the crate boundary.
 
-use ihw_bench::racebench::seed_buffers;
+use gpu_sim::programs::seed_buffers;
 use ihw_bench::serve::{stock_requests, LaunchRequest, LaunchService, ServeReply};
 use ihw_core::config::IhwConfig;
 use std::sync::Arc;

@@ -11,7 +11,7 @@
 //! replay on a fresh service with no hostile neighbour.
 
 use gpu_sim::isa::{ExecEngine, WarpInterpreter};
-use ihw_bench::racebench::seed_buffers;
+use gpu_sim::programs::seed_buffers;
 use ihw_bench::serve::{stock_requests, LaunchRequest, LaunchService, ServeReply};
 use std::sync::Arc;
 

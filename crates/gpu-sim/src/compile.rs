@@ -7,14 +7,14 @@
 //! through [`IhwConfig`] matches inside the hot loop, plus a counter
 //! update and a memory-port virtual step for every executed
 //! instruction. This module folds all of those decisions **once, at
-//! lowering time**: each IR instruction becomes one [`CompiledOp`]
+//! lowering time**: each IR instruction becomes one `CompiledOp`
 //! whose unit selection (adder `TH` case, AC-multiplier truncation
 //! width, SFU on/off, precise fallbacks) is baked into the variant, so
 //! executing a warp's lanes is a tight loop over contiguous slices with
 //! no per-lane dispatch at all.
 //!
 //! The execution state is a structure-of-arrays register file
-//! ([`RegFile`]): register `r` holds a row of [`LANES`] lane values, so
+//! (`RegFile`): register `r` holds a row of [`LANES`] lane values, so
 //! one compiled op processes a whole block of threads as slice
 //! arithmetic. Loads and stores copy whole lane slices to and from the
 //! launch buffers in place.

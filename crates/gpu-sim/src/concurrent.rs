@@ -152,27 +152,14 @@ impl SharedInterpreter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::programs;
+    use crate::programs::{self, seed_buffers};
     use std::sync::Arc;
-
-    fn seed(prog: &Program, threads: u32) -> Vec<Vec<f32>> {
-        let fps = crate::deps::footprints(prog);
-        let n_bufs = fps.keys().max().map_or(0, |b| b + 1);
-        (0..n_bufs)
-            .map(|b| {
-                let len = fps.get(&b).map_or(0, |fp| fp.required_len(threads));
-                (0..len)
-                    .map(|i| 0.5 + ((i * 37 + b * 11) % 512) as f32 / 1024.0)
-                    .collect()
-            })
-            .collect()
-    }
 
     #[test]
     fn per_request_configs_share_one_plan_cache() {
         let sim = SharedInterpreter::new(IhwConfig::precise());
         let prog = programs::saxpy(2.0);
-        let bufs = seed(&prog, 64);
+        let bufs = seed_buffers(&prog, 64);
         let precise = sim.launch(&prog, &IhwConfig::precise(), 64, bufs.clone());
         let imprecise = sim.launch(&prog, &IhwConfig::all_imprecise(), 64, bufs.clone());
         assert!(precise.result.is_ok() && imprecise.result.is_ok());
@@ -203,7 +190,7 @@ mod tests {
             .iter()
             .map(|cfg| {
                 let sim = SharedInterpreter::new(*cfg);
-                sim.launch(&prog, cfg, threads, seed(&prog, threads))
+                sim.launch(&prog, cfg, threads, seed_buffers(&prog, threads))
                     .buffers
             })
             .collect();
@@ -218,7 +205,7 @@ mod tests {
                 std::thread::spawn(move || {
                     (0..4)
                         .map(|_| {
-                            sim.launch(&prog, &cfg, threads, seed(&prog, threads))
+                            sim.launch(&prog, &cfg, threads, seed_buffers(&prog, threads))
                                 .buffers
                         })
                         .collect::<Vec<_>>()
@@ -240,14 +227,14 @@ mod tests {
         let sim = SharedInterpreter::new(IhwConfig::precise());
         let prog = programs::saxpy(2.0);
         // Too-short buffers fault...
-        let short: Vec<Vec<f32>> = seed(&prog, 64)
+        let short: Vec<Vec<f32>> = seed_buffers(&prog, 64)
             .into_iter()
             .map(|b| b[..4].to_vec())
             .collect();
         let bad = sim.launch(&prog, &IhwConfig::precise(), 64, short);
         assert!(matches!(bad.result, Err(LaunchError::Exec(_))));
         // ...and the very next request on the same interpreter is clean.
-        let good = sim.launch(&prog, &IhwConfig::precise(), 64, seed(&prog, 64));
+        let good = sim.launch(&prog, &IhwConfig::precise(), 64, seed_buffers(&prog, 64));
         assert!(good.result.is_ok());
     }
 }

@@ -7,7 +7,7 @@
 //! re-derives per thread:
 //!
 //! * the threaded-code table of monomorphized lane ops
-//!   ([`crate::compile::CompiledOp`]), with every configuration branch
+//!   (`compile::CompiledOp`), with every configuration branch
 //!   constant-folded at lowering time;
 //! * whether the racecheck store-shape proof licenses instruction-major
 //!   lane blocks, decided once instead of per launch;
@@ -18,7 +18,7 @@
 //! * a closed-form first-fault precheck over the kernel's affine
 //!   access sites, which both engines' fault semantics reduce to.
 //!
-//! Plans are cached per interpreter in a [`PlanCache`] keyed on
+//! Plans are cached per interpreter in a `PlanCache` keyed on
 //! [`PlanKey`] — the program's structural fingerprint plus the typed
 //! [`IhwConfig`] itself (the same discipline as the bench runner's
 //! `RunCache`: typed keys, no stringly config labels). The fingerprint

@@ -2,6 +2,7 @@
 //! the [`crate::isa`] instruction set, for simulator validation and
 //! benchmarking.
 
+use crate::deps::footprints;
 use crate::isa::{AddrMode, Instr, Program, Reg};
 
 /// `y[i] = a·x[i] + y[i]` over buffers `0` (x) and `1` (y).
@@ -225,11 +226,38 @@ pub fn distance() -> Program {
     .expect("distance is a valid program")
 }
 
+/// Deterministic well-conditioned inputs for any kernel: every element
+/// in `[0.5, 1)`, buffers sized by the kernel's own footprint
+/// ([`crate::deps::Footprint::required_len`]) so strided reads stay in
+/// bounds at any thread count.
+pub fn seed_buffers(prog: &Program, threads: u32) -> Vec<Vec<f32>> {
+    let fps = footprints(prog);
+    let n_bufs = fps.keys().max().map_or(0, |b| b + 1);
+    (0..n_bufs)
+        .map(|b| {
+            let len = fps.get(&b).map_or(0, |fp| fp.required_len(threads));
+            (0..len)
+                .map(|i| 0.5 + ((i * 37 + b * 11) % 512) as f32 / 1024.0)
+                .collect()
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::isa::WarpInterpreter;
     use ihw_core::config::IhwConfig;
+
+    #[test]
+    fn seed_buffers_cover_strided_footprints() {
+        let prog = dot_partial(4);
+        let bufs = seed_buffers(&prog, 16);
+        assert_eq!(bufs.len(), 3);
+        assert_eq!(bufs[0].len(), 16 + 3, "x covers tid..tid+4 strips");
+        assert_eq!(bufs[2].len(), 16);
+        assert!(bufs[0].iter().all(|&v| (0.5..1.0).contains(&v)));
+    }
 
     #[test]
     fn saxpy_matches_host() {

@@ -39,7 +39,7 @@
 use crate::interp::{analyze_program, AnalysisSettings};
 use crate::sensitivity::{self, Relaxation};
 use crate::stock_kernel_names;
-use gpu_sim::isa::{Instr, Program};
+use gpu_sim::isa::Program;
 use gpu_sim::tuner::{tune, QualityConstraint};
 use ihw_core::config::{FpOp, IhwConfig};
 use ihw_lint::diag::{findings_fields, Finding};
@@ -168,33 +168,15 @@ pub fn render_config(cfg: &IhwConfig) -> String {
     parts.join("+")
 }
 
-/// Static per-thread op counts of a kernel, scaled by the launch width.
-/// `Ffma` decomposes into one mul + one add — the same composition the
-/// abstract interpreter and the functional dispatch (`IhwConfig::fma32`)
-/// use, so the energy model sees the actual units exercised.
+/// Static per-thread op counts of a kernel, scaled by the launch width:
+/// one count per [`sensitivity::site_classes`] site, so `Ffma` counts one
+/// mul + one add — the same composition the abstract interpreter and the
+/// functional dispatch (`IhwConfig::fma32`) use, so the energy model sees
+/// the actual units exercised.
 pub fn op_counts(prog: &Program, threads: u32) -> OpCounts {
     let mut counts = OpCounts::new();
-    let n = threads as u64;
-    for instr in prog.instrs() {
-        match *instr {
-            Instr::Fadd(..) | Instr::Fsub(..) => counts.record(FpOp::Add, n),
-            Instr::Fmul(..) => counts.record(FpOp::Mul, n),
-            Instr::Ffma(..) => {
-                counts.record(FpOp::Mul, n);
-                counts.record(FpOp::Add, n);
-            }
-            Instr::Fdiv(..) => counts.record(FpOp::Div, n),
-            Instr::Rcp(..) => counts.record(FpOp::Rcp, n),
-            Instr::Rsqrt(..) => counts.record(FpOp::Rsqrt, n),
-            Instr::Sqrt(..) => counts.record(FpOp::Sqrt, n),
-            Instr::Log2(..) => counts.record(FpOp::Log2, n),
-            Instr::Movi(..)
-            | Instr::Tid(..)
-            | Instr::Fmax(..)
-            | Instr::Sel(..)
-            | Instr::Ld(..)
-            | Instr::St(..) => {}
-        }
+    for (_, class) in sensitivity::site_classes(prog) {
+        counts.record(class, threads as u64);
     }
     counts
 }

@@ -83,13 +83,6 @@ impl OpCounts {
             .sum()
     }
 
-    /// Merges another counter set into this one.
-    pub fn merge(&mut self, other: &OpCounts) {
-        for (c, o) in self.counts.iter_mut().zip(other.counts) {
-            *c += o;
-        }
-    }
-
     /// Iterates `(op, count)` pairs with non-zero counts, in `FpOp` order.
     pub fn iter(&self) -> impl Iterator<Item = (FpOp, u64)> + '_ {
         FpOp::ALL
@@ -369,9 +362,6 @@ mod tests {
         assert_eq!(c.fpu_total(), 950_000);
         assert_eq!(c.sfu_total(), 60_000);
         assert_eq!(c.get(FpOp::Log2), 0);
-        let mut d = c.clone();
-        d.merge(&c);
-        assert_eq!(d.total(), 2 * c.total());
     }
 
     #[test]

@@ -11,12 +11,13 @@ cargo fmt --all -- --check
 echo "== cargo clippy (-D warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== cargo doc: intra-doc links resolve (-D broken_intra_doc_links) =="
-# Fails when a doc comment links to an item that no longer exists. The
-# vendored offline shims (proptest, rand, criterion) are excluded: they
-# stand in for crates.io packages, and the proptest shim's own `vec`
-# link is ambiguous. private_intra_doc_links stay warnings.
-RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-deps \
+echo "== cargo doc: intra-doc links resolve (-D broken/private_intra_doc_links) =="
+# Fails when a doc comment links to an item that no longer exists, or
+# when public docs link to a private item. The vendored offline shims
+# (proptest, rand, criterion) are excluded: they stand in for crates.io
+# packages, and the proptest shim's own `vec` link is ambiguous.
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links -D rustdoc::private_intra_doc_links" \
+    cargo doc --workspace --no-deps \
     --exclude proptest --exclude rand --exclude criterion
 
 echo "== tier-1: build + tests =="

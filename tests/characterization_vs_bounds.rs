@@ -3,26 +3,32 @@
 //! for every unit, and the PMF statistics must be internally consistent.
 
 use imprecise_gpgpu::core::bounds;
-use imprecise_gpgpu::core::prelude::MulPath;
-use imprecise_gpgpu::error::{characterize, CharTarget};
+use imprecise_gpgpu::core::prelude::*;
+use imprecise_gpgpu::error::{characterize, label};
 
 const N: u64 = 30_000;
 
+/// A precise datapath but for the AC multiplier (a Figure 9 setting).
+fn ac(path: MulPath) -> IhwConfig {
+    IhwConfig::precise().with_mul(MulUnit::AcMul(AcMulConfig::new(path, 0)))
+}
+
 #[test]
 fn every_figure8_unit_within_its_bound() {
-    let cases: Vec<(CharTarget, f64)> = vec![
-        (CharTarget::IfpMul, bounds::IFPMUL_MAX_ERROR),
-        (CharTarget::Ircp, bounds::RCP_MAX_ERROR),
-        (CharTarget::Irsqrt, bounds::RSQRT_MAX_ERROR),
-        (CharTarget::Isqrt, bounds::SQRT_MAX_ERROR),
-        (CharTarget::IfpDiv, bounds::DIV_MAX_ERROR),
+    let cfg = IhwConfig::all_imprecise();
+    let cases = [
+        (FpOp::Mul, bounds::IFPMUL_MAX_ERROR),
+        (FpOp::Rcp, bounds::RCP_MAX_ERROR),
+        (FpOp::Rsqrt, bounds::RSQRT_MAX_ERROR),
+        (FpOp::Sqrt, bounds::SQRT_MAX_ERROR),
+        (FpOp::Div, bounds::DIV_MAX_ERROR),
     ];
-    for (target, bound) in cases {
-        let pmf = characterize(target, N);
+    for (op, bound) in cases {
+        let pmf = characterize(op, &cfg, N);
         assert!(
             pmf.max_error_pct() <= bound * 100.0 + 0.05,
             "{}: {}% exceeds bound {}%",
-            target.label(),
+            label(op, &cfg),
             pmf.max_error_pct(),
             bound * 100.0
         );
@@ -31,27 +37,15 @@ fn every_figure8_unit_within_its_bound() {
 
 #[test]
 fn ac_paths_within_analytic_bounds() {
-    let full = characterize(
-        CharTarget::AcMul {
-            path: MulPath::Full,
-            truncation: 0,
-        },
-        N,
-    );
+    let full = characterize(FpOp::Mul, &ac(MulPath::Full), N);
     assert!(full.max_error_pct() <= bounds::AC_FULL_PATH_MAX_ERROR * 100.0 + 1e-6);
-    let log = characterize(
-        CharTarget::AcMul {
-            path: MulPath::Log,
-            truncation: 0,
-        },
-        N,
-    );
+    let log = characterize(FpOp::Mul, &ac(MulPath::Log), N);
     assert!(log.max_error_pct() <= bounds::AC_LOG_PATH_MAX_ERROR * 100.0 + 1e-6);
 }
 
 #[test]
 fn pmf_probabilities_sum_to_error_rate() {
-    let pmf = characterize(CharTarget::IfpMul, N);
+    let pmf = characterize(FpOp::Mul, &IhwConfig::all_imprecise(), N);
     let sum: f64 = pmf.iter().map(|(_, p)| p).sum();
     assert!((sum - pmf.error_rate()).abs() < 1e-9);
     assert!(
@@ -64,7 +58,10 @@ fn pmf_probabilities_sum_to_error_rate() {
 fn adder_bound_tightens_with_th() {
     // Larger TH ⇒ strictly lower error rate, mean and max characterized
     // error (additions), over the adder ablation's TH set plus 12.
-    let pmfs = [1u32, 4, 8, 12, 16, 27].map(|th| (th, characterize(CharTarget::IfpAdd { th }, N)));
+    let pmfs = [1u32, 4, 8, 12, 16, 27].map(|th| {
+        let cfg = IhwConfig::precise().with_add(AddUnit::Imprecise { th });
+        (th, characterize(FpOp::Add, &cfg, N))
+    });
     for pair in pmfs.windows(2) {
         let ((lo_th, lo), (hi_th, hi)) = (&pair[0], &pair[1]);
         assert!(
@@ -91,7 +88,8 @@ fn adder_bound_tightens_with_th() {
 #[test]
 fn deterministic_characterization() {
     // Quasi-MC sequences are deterministic: identical runs, identical PMFs.
-    let a = characterize(CharTarget::Isqrt, 10_000);
-    let b = characterize(CharTarget::Isqrt, 10_000);
+    let cfg = IhwConfig::all_imprecise();
+    let a = characterize(FpOp::Sqrt, &cfg, 10_000);
+    let b = characterize(FpOp::Sqrt, &cfg, 10_000);
     assert_eq!(a, b);
 }

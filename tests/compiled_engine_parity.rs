@@ -16,11 +16,11 @@
 mod common;
 
 use common::assert_engines_agree;
-use ihw_bench::racebench::seed_buffers;
 use imprecise_gpgpu::analyze::{stock_configs, stock_kernels};
 use imprecise_gpgpu::sim::asm::assemble;
 use imprecise_gpgpu::sim::deps::{racecheck, Verdict};
 use imprecise_gpgpu::sim::isa::{ExecEngine, WarpInterpreter};
+use imprecise_gpgpu::sim::programs::seed_buffers;
 
 #[test]
 fn compiled_counts_and_traces_match_interpreted_for_every_stock_pair() {

@@ -13,6 +13,14 @@ fn pos_normal_f32() -> impl Strategy<Value = f32> {
     })
 }
 
+/// Finite, normal, positive f64 values; any product of two stays normal.
+fn pos_normal_f64() -> impl Strategy<Value = f64> {
+    (any::<u64>(), -500i32..500).prop_map(|(m, e)| {
+        let mant = 1.0 + (m as f64 / u64::MAX as f64);
+        mant * (e as f64).exp2()
+    })
+}
+
 /// Any-signed normal f32.
 fn normal_f32() -> impl Strategy<Value = f32> {
     (pos_normal_f32(), any::<bool>()).prop_map(|(x, s)| if s { -x } else { x })
@@ -27,6 +35,14 @@ proptest! {
         let rel = (approx - exact) / exact;
         prop_assert!(rel <= 1e-7, "never overshoots: {rel}");
         prop_assert!(rel >= -(bounds::IFPMUL_MAX_ERROR + 1e-7), "bounded: {rel}");
+    }
+
+    #[test]
+    fn imul64_bounded_and_underestimating(a in pos_normal_f64(), b in pos_normal_f64()) {
+        let exact = a * b;
+        let rel = (imul64(a, b) - exact) / exact;
+        prop_assert!(rel <= 1e-15, "never overshoots: {rel}");
+        prop_assert!(rel >= -(bounds::IFPMUL_MAX_ERROR + 1e-15), "bounded: {rel}");
     }
 
     #[test]
@@ -47,6 +63,17 @@ proptest! {
         prop_assume!(exact.is_finite() && exact > 2.0 * f32::MIN_POSITIVE as f64 && exact < f32::MAX as f64);
         let rel = ((approx - exact) / exact).abs();
         prop_assert!(rel <= bounds::AC_LOG_PATH_MAX_ERROR + 1e-6, "{rel}");
+    }
+
+    #[test]
+    fn ac_paths_bound_f64(a in pos_normal_f64(), b in pos_normal_f64()) {
+        // Untruncated, `ac_mul_bound` is the §4.1.2 path bound plus a
+        // few ulps of re-encoding; deep f64 truncation stays within it too.
+        let exact = a * b;
+        for (path, t) in [(MulPath::Full, 0), (MulPath::Log, 0), (MulPath::Log, 48)] {
+            let rel = ((AcMulConfig::new(path, t).mul64(a, b) - exact) / exact).abs();
+            prop_assert!(rel <= bounds::ac_mul_bound(path, t, 52), "{path:?} t={t}: {rel}");
+        }
     }
 
     #[test]

@@ -17,13 +17,13 @@
 mod common;
 
 use common::{assert_engines_agree, bits};
-use ihw_bench::racebench::seed_buffers;
 use imprecise_gpgpu::analyze::{stock_configs, stock_kernels};
 use imprecise_gpgpu::core::config::IhwConfig;
 use imprecise_gpgpu::sim::asm::assemble;
 use imprecise_gpgpu::sim::concurrent::{LaunchError, SharedInterpreter};
 use imprecise_gpgpu::sim::deps::{racecheck, store_shape, StoreShape, Verdict};
 use imprecise_gpgpu::sim::isa::{ExecError, Program, WarpInterpreter};
+use imprecise_gpgpu::sim::programs::seed_buffers;
 
 /// Runs `prog` over `base` on the sequential reference and on a
 /// `SharedInterpreter`, and asserts that the shared launch agrees on

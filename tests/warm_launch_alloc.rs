@@ -11,12 +11,12 @@
 //! asked for it, so tests running in parallel threads of this binary
 //! cannot leak into the count.
 
-use ihw_bench::racebench::seed_buffers;
 use imprecise_gpgpu::analyze::{stock_configs, stock_kernels};
 use imprecise_gpgpu::core::config::IhwConfig;
 use imprecise_gpgpu::sim::concurrent::SharedInterpreter;
 use imprecise_gpgpu::sim::isa::{Program, WarpInterpreter};
 use imprecise_gpgpu::sim::plan::PlanCacheStats;
+use imprecise_gpgpu::sim::programs::seed_buffers;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
